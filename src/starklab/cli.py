@@ -10,7 +10,8 @@ numbers are serialized as decimal strings at the configured precision, so
 identical configuration yields byte-identical JSON.
 
 Exit codes: 0 all residuals within tolerance; 2 residual violation;
-3 convergence failure; 4 invalid input.
+3 convergence failure or search bound exceeded; 4 invalid input, usage
+errors included.
 
 Input literals (rationals as strings, element [x, y] means x + y*sqrt(D)):
   ideal          {"D": 5, "ideal": [a, b, c]}     (the module a Z + (b + c w) Z)
@@ -19,6 +20,7 @@ Input literals (rationals as strings, element [x, y] means x + y*sqrt(D)):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -48,6 +50,7 @@ from .theta import (
     poisson_check,
 )
 from .stark import (
+    BoundExceeded,
     ConditionFailed,
     RouteDisagreement,
     conjecture_check,
@@ -150,11 +153,15 @@ def parse_complex(text: str):
 
 
 def _numstr(x, ctx: PrecisionCtx) -> str:
-    return mp.nstr(mp.mpf(x), ctx.dps, strip_zeros=False)
+    """ctx.dps significant digits of x, converted at the working precision
+    (a conversion at mpmath's default 53 bits would round x to 16 digits)."""
+    with ctx.workprec():
+        return mp.nstr(mp.mpf(x), ctx.dps, strip_zeros=False)
 
 
 def _numstr_c(x, ctx: PrecisionCtx):
-    x = mp.mpc(x)
+    with ctx.workprec():
+        x = mp.mpc(x)
     return {"re": _numstr(x.real, ctx), "im": _numstr(x.imag, ctx)}
 
 
@@ -222,6 +229,9 @@ def run_guarded(body) -> int:
     except ConvergenceError as exc:
         click.echo("convergence failure: %s" % exc, err=True)
         return EXIT_CONVERGENCE
+    except BoundExceeded as exc:
+        click.echo("bound exceeded: %s" % exc, err=True)
+        return EXIT_CONVERGENCE
     except (InputError, ConditionFailed, ValueError, ZeroDivisionError) as exc:
         click.echo("invalid input: %s" % exc, err=True)
         return EXIT_INPUT
@@ -232,7 +242,30 @@ def run_guarded(body) -> int:
 # ---------------------------------------------------------------------------
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_errors_as_input():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT
+        raise
+
+
+class _RootGroup(click.Group):
+    """click exits with 2 on a usage error (missing option, malformed value,
+    unknown command), the code reserved for residual violations here; the
+    root group reports them as invalid input instead."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_as_input():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_as_input():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_RootGroup)
 def main():
     """High-precision laboratory for real quadratic zeta and theta data."""
 

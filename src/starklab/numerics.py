@@ -141,13 +141,20 @@ def gauss_legendre(f, a, b, n: int = 32, ctx: PrecisionCtx = DEFAULT_CTX, max_no
 
 def numeric_derivative(f, s0, h, ctx: PrecisionCtx = DEFAULT_CTX):
     """5-point central difference f'(s0); error estimated by halving h.
+    The two stencils share the points s0 +- h, so f is evaluated six times.
     Returns (value, err_estimate, stable)."""
     with ctx.workprec():
         s0, h = mp.mpf(s0), mp.mpf(h)
+        values = {}
+
+        def fv(t):
+            if t not in values:
+                values[t] = f(t)
+            return values[t]
 
         def stencil(hh):
             return (
-                -f(s0 + 2 * hh) + 8 * f(s0 + hh) - 8 * f(s0 - hh) + f(s0 - 2 * hh)
+                -fv(s0 + 2 * hh) + 8 * fv(s0 + hh) - 8 * fv(s0 - hh) + fv(s0 - 2 * hh)
             ) / (12 * hh)
 
         d1 = stencil(h)

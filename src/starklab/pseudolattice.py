@@ -298,22 +298,30 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def coset_slice_reps(
-    L: Pseudolattice,
-    l0: QuadElem,
-    W: QuadElem,
-    max_norm,
-    check_exact: bool = True,
-):
+def _sign_surd(r: int, t: int, D: int) -> int:
+    """Exact sign of r + t*sqrt(D) for integers r, t and non-square D."""
+    if r >= 0 and t >= 0:
+        return 0 if r == 0 and t == 0 else 1
+    if r <= 0 and t <= 0:
+        return -1
+    # mixed signs: the larger of r^2 and D t^2 decides (never equal)
+    return (1 if r > 0 else -1) if r * r > D * t * t else (1 if t > 0 else -1)
+
+
+def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     """Exactly one representative of each <u>-orbit of (l0 + L) \\ {0} with
     |N(xi)| <= max_norm, where W = u/u' = u^2 (totally positive, W > 1) for
     the totally positive norm-one unit u generating the orbit group.
 
-    The fundamental slice is tau(xi)^2 := (xi/xi')^2 in (1/W, W], decided
-    exactly in field arithmetic: xi^2 <= W xi'^2 (upper, closed) and
-    W xi^2 > xi'^2 (lower, open), so boundary points are never double
-    counted.  Candidates are pre-filtered in float64 with a wide margin and
-    every survivor is verified exactly.
+    The fundamental slice is tau(xi)^2 := (xi/xi')^2 in (1/W, W]:
+    xi^2 <= W xi'^2 (upper, closed) and W xi^2 > xi'^2 (lower, open), so
+    boundary points are never double counted.  Candidates are pre-filtered
+    in float64 with a wide margin and every survivor is verified exactly in
+    integer arithmetic: with a common denominator den, xi = (x + y sqrt(D))/den
+    where x = x0 + a x1 + b x2 (y likewise), and W = (Wx + Wy sqrt(D))/wd.
+    The norm is (x^2 - D y^2)/den^2, and each slice inequality is the exact
+    sign of an integer combination r + t sqrt(D).  QuadElems are built only
+    for the representatives kept.
 
     Returns a list of (xi: QuadElem, a: int, b: int, absN: Fraction) with
     xi = l0 + a*l1 + b*l2, sorted by (absN, a, b) for determinism."""
@@ -355,26 +363,43 @@ def coset_slice_reps(
         ka, kb = A[keep], Bb[keep]
         candidates.extend(zip(ka.tolist(), kb.tolist()))
 
-    out = []
-    max_norm_fr = Fraction(max_norm) if not isinstance(max_norm, Fraction) else max_norm
-    one = QuadElem(L.field.D, 1)
+    # exact verification on common-denominator integer coordinates
+    D = L.field.D
+    gens = (l0, L.l1, L.l2)
+    den = math.lcm(*(c.denominator for g in gens for c in (g.x, g.y)))
+    x0, x1, x2 = (int(g.x * den) for g in gens)
+    y0, y1, y2 = (int(g.y * den) for g in gens)
+    wd = math.lcm(W.x.denominator, W.y.denominator)
+    Wx, Wy = int(W.x * wd), int(W.y * wd)
+    max_norm_fr = Fraction(max_norm)
+    # |x^2 - D y^2| <= max_norm * den^2, cleared of the max_norm denominator
+    norm_num = max_norm_fr.numerator * den * den
+    norm_den = max_norm_fr.denominator
+    kept = []
     for a, b in candidates:
-        xi = l0 + a * L.l1 + b * L.l2
-        if xi.is_zero():
+        x = x0 + a * x1 + b * x2
+        y = y0 + a * y1 + b * y2
+        xx, dyy = x * x, D * y * y
+        n = xx - dyy
+        if n == 0 or abs(n) * norm_den > norm_num:
             continue
-        n = xi.norm()
-        if abs(n) > max_norm_fr or n == 0:
+        # den^2 xi^2 = P + Q sqrt(D) and den^2 xi'^2 = P - Q sqrt(D)
+        P = xx + dyy
+        Q = 2 * x * y
+        # upper bound, closed: W xi'^2 - xi^2 >= 0
+        if _sign_surd((Wx - wd) * P - D * Wy * Q, Wy * P - (Wx + wd) * Q, D) < 0:
             continue
-        xi2 = xi * xi
-        xic = xi.conjugate()
-        xic2 = xic * xic
-        if not (W * xic2 - xi2).sign() >= 0:  # upper bound, closed
+        # lower bound, open: W xi^2 - xi'^2 > 0
+        if _sign_surd((Wx - wd) * P + D * Wy * Q, Wy * P + (Wx + wd) * Q, D) <= 0:
             continue
-        if not (W * xi2 - xic2).sign() > 0:  # lower bound, open
-            continue
-        out.append((xi, a, b, abs(n)))
-    out.sort(key=lambda t: (t[3], t[1], t[2]))
-    return out
+        kept.append((abs(n), a, b, x, y))
+    # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
+    kept.sort()
+    dd = den * den
+    # converted in place, so the integer rows and the output never coexist
+    for i, (n, a, b, x, y) in enumerate(kept):
+        kept[i] = (QuadElem(D, Fraction(x, den), Fraction(y, den)), a, b, Fraction(n, dd))
+    return kept
 
 
 def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:

@@ -255,10 +255,6 @@ class FieldCtx:
 # ---------------------------------------------------------------------------
 
 
-def _isqrt(n: int) -> int:
-    return math.isqrt(n)
-
-
 class CFState:
     """State (P + sqrt(Delta)) / Q of a continued-fraction expansion, with
     Delta = D * m^2 kept in the form allowing exact value comparison."""
@@ -276,7 +272,7 @@ class CFState:
     def floor(self) -> int:
         # floor((P + m*sqrt(D)) / Q); the numerator lies in [P+s, P+s+1)
         # with s = floor(m*sqrt(D)), and is irrational (never the endpoint).
-        s = _isqrt(self.Delta)
+        s = math.isqrt(self.Delta)
         if self.Q > 0:
             return (self.P + s) // self.Q
         return -((self.P + s) // (-self.Q)) - 1
@@ -388,7 +384,7 @@ def pell_fundamental_unit(D: int, bound: int = 4000) -> QuadElem | None:
             disc = t * t * v * v - 4 * (n * v * v - target)
             if disc < 0:
                 continue
-            r = _isqrt(disc)
+            r = math.isqrt(disc)
             if r * r != disc:
                 continue
             for num in (-t * v + r, -t * v - r):
@@ -603,11 +599,6 @@ class QuadIdeal:
             rows.append((int(u), int(v)))
         a, b, c = _hnf_2col(rows)
         return QuadIdeal(F, a, b, c)
-
-    def inverse_up_to_principal(self) -> tuple["QuadIdeal", int]:
-        """Returns (A', n) with self * A' = (n): the conjugate ideal and the
-        norm, since A * conj(A) = (N(A))."""
-        return self.conjugate(), self.norm()
 
     def divide(self, other: "QuadIdeal") -> "QuadIdeal":
         """Exact ideal quotient self / other, assuming other | self."""

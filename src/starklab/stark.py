@@ -13,6 +13,13 @@ b = gcd(L, (l0)) and f = L / b.  Two independent evaluation routes are
 provided: a direct smoothly-truncated sum (valid for Re s > 1) and an
 incomplete-gamma split of the associated theta integral which continues the
 function to the whole plane.  The Stark number is S0 = exp(zeta'(0)).
+
+The split route enumerates the primal coset and the dual lattice once per
+(reduced input, cutoff, working precision) into a ContinuationData: norms
+with signed multiplicities and character-sum coefficients, and the
+covolume.  Its two consumers are partial_zeta_continued (incomplete gamma
+at any s) and the regularized zeta'(0) (E1 and exponentials at s = 0), so
+stark_number's cross-check of the two shares one enumeration.
 """
 
 from __future__ import annotations
@@ -109,7 +116,12 @@ class StarkInput:
         a, bh, ch = self.L.hnf()
         p, q = self.field.coords(self.l0)
         d = math.gcd(math.gcd(a, bh), math.gcd(ch, math.gcd(int(p), int(q))))
-        out = self if d <= 1 else validate_pair(
+        if d <= 1:
+            # not cached: a reference to itself would put the input and its
+            # enumeration caches on a cycle that only the garbage collector
+            # frees, so they would outlive the caller's last reference
+            return self
+        out = validate_pair(
             self.L.divide_by_integer(d), self.l0 / self.field.elem(d)
         )
         self._rep_cache["reduced"] = out
@@ -201,57 +213,87 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX,
 # ---------------------------------------------------------------------------
 
 
-def _continuation_data(inp: StarkInput, ctx: PrecisionCtx, s_scale: float = 1.0):
-    """Shared lattice data for the split evaluation: representatives of the
-    primal coset and of the dual lattice inside the totally-positive unit
-    slice, grouped by exact norm, together with the covolume.
+@dataclass(frozen=True)
+class ContinuationData:
+    """Lattice data of the split evaluation at one cutoff and precision.
 
-    Returns (groups1, groups2, delta_mpf, kappa) where groups1 maps
-    |N| (Fraction) -> integer signed multiplicity and groups2 maps
-    |N| -> list of (sign, character exponent Fraction mod 1)."""
+    primal: (x, m) in ascending |N|, x = 2 pi |N| and m the signed
+    multiplicity sum sgn(xi') over the primal coset representatives of that
+    norm; dual: (x, c) in ascending |N|, c = sum sgn(xi) e^{2 pi i tr(xi l0')}
+    over the dual lattice representatives of that norm; delta: the
+    covolume.  Zero multiplicities and zero coefficients are dropped."""
+
+    primal: tuple
+    dual: tuple
+    delta: mp.mpf
+
+    @classmethod
+    def build(cls, inp: StarkInput, ctx: PrecisionCtx, max_norm: Fraction):
+        """Enumerate both lattices inside the totally-positive unit slice up
+        to max_norm and fold them by exact norm, at ctx's working precision."""
+        with ctx.workprec():
+            U = inp.unit.eps_f_plus
+            W = U * U
+            lat = inp.lattice
+            reps1 = coset_slice_reps(lat, inp.l0, W, max_norm)
+            reps2 = coset_slice_reps(dual(lat), lat.field.elem(0), W, max_norm)
+            two_pi = 2 * mp.pi
+
+            mults: dict[Fraction, int] = {}
+            for xi, _, _, n in reps1:
+                mults[n] = mults.get(n, 0) + xi.conjugate().sign()
+            primal = tuple(
+                (two_pi * mpf_from_fraction(n), m)
+                for n, m in sorted(mults.items()) if m != 0
+            )
+
+            l0c = inp.l0.conjugate()
+            terms: dict[Fraction, list] = {}
+            for xi, _, _, n in reps2:
+                tr = (xi * l0c).trace()
+                expo = tr - (tr // 1)  # character exponent mod 1, exact
+                terms.setdefault(n, []).append((xi.sign(), expo))
+            chars: dict[Fraction, mp.mpc] = {}
+
+            def character(expo):
+                """e^{2 pi i expo}, computed once per exponent."""
+                if expo not in chars:
+                    chars[expo] = mp.expjpi(2 * mpf_from_fraction(expo))
+                return chars[expo]
+
+            dual_pairs = []
+            for n, entries in sorted(terms.items()):
+                coeff = mp.mpc(mp.fsum(
+                    (sg * character(expo) for sg, expo in entries), absolute=False
+                ))
+                if coeff != 0:
+                    dual_pairs.append((two_pi * mpf_from_fraction(n), coeff))
+            delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(lat.field.D)
+            return cls(primal=primal, dual=tuple(dual_pairs), delta=delta)
+
+
+def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
+                       s_scale: float = 1.0) -> ContinuationData:
+    """The ContinuationData of a reduced input whose cutoff meets ctx's
+    error target for |s| <= s_scale, built once per (max_norm, work_bits)."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
         U = inp.unit.eps_f_plus
         W = U * U
         lat = inp.lattice
-        dlat = dual(lat)
-        delta_q = lat.delta_exact()
-        delta_f = float(delta_q) * math.sqrt(lat.field.D)
+        delta_f = float(lat.delta_exact()) * math.sqrt(lat.field.D)
         # crude density of slice representatives per unit of |N|
         rho = max(1.0, 4.0 * math.log(float(W.embed("id", ctx))) / delta_f)
         x_min = max(
             10.0 + 3.0 * s_scale,
             float(-mp.log(tol)) + math.log(20.0 * rho) + 6.0,
         )
-        max_norm = Fraction(math.ceil(x_min / (2 * math.pi))) + 2
-
-        reps1 = inp.slice_reps(lat, inp.l0, W, max_norm)
-        reps2 = inp.slice_reps(dlat, lat.field.elem(0), W, max_norm)
-
-        groups1: dict[Fraction, int] = {}
-        for xi, _, _, n in reps1:
-            groups1[n] = groups1.get(n, 0) + xi.conjugate().sign()
-        l0c = inp.l0.conjugate()
-        groups2: dict[Fraction, list] = {}
-        for xi, _, _, n in reps2:
-            tr = (xi * l0c).trace()
-            expo = tr - (tr // 1)  # character exponent mod 1, exact
-            groups2.setdefault(n, []).append((xi.sign(), expo))
-        delta_mpf = mpf_from_fraction(delta_q) * mp.sqrt(lat.field.D)
-        return groups1, groups2, delta_mpf
-
-
-_CHAR_CACHE: dict[tuple[int, Fraction], mp.mpc] = {}
-
-
-def _character(expo: Fraction, prec_key: int):
-    """e^{2 pi i expo} for exact rational expo in [0, 1), cached."""
-    key = (prec_key, expo)
-    val = _CHAR_CACHE.get(key)
-    if val is None:
-        val = mp.expjpi(2 * mpf_from_fraction(expo))
-        _CHAR_CACHE[key] = val
-    return val
+    max_norm = Fraction(math.ceil(x_min / (2 * math.pi))) + 2
+    key = ("continuation", max_norm, ctx.work_bits)
+    data = inp._rep_cache.get(key)
+    if data is None:
+        data = inp._rep_cache[key] = ContinuationData.build(inp, ctx, max_norm)
+    return data
 
 
 def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
@@ -270,34 +312,20 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     sums over totally-positive-unit orbit representatives, Delta the
     covolume and kappa the orbit-splitting index of the unit groups."""
     inp = inp.reduced()
-    s_abs = abs(complex(s))
-    groups1, groups2, delta_mpf = _continuation_data(inp, ctx, s_scale=s_abs)
+    data = _continuation_data(inp, ctx, s_scale=abs(complex(s)))
     with ctx.workprec():
         s = mp.mpmathify(s)
-        two_pi = 2 * mp.pi
         part1 = mp.mpc(0)
-        for n, mult in sorted(groups1.items()):
-            if mult == 0:
-                continue
-            x = two_pi * mpf_from_fraction(n)
+        for x, mult in data.primal:
             part1 += mult * upper_gamma(s, x, ctx) * mp.power(x, -s)
         part2 = mp.mpc(0)
-        prec_key = ctx.work_bits
-        for n, entries in sorted(groups2.items()):
-            coeff = mp.fsum(
-                (sg * _character(expo, prec_key) for sg, expo in entries),
-                absolute=False,
-            )
-            coeff = mp.mpc(coeff)
-            if mp.mpf(abs(coeff)) == 0:
-                continue
-            x = two_pi * mpf_from_fraction(n)
+        for x, coeff in data.dual:
             part2 += coeff * upper_gamma(1 - s, x, ctx) * mp.power(x, -(1 - s))
-        part2 = part2 / (mp.mpc(0, 1) * delta_mpf)
+        part2 = part2 / (mp.mpc(0, 1) * data.delta)
         pref = (
             inp.sign_l0_conj
             * mp.power(inp.b.norm(), s)
-            * mp.power(two_pi, s)
+            * mp.power(2 * mp.pi, s)
             * mp.rgamma(s)
             / inp.unit.kappa
         )
@@ -321,27 +349,15 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx):
     zeta'(0) = sgn(l0') / kappa * [ sum_primal sgn(xi') E1(2 pi N)
              + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr} e^{-2 pi N}/(2 pi N) ]."""
     inp = inp.reduced()
-    groups1, groups2, delta_mpf = _continuation_data(inp, ctx)
+    data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        two_pi = 2 * mp.pi
         part1 = mp.mpf(0)
-        for n, mult in sorted(groups1.items()):
-            if mult == 0:
-                continue
-            part1 += mult * e1(two_pi * mpf_from_fraction(n), ctx)
+        for x, mult in data.primal:
+            part1 += mult * e1(x, ctx)
         part2 = mp.mpc(0)
-        prec_key = ctx.work_bits
-        for n, entries in sorted(groups2.items()):
-            coeff = mp.fsum(
-                (sg * _character(expo, prec_key) for sg, expo in entries),
-                absolute=False,
-            )
-            coeff = mp.mpc(coeff)
-            if mp.mpf(abs(coeff)) == 0:
-                continue
-            x = two_pi * mpf_from_fraction(n)
+        for x, coeff in data.dual:
             part2 += coeff * mp.exp(-x) / x
-        part2 = part2 / (mp.mpc(0, 1) * delta_mpf)
+        part2 = part2 / (mp.mpc(0, 1) * data.delta)
         val = mp.mpc(part1 + part2) * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
             raise ConvergenceError(

@@ -20,9 +20,10 @@ from .numerics import (
     branch_sqrt_neg_iv,
     gauss_legendre,
     legendre_nodes,
+    mpf_from_fraction,
     ordered_sum,
 )
-from .hecke import HeckeLattice, covolume, hecke_lattice, scalar_product
+from .hecke import HeckeLattice, hecke_lattice, scalar_product
 from .pseudolattice import Pseudolattice, coset_slice_reps, delta, dual
 from .quadfield import QuadElem
 
@@ -210,7 +211,7 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
 
         m0c = spec.m0.conjugate()
         const = mp.expjpi(
-            -_to_mpf(_frac_mod2((spec.l0 * m0c).trace()))
+            -mpf_from_fraction(_frac_mod2((spec.l0 * m0c).trace()))
         )
         char_cache: dict = {}
         terms = []
@@ -220,17 +221,13 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
             coef = eta0 * s_conj + eta1 * s_id
             if coef == 0:
                 continue
-            n_mp = _to_mpf(absn)
+            n_mp = mpf_from_fraction(absn)
             tr = _frac_mod1(((xi - spec.l0) * m0c).trace())
             if tr not in char_cache:
-                char_cache[tr] = mp.expjpi(-2 * _to_mpf(tr))
+                char_cache[tr] = mp.expjpi(-2 * mpf_from_fraction(tr))
             terms.append(coef * mp.expjpi(2 * v * n_mp) * char_cache[tr])
         total = ordered_sum(terms) * const
         return ThetaValue(+total, +tail(X))
-
-
-def _to_mpf(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator
 
 
 def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):

@@ -1,11 +1,13 @@
 import json
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
 import starklab.cli as cli_mod
 from starklab.cli import main
 from starklab.numerics import ConvergenceError
+from starklab.stark import BoundExceeded
 
 
 def run(*args):
@@ -53,6 +55,26 @@ def test_stark_compute_reference_value():
     rep = json.loads(r.output)
     assert abs(float(rep["zeta_prime_0"]) - 0.76719721825131944) < 1e-14
     assert rep["evaluations"][0]["s"]["re"].startswith("2")
+
+
+def test_stark_compute_prints_the_computed_digits(monkeypatch):
+    # the report carries S0 and zeta'(0) at the working precision, not
+    # rounded through a 53-bit float
+    computed = []
+    stark_number = cli_mod.stark_number
+
+    def keep(*args, **kwargs):
+        computed.append(stark_number(*args, **kwargs))
+        return computed[-1]
+
+    monkeypatch.setattr(cli_mod, "stark_number", keep)
+    r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]')
+    assert r.exit_code == 0, r.output
+    rep = json.loads(r.output)
+    with mp.workdps(60):
+        assert abs(mp.mpf(rep["s0"]) - computed[0].s0) < mp.mpf("1e-35")
+        assert abs(mp.mpf(rep["zeta_prime_0"]) - computed[0].zeta_prime_0) \
+            < mp.mpf("1e-35")
 
 
 def test_lattice_classify_and_dual():
@@ -145,3 +167,24 @@ def test_exit_3_on_convergence_failure(monkeypatch):
     monkeypatch.setattr(cli_mod, "functional_equation_Theta", boom)
     r = run("theta", "check-fe", "--D", "5")
     assert r.exit_code == 3
+
+
+def test_exit_3_on_bound_exceeded(monkeypatch):
+    def boom(*a, **k):
+        raise BoundExceeded("synthetic ray class overflow")
+
+    monkeypatch.setattr(cli_mod, "conjecture_check", boom)
+    r = run("stark", "conjecture", "--modulus", P11)
+    assert r.exit_code == 3
+    assert r.stderr == "bound exceeded: synthetic ray class overflow\n"
+
+
+def test_exit_4_on_usage_errors():
+    # click reports usage errors with 2, the residual-violation code
+    r = run("stark", "compute", "--l0", '["1", "0"]')  # missing --ideal
+    assert r.exit_code == 4
+    assert "Missing option" in r.stderr
+    r = run("theta", "check-fe", "--D", "notanint")
+    assert r.exit_code == 4
+    r = run("stark", "no-such-command")
+    assert r.exit_code == 4

@@ -39,6 +39,28 @@ def test_numeric_derivative_exp():
     assert abs(val - mp.e) < 1e-25
 
 
+def test_numeric_derivative_shares_stencil_points():
+    # the stencils at h and h/2 share f(s0 +- h): six evaluations give the
+    # same bits as the eight of the two stencils written out
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return mp.exp(t) * mp.sin(3 * t)
+
+    with CTX.workprec():
+        s0, h = mp.mpf("0.3"), mp.mpf("1e-6")
+        val, err, stable = numeric_derivative(f, s0, h, CTX)
+        assert len(seen) == len(set(seen)) == 6
+
+        def stencil(hh):
+            return (-f(s0 + 2 * hh) + 8 * f(s0 + hh) - 8 * f(s0 - hh)
+                    + f(s0 - 2 * hh)) / (12 * hh)
+
+        d1, d2 = stencil(h), stencil(h / 2)
+        assert val == d2 and err == abs(d1 - d2)
+
+
 def test_ordered_sum_deterministic():
     rng = random.Random(1)
     with CTX.workprec():

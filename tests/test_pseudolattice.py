@@ -276,31 +276,89 @@ def test_slice_reps_unique_per_orbit():
                 assert back == xi
 
 
-def test_slice_reps_complete_and_exclusive():
-    # independent enumeration: scan a box that provably covers the slice and
-    # apply the exact slice-membership predicate point by point
+def _slice_oracle(L, l0, W, X):
+    """Independent enumeration: scan a box that provably covers the slice
+    and apply the exact slice-membership predicate point by point.
+
+    In the slice (1/W, W] with |N| <= X both |xi| and |xi'| are at most
+    B = sqrt(X sqrt(W)), which bounds the coordinates of xi - l0 through
+    the inverse of the embedding matrix; the box doubles that bound."""
+    l1r, l1c = float(L.l1.embed("id")), float(L.l1.embed("conj"))
+    l2r, l2c = float(L.l2.embed("id")), float(L.l2.embed("conj"))
+    r = math.sqrt(float(X) * math.sqrt(float(W.embed("id")))) + max(
+        abs(float(l0.embed("id"))), abs(float(l0.embed("conj"))))
+    det = abs(l1r * l2c - l2r * l1c)
+    amax = int(2 * r * (abs(l2r) + abs(l2c)) / det) + 2
+    bmax = int(2 * r * (abs(l1r) + abs(l1c)) / det) + 2
+    expected = set()
+    for a in range(-amax, amax + 1):
+        for b in range(-bmax, bmax + 1):
+            xi = l0 + a * L.l1 + b * L.l2
+            if xi.is_zero() or abs(xi.norm()) > X:
+                continue
+            xi2, xic2 = xi * xi, xi.conjugate() ** 2
+            in_slice = (W * xic2 - xi2).sign() >= 0 and \
+                (W * xi2 - xic2).sign() > 0
+            if in_slice:
+                expected.add((xi.x, xi.y))
+    return expected
+
+
+def _slice_cases():
+    """(L, l0, W, X): the shifted maximal order, the trace-dual of an ideal
+    lattice (fractional generators), an l0 with a sqrt(D) part, and the
+    wider slice W = u^4."""
+    cases = []
     for D in (2, 5):
         F = FieldCtx(D)
         L = Pseudolattice(F, F.elem(1), F.omega)
         u0 = fundamental_unit(D)
         u = u0 if u0.is_totally_positive() else u0 * u0
         W = u * u
-        l0 = QuadElem(D, Fraction(1, 3), 0)
-        X = 25
+        cases.append((L, QuadElem(D, Fraction(1, 3), 0), W, 25))
+        cases.append((L, QuadElem(D, Fraction(1, 3), Fraction(-1, 4)), W, 25))
+        cases.append((L, QuadElem(D, Fraction(2, 5), Fraction(1, 2)), W * W, 12))
+    F = FieldCtx(5)
+    u = fundamental_unit(5) ** 2
+    p11 = QuadIdeal.from_generators(F, [11, F.omega + 3])
+    M = dual(ideal_to_pseudolattice(p11))
+    assert M.l1.x.denominator > 1 or M.l1.y.denominator > 1 \
+        or M.l2.x.denominator > 1 or M.l2.y.denominator > 1
+    cases.append((M, F.elem(0), u * u, Fraction(1, 5)))
+    cases.append((M, QuadElem(5, Fraction(1, 7), Fraction(1, 11)), u ** 4, Fraction(1, 5)))
+    F = FieldCtx(3)
+    u = fundamental_unit(3)
+    M = dual(ideal_to_pseudolattice(QuadIdeal.principal(F, F.elem(5))))
+    cases.append((M, F.elem(0), u * u, Fraction(1, 3)))
+    return cases
+
+
+def test_slice_reps_complete_and_exclusive():
+    for L, l0, W, X in _slice_cases():
         reps = coset_slice_reps(L, l0, W, X)
-        got = {(xi.x, xi.y) for xi, *_ in reps}
-        expected = set()
-        for a in range(-80, 81):
-            for b in range(-80, 81):
-                xi = l0 + a * L.l1 + b * L.l2
-                if xi.is_zero() or abs(xi.norm()) > X:
-                    continue
-                xi2, xic2 = xi * xi, xi.conjugate() ** 2
-                in_slice = (W * xic2 - xi2).sign() >= 0 and \
-                    (W * xi2 - xic2).sign() > 0
-                if in_slice:
-                    expected.add((xi.x, xi.y))
-        assert expected == got
+        got = [(xi.x, xi.y) for xi, *_ in reps]
+        assert len(got) == len(set(got)) > 10
+        assert set(got) == _slice_oracle(L, l0, W, X)
+        for xi, a, b, absn in reps:
+            assert xi == l0 + a * L.l1 + b * L.l2
+            assert absn == abs(xi.norm())
+        assert [t[3] for t in reps] == sorted(t[3] for t in reps)
+
+
+def test_slice_kernel_sign_matches_field_sign():
+    # the exact sign behind the slice test, at near-cancelling r + t sqrt(D)
+    # taken from powers of the fundamental unit, against QuadElem.sign
+    from starklab.pseudolattice import _sign_surd
+
+    for D in (2, 3, 5, 13, 46):
+        e = fundamental_unit(D)
+        power = QuadElem(D, 1)
+        for _ in range(6):
+            power = power * e
+            x, y = int(2 * power.x), int(2 * power.y)
+            for dx in range(-2, 3):
+                for r, t in ((x + dx, -y), (-x + dx, y), (dx, 0), (0, dx)):
+                    assert _sign_surd(r, t, D) == QuadElem(D, r, t).sign()
 
 
 def test_effective_cone_and_k0():

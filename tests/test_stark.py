@@ -6,8 +6,10 @@ import pytest
 
 from starklab.numerics import PrecisionCtx
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
+import starklab.stark as stark_mod
 from starklab.stark import (
     ConditionFailed,
+    ContinuationData,
     StarkInput,
     conjecture_check,
     pair_for_class,
@@ -163,6 +165,30 @@ def test_stark_number_reference_value():
         assert abs(r.s0 - mp.exp(r.zeta_prime_0)) < 1e-25
         assert r.route_gap < 1e-20
         assert r.zeta_0 < 1e-8
+
+
+def test_stark_number_builds_continuation_data_once(monkeypatch):
+    # one enumeration and fold serves the regularized route, the six
+    # stencil points of the numeric derivative and the value at 0
+    builds, evals = [], []
+    build, continued = ContinuationData.build, stark_mod.partial_zeta_continued
+
+    def counting_build(cls, *args):
+        builds.append(args[2])
+        return build(*args)
+
+    def counting_continued(*args, **kwargs):
+        evals.append(args[1])
+        return continued(*args, **kwargs)
+
+    monkeypatch.setattr(ContinuationData, "build", classmethod(counting_build))
+    monkeypatch.setattr(stark_mod, "partial_zeta_continued", counting_continued)
+    F = FieldCtx(2)
+    inp = validate_pair(QuadIdeal.from_generators(F, [7, F.omega + 3]), F.elem(1))
+    r = stark_number(inp, CTX)
+    assert r.route_gap < 1e-20
+    assert len(builds) == 1
+    assert len(evals) == 7 and len(set(evals)) == 7
 
 
 def test_stark_number_class_invariance_small():
