@@ -51,6 +51,10 @@ class ConvergenceError(ArithmeticError):
     """A truncated sum or quadrature could not meet the error target."""
 
 
+class BoundExceeded(RuntimeError):
+    """A search did not close within its configured bound."""
+
+
 def branch_sqrt_neg_iv(v, ctx: PrecisionCtx = DEFAULT_CTX):
     """sqrt(-iv) on the branch that is positive real for v on the upper
     imaginary axis.  Defined for Im(v) > 0, where -iv has positive real

@@ -18,6 +18,7 @@ from .quadfield import (
     QuadIdeal,
     cf_expand,
     fundamental_unit,
+    _convergent_matrix,
     _float_embed,
     _float_embed_conj,
 )
@@ -250,17 +251,6 @@ def automorphism_group(L: Pseudolattice) -> AutomorphismGroup:
 # ---------------------------------------------------------------------------
 
 
-def _convergent_matrices(quotients):
-    """Prefix products (a0 1; 1 0)...(ak 1; 1 0); mats[k] maps the k-th
-    complete quotient x to theta: theta = (p x + p-) / (q x + q-)."""
-    mats = [IntMat2.identity()]
-    cur = IntMat2.identity()
-    for q in quotients:
-        cur = cur * IntMat2(q, 1, 1, 0)
-        mats.append(cur)
-    return mats
-
-
 def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
     """Decides equivalence of theta_i = l2_i/l1_i under GL(2,Z) (SL(2,Z) when
     oriented) by matching continued-fraction tails exactly.
@@ -275,8 +265,6 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
     # matching index are observable
     ext_q2 = q2 + q2[s2 : s2 + p2]
     ext_v2 = v2 + v2[s2 : s2 + p2]
-    m1 = _convergent_matrices(q1)
-    m2 = _convergent_matrices(ext_q2)
     index2: dict = {}
     for j, val in enumerate(ext_v2):
         index2.setdefault(val, []).append(j)
@@ -284,8 +272,9 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
         for j in index2.get(val, ()):
             if oriented and (k + j) % 2 != 0:
                 continue
-            # theta1 = m1[k] . x, theta2 = m2[j] . x  =>  g = m2[j] m1[k]^{-1}
-            g = m2[j] * m1[k].inverse_unimodular()
+            # theta1 = M1 . x, theta2 = M2 . x  =>  g = M2 M1^{-1}
+            M1 = IntMat2(*_convergent_matrix(q1[:k]))
+            g = IntMat2(*_convergent_matrix(ext_q2[:j])) * M1.inverse_unimodular()
             assert g.mobius(th1) == th2
             if oriented:
                 assert g.det() == 1

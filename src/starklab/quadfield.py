@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .numerics import DEFAULT_CTX, PrecisionCtx
+from .numerics import DEFAULT_CTX, BoundExceeded, PrecisionCtx
 
 
 def _squarefree(n: int) -> bool:
@@ -309,14 +309,15 @@ def cf_expand(theta: QuadElem, max_steps: int = 10000):
     st = _cf_normalize(theta)
     quotients: list[int] = []
     values: list[QuadElem] = []
+    # m is fixed along the expansion, so (P, Q) determines the value
     seen: dict = {}
     for k in range(max_steps):
-        val = st.value()
-        if val in seen:
-            return quotients, values, (seen[val], k - seen[val])
-        seen[val] = k
-        values.append(val)
-        a = val.floor()
+        key = (st.P, st.Q)
+        if key in seen:
+            return quotients, values, (seen[key], k - seen[key])
+        seen[key] = k
+        values.append(st.value())
+        a = st.floor()
         quotients.append(a)
         # step: theta_{k+1} = 1 / (theta_k - a)
         P1 = a * st.Q - st.P
@@ -327,35 +328,24 @@ def cf_expand(theta: QuadElem, max_steps: int = 10000):
     raise ArithmeticError("continued fraction did not cycle within max_steps")
 
 
+def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
+    """(p, p_, q, q_) = (a0 1; 1 0)...(ak 1; 1 0) for quotients a0..ak: the
+    number x after them maps back to theta = (p x + p_) / (q x + q_)."""
+    p, p_, q, q_ = 1, 0, 0, 1
+    for a in quotients:
+        p, p_, q, q_ = a * p + p_, p, a * q + q_, q
+    return p, p_, q, q_
+
+
 @lru_cache(maxsize=None)
 def fundamental_unit(D: int) -> QuadElem:
     """Fundamental unit eps0 > 1 of O_K, |N(eps0)| = 1, via the continued
-    fraction of omega: the matrix recovering the first repeated complete
-    quotient fixes it, and its bottom row yields the unit."""
+    fraction of omega: the matrix of one period of quotients fixes the
+    first repeated complete quotient, and its bottom row yields the unit."""
     F = FieldCtx(D)
-    omega = F.omega
-    quotients, values, (start, period) = cf_expand(omega)
-    # M_k maps the k-th complete quotient back to theta_0:
-    # theta_0 = (p_{k-1} x + p_{k-2}) / (q_{k-1} x + q_{k-2}) at x = theta_k
-    def mat_upto(k):
-        a, b, c, d = 1, 0, 0, 1
-        for q in quotients[:k]:
-            a, b, c, d = a * q + b, a, c * q + d, c
-        return a, b, c, d
-
-    a1, b1, c1, d1 = mat_upto(start)
-    a2, b2, c2, d2 = mat_upto(start + period)
-    # g = M_{start}^{-1} * M_{start+period} fixes theta_{start}
-    det1 = a1 * d1 - b1 * c1
-    inv = (d1 * det1, -b1 * det1, -c1 * det1, a1 * det1)  # det1 = +-1
-    g = (
-        inv[0] * a2 + inv[1] * c2,
-        inv[0] * b2 + inv[1] * d2,
-        inv[2] * a2 + inv[3] * c2,
-        inv[2] * b2 + inv[3] * d2,
-    )
-    theta = values[start]
-    eps = QuadElem(D, g[2]) * theta + g[3]
+    quotients, values, (start, period) = cf_expand(F.omega)
+    _, _, c, d = _convergent_matrix(quotients[start:start + period])
+    eps = QuadElem(D, c) * values[start] + d
     # normalize to the unit > 1
     if eps.norm() not in (1, -1):
         raise ArithmeticError("CF automorph did not give a unit")
@@ -489,14 +479,13 @@ class QuadIdeal:
 
     # -- structure ----------------------------------------------------------
     def _closed_under_omega(self) -> bool:
-        if self.a <= 0 or self.c <= 0 or not (0 <= self.b < self.a):
+        a, b, c = self.a, self.b, self.c
+        if a <= 0 or c <= 0 or not (0 <= b < a) or a % c or b % c:
             return False
-        if self.a % self.c or self.b % self.c:
-            return False
+        # omega*a lies in the module as c | b; omega*(b + c*omega) =
+        # -c*n + (b + c*t)*omega, with t and n the trace and norm of omega
         F = self.field
-        return all(
-            self.contains(g * F.omega) for g in self.module_generators()
-        )
+        return (c * F.omega_norm + (b // c + F.omega_trace) * b) % a == 0
 
     def module_generators(self) -> list[QuadElem]:
         F = self.field
@@ -576,16 +565,9 @@ class QuadIdeal:
         return self.gcd(other).is_unit_ideal()
 
     def conjugate(self) -> "QuadIdeal":
-        gens = [g.conjugate() for g in self.module_generators()]
-        rows = []
-        F = self.field
-        omega = F.omega
-        for g in gens:
-            for h in (g, g * omega):
-                u, v = F.coords(h)
-                rows.append((int(u), int(v)))
-        a, b, c = _hnf_2col(rows)
-        return QuadIdeal(F, a, b, c)
+        # conj(b + c*omega) = (b + c*t) - c*omega; negate it to keep c > 0
+        a, b, c = self.hnf()
+        return QuadIdeal(self.field, a, (-b - c * self.field.omega_trace) % a, c)
 
     def divide_by_integer(self, n: int) -> "QuadIdeal":
         """Exact quotient (1/n) * self; requires all HNF data divisible."""
@@ -606,39 +588,30 @@ class QuadIdeal:
         return prod.divide_by_integer(other.norm())
 
     # -- principality -----------------------------------------------------------
-    def principal_generator(self, eps_plus: QuadElem | None = None):
-        """Searches for alpha with (alpha) = self; returns alpha or None.
+    def principal_generator(self):
+        """alpha with (alpha) = self, or None when self is not principal.
 
-        Any generator can be scaled by a unit into the box
-        |alpha|, |alpha'| <= sqrt(N * eps_plus), which is scanned exactly."""
+        With self = a(Z + Z theta), theta = (b + c omega)/a, the ideal is
+        principal iff theta and omega are GL(2, Z)-equivalent, that is iff
+        their continued fractions share a complete quotient x.  Then
+        theta = M.x and omega = N.x for convergent matrices M and N, and
+        Z + Z theta = (N21 x + N22)/(M21 x + M22) * (Z + Z omega)."""
         F = self.field
-        if eps_plus is None:
-            e0 = fundamental_unit(F.D)
-            eps_plus = e0 if e0.is_totally_positive() else e0 * e0
-        n = self.norm()
-        bound = math.sqrt(n * float(eps_plus.x + 0) + n * float(eps_plus.y) * math.sqrt(F.D)) * 1.000001
-        g1, g2 = self.module_generators()
-        g1r, g1c = _float_embed(g1), _float_embed_conj(g1)
-        g2r, g2c = _float_embed(g2), _float_embed_conj(g2)
-        det = g1r * g2c - g2r * g1c
-        # coordinate bounds from inverting [[g1r, g2r], [g1c, g2c]]
-        pmax = int((abs(g2c) + abs(g2r)) * bound / abs(det)) + 2
-        qmax = int((abs(g1c) + abs(g1r)) * bound / abs(det)) + 2
-        t, nn = F.omega_trace, F.omega_norm
-        u1, v1 = (int(x) for x in F.coords(g1))
-        u2, v2 = (int(x) for x in F.coords(g2))
-        for p in range(-pmax, pmax + 1):
-            for q in range(-qmax, qmax + 1):
-                if p == 0 and q == 0:
-                    continue
-                u = p * u1 + q * u2
-                v = p * v1 + q * v2
-                norm = u * u + t * u * v + nn * v * v
-                if norm == n or norm == -n:
-                    alpha = F.from_coords(u, v)
-                    if QuadIdeal.principal(F, alpha) == self:
-                        return alpha
-        return None
+        q1, v1, _ = cf_expand(F.from_coords(self.b, self.c) / self.a)
+        q2, v2, _ = cf_expand(F.omega)
+        index2 = {x: j for j, x in enumerate(v2)}
+        for k, x in enumerate(v1):
+            j = index2.get(x)
+            if j is not None:
+                break
+        else:
+            return None
+        _, _, m21, m22 = _convergent_matrix(q1[:k])
+        _, _, n21, n22 = _convergent_matrix(q2[:j])
+        alpha = self.a * (n21 * x + n22) / (m21 * x + m22)
+        if QuadIdeal.principal(F, alpha) != self:
+            raise ArithmeticError("CF generator does not generate the ideal")
+        return alpha
 
 
 def _float_embed(e: QuadElem) -> float:
@@ -663,6 +636,7 @@ class UnitData:
     eps_f: generator g of {units == 1 mod f} with |g| minimal > 1 (the
         returned element may be negative; |eps_f| > 1).
     eps_f_plus: least totally positive unit > 1 that is == 1 mod f.
+    order: least k >= 1 with eps0^k == +-1 mod f, so eps_f = +-eps0^order.
     kappa: index [E_f : <eps_f_plus>] counting orbit splitting, in {1, 2, 4}.
     sign_condition: True iff every unit == 1 mod f has positive conjugate
         (equivalently: -1 is not == 1 mod f and eps_f' > 0).
@@ -673,13 +647,16 @@ class UnitData:
     eps_plus: QuadElem
     eps_f: QuadElem
     eps_f_plus: QuadElem
+    order: int
     kappa: int
     sign_condition: bool
     minus_one_in_ef: bool
 
 
 def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
-    """Generator data for the congruence unit group {eps == 1 mod f}."""
+    """Generator data for the congruence unit group {eps == 1 mod f}.
+
+    Raises BoundExceeded when no eps0^k with k <= max_power is == +-1 mod f."""
     eps0 = fundamental_unit(F.D)
     eps_plus = eps0 if eps0.is_totally_positive() else eps0 * eps0
     minus_one = f.contains(F.elem(-2))  # -1 == 1 mod f  <=>  2 in f
@@ -687,20 +664,17 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
         g = eps0
         k_found = 1
     else:
-        g = None
         power = F.elem(1)
-        for k in range(1, max_power + 1):
+        for k_found in range(1, max_power + 1):
             power = power * eps0
             if f.contains(power - 1):
                 g = power
-                k_found = k
                 break
             if f.contains(power + 1):
                 g = -power
-                k_found = k
                 break
-        if g is None:
-            raise ArithmeticError("no unit == 1 mod f found up to eps0^%d" % max_power)
+        else:
+            raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % max_power)
     # least totally positive unit == 1 mod f (of the form +-g^j)
     if g.is_totally_positive():
         g_plus = g
@@ -718,6 +692,7 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
         eps_plus=eps_plus,
         eps_f=g,
         eps_f_plus=g_plus,
+        order=k_found,
         kappa=kappa,
         sign_condition=sign_condition,
         minus_one_in_ef=minus_one,

@@ -32,6 +32,7 @@ import mpmath as mp
 import numpy as np
 
 from .numerics import (
+    BoundExceeded,
     ConvergenceError,
     PrecisionCtx,
     DEFAULT_CTX,
@@ -61,10 +62,6 @@ class ConditionFailed(ValueError):
 
 class RouteDisagreement(ArithmeticError):
     """The two independent continuation routes differ beyond tolerance."""
-
-
-class BoundExceeded(RuntimeError):
-    """Ray class enumeration did not close within the configured bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -451,76 +448,49 @@ def _ray_unit_data(F: FieldCtx, f: QuadIdeal):
     """(order of eps0 up to sign mod f, achievable sign pairs), cached."""
     key = (F.D, f.hnf())
     cached = _RAY_UNIT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    unit = unit_mod_f(F, f)
-    if f.is_unit_ideal():
-        ordr = 1
-    else:
-        eps0 = fundamental_unit(F.D)
-        power = F.elem(1)
-        ordr = None
-        for k in range(1, 500):
-            power = power * eps0
-            if f.contains(power - 1) or f.contains(power + 1):
-                ordr = k
-                break
-        if ordr is None:
-            raise BoundExceeded("unit order modulo f exceeds 500")
-    result = (ordr, _achievable_sign_pairs(unit))
-    _RAY_UNIT_CACHE[key] = result
-    return result
+    if cached is None:
+        unit = unit_mod_f(F, f)
+        cached = _RAY_UNIT_CACHE[key] = (unit.order, _achievable_sign_pairs(unit))
+    return cached
 
 
-def _cofactor_element(B: QuadIdeal, f: QuadIdeal):
-    """b0 in B with (b0) = B * B2 and B2 coprime to f; returns (b0, B2).
-
-    Needed so that A B^{-1} = (A B2) / (b0) is written as a quotient of
-    data coprime to f: the naive choice b0 = N(B) fails whenever conj(B)
-    shares a prime with f, which makes the congruence test vacuous."""
-    F = B.field
-    conj = B.conjugate()
-    if conj.coprime(f):
-        return F.elem(B.norm()), conj
-    g1, g2 = B.module_generators()
-    for span in range(1, 30):
-        for m in range(-span, span + 1):
-            for n in range(-span, span + 1):
-                if max(abs(m), abs(n)) != span:
-                    continue
-                b0 = m * g1 + n * g2
-                if b0.is_zero():
-                    continue
-                B2 = QuadIdeal.principal(F, b0).divide(B)
-                if B2.coprime(f):
-                    return b0, B2
-    raise BoundExceeded("no f-coprime cofactor element found in B")
+def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
+    """f (n)_f, with (n)_f the part of (n) supported on the primes of f:
+    the limit of T -> gcd(n f, T f) from T = f."""
+    T = f
+    if math.gcd(n, f.norm()) > 1:
+        nf = f * n
+        while (nxt := nf.gcd(T * f)) != T:
+            T = nxt
+    return T
 
 
 def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
                    variant: str = "narrow") -> bool:
-    """Exact test: A B^{-1} = (alpha) with alpha == 1 mod f (multiplicative
-    congruence), and alpha totally positive in the narrow variant."""
+    """Exact test, for A and B coprime to f: A B^{-1} = (alpha) with
+    alpha == 1 mod* f (multiplicative congruence), and alpha totally
+    positive in the narrow variant.
+
+    With n = N(B), A conj(B) = (n) A B^{-1}, so alpha = gamma/n for a
+    generator gamma of A conj(B), and alpha == 1 mod* f iff gamma - n lies
+    in f (n)_f, (n)_f the part of (n) on the primes of f.  As n > 0, alpha
+    and gamma have the same signs."""
     F = A.field
-    b0, B2 = _cofactor_element(B, f)
-    C = A * B2
-    gen = C.principal_generator()
+    n = B.norm()
+    gen = (A * B.conjugate()).principal_generator()
     if gen is None:
         return False
     ordr, signs_ef = _ray_unit_data(F, f)
+    target = _congruence_ideal(n, f)
     eps0 = fundamental_unit(F.D)
-    sb0 = _sign_pair(b0)
     u = F.elem(1)
     for _ in range(ordr):
         for cand in (gen * u, -(gen * u)):
-            if f.contains(cand - b0):
-                if variant == "wide":
-                    return True
-                # narrow: alpha = cand/b0 must be totally positive after
-                # adjusting by a unit congruent to 1 mod f
-                sp = _sign_pair(cand)
-                if (sp[0] * sb0[0], sp[1] * sb0[1]) in signs_ef:
-                    return True
+            # narrow: alpha must be totally positive after adjusting by a
+            # unit congruent to 1 mod f
+            if target.contains(cand - n) and (
+                    variant == "wide" or _sign_pair(cand) in signs_ef):
+                return True
         u = u * eps0
     return False
 

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import mpmath as mp
 import pytest
@@ -170,6 +173,12 @@ def test_exit_3_on_convergence_failure(monkeypatch):
 
 
 def test_exit_3_on_bound_exceeded(monkeypatch):
+    # the order of the unit 1 + sqrt(2) modulo (211), up to sign, is 212
+    r = run("stark", "compute", "--ideal", '{"D": 2, "ideal": [211, 0, 211]}',
+            "--l0", '["1", "0"]')
+    assert r.exit_code == 3
+    assert r.stderr.startswith("bound exceeded:")
+
     def boom(*a, **k):
         raise BoundExceeded("synthetic ray class overflow")
 
@@ -188,3 +197,15 @@ def test_exit_4_on_usage_errors():
     assert r.exit_code == 4
     r = run("stark", "no-such-command")
     assert r.exit_code == 4
+
+
+def test_readme_examples_run():
+    # every command of the README's usage block runs and exits 0
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    commands = [shlex.split(line) for block in blocks
+                for line in block.splitlines() if line.startswith("starklab ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        r = run(*argv[1:])
+        assert r.exit_code == 0, (argv, r.output, r.stderr)

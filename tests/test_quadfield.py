@@ -147,6 +147,22 @@ def test_ideal_norm_multiplicative_and_conjugate():
         assert C.hnf() == P.hnf()
 
 
+def test_ideal_check_accepts_exactly_the_omega_stable_modules():
+    # oracle: aZ + (b + c omega)Z is an ideal iff the ideal its two
+    # generators span over O_K is the module itself
+    for D in (2, 3, 5, 13, 21):
+        F = FieldCtx(D)
+        for a in range(1, 16):
+            for c in (c for c in range(1, a + 1) if a % c == 0):
+                for b in range(0, a, c):
+                    span = QuadIdeal.from_generators(F, [a, F.from_coords(b, c)])
+                    if span.hnf() == (a, b, c):
+                        QuadIdeal(F, a, b, c)
+                    else:
+                        with pytest.raises(ValueError):
+                            QuadIdeal(F, a, b, c)
+
+
 def test_ideal_membership_and_gcd():
     rng = random.Random(6)
     for _ in range(30):
@@ -163,17 +179,24 @@ def test_ideal_membership_and_gcd():
 
 def test_principal_generator_roundtrip():
     rng = random.Random(7)
-    for _ in range(20):
-        F = FieldCtx(rng.choice([2, 3, 5]))
+    for _ in range(30):
+        F = FieldCtx(rng.choice([2, 3, 5, 46, 94, 1726]))
         g = QuadElem(F.D, rng.randint(-6, 6), rng.randint(-6, 6))
         if g.is_zero():
             continue
         I = QuadIdeal.principal(F, g)
         h = I.principal_generator()
         assert h is not None
+        assert QuadIdeal.principal(F, h) == I
         # h and g agree up to a unit
         q = g / h
         assert F.is_integral(q) and abs(q.norm()) == 1
+    # the prime above 2 of D = 1726, whose fundamental unit is about 5e39
+    F = FieldCtx(1726)
+    P2 = QuadIdeal.from_generators(F, [2, F.omega])
+    h = P2.principal_generator()
+    assert h is not None and abs(h.norm()) == 2
+    assert QuadIdeal.principal(F, h) == P2
 
 
 def test_unit_mod_f_known_cases(F5, p11):

@@ -248,6 +248,18 @@ def test_ray_equivalence_is_an_equivalence_relation():
                 assert ab == ba
 
 
+@pytest.mark.parametrize("D, h, h_plus", [
+    (2, 1, 1), (3, 1, 2), (5, 1, 1), (6, 1, 2), (7, 1, 2),
+    (10, 2, 2), (15, 2, 4), (26, 2, 2), (79, 3, 6), (82, 4, 4),
+])
+def test_class_numbers_wide_and_narrow(D, h, h_plus):
+    # published class numbers h and narrow class numbers h+; each wide
+    # class beyond the first needs principal_generator to return None
+    one = QuadIdeal.unit_ideal(FieldCtx(D))
+    assert len(ray_classes(one, "wide", norm_bound=30)) == h
+    assert len(ray_classes(one, "narrow", norm_bound=30)) == h_plus
+
+
 def test_principal_totally_positive_generator_is_trivial_narrow():
     F = FieldCtx(5)
     f = QuadIdeal.from_generators(F, [11, F.omega + 3])
