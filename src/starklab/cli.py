@@ -1,17 +1,19 @@
-"""Batch command-line surface.
+"""Batch command-line surface: nine report commands in five groups,
+stark compute | stark conjecture | theta check-fe | theta check-average |
+theta check-poisson | lattice classify | lattice dual | cyclotomic table |
+bc kms, all run by `report_command` under one contract:
 
-Subcommands: stark compute | stark conjecture | theta check-fe |
-theta check-average | theta check-poisson | lattice classify |
-lattice dual | cyclotomic table | bc kms.
-
-Common flags: --prec <bits>, --err <decimal>, --out <dir>,
---format json|csv|both.  Reports are deterministic: all high-precision
-numbers are serialized as decimal strings at the configured precision, so
-identical configuration yields byte-identical JSON.
-
-Exit codes: 0 all residuals within tolerance; 2 residual violation;
-3 convergence failure or search bound exceeded; 4 invalid input, usage
-errors included.
+- common flags --prec <bits>, --err <decimal>, --out <dir>,
+  --format json|csv|both;
+- the report goes to stdout, or with --out to <group>_<command>.json and
+  .csv in that directory (`theta check-fe` writes theta_check_fe.json).
+  Numbers are decimal strings at the configured precision, so identical
+  configuration yields byte-identical JSON;
+- exit codes: 0 success; 2 a report with "pass": false, or the two Stark
+  routes disagreeing; 3 convergence failure or search bound exceeded;
+  4 invalid input, usage errors included.  A failure prints one stderr
+  line starting with `residual violation:`, `convergence failure:`,
+  `bound exceeded:` or `invalid input:`.
 
 Input literals (rationals as strings, element [x, y] means x + y*sqrt(D)):
   ideal          {"D": 5, "ideal": [a, b, c]}     (the module a Z + (b + c w) Z)
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -48,10 +49,10 @@ from .theta import (
     functional_equation_Theta,
     hecke_average_check,
     poisson_check,
+    theta_rm,
 )
 from .stark import (
     BoundExceeded,
-    ConditionFailed,
     RouteDisagreement,
     conjecture_check,
     partial_zeta_continued,
@@ -71,10 +72,6 @@ class InputError(ValueError):
     pass
 
 
-class ResidualViolation(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # parsing and serialization helpers
 # ---------------------------------------------------------------------------
@@ -82,9 +79,7 @@ class ResidualViolation(RuntimeError):
 
 def _parse_rational(x) -> Fraction:
     try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
+        if isinstance(x, (str, int)):
             return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad rational literal %r: %s" % (x, exc))
@@ -117,7 +112,10 @@ def parse_ideal_literal(text: str) -> QuadIdeal:
     hnf = obj["ideal"]
     if not (isinstance(hnf, list) and len(hnf) == 3):
         raise InputError("ideal entry must be [a, b, c]")
-    a, b, c = (int(_parse_rational(t)) for t in hnf)
+    entries = [_parse_rational(t) for t in hnf]
+    if any(q.denominator != 1 for q in entries):
+        raise InputError("ideal [a, b, c] needs integer entries, got %r" % hnf)
+    a, b, c = (int(q) for q in entries)
     if a <= 0 or c <= 0:
         raise InputError("ideal [a, b, c] requires a > 0 and c > 0")
     return QuadIdeal.from_generators(F, [F.elem(a), F.from_coords(b, c)])
@@ -139,8 +137,10 @@ def parse_lattice_literal(text: str) -> Pseudolattice:
 
 def _make_field(D) -> FieldCtx:
     try:
+        if int(D) != Fraction(D):
+            raise ValueError("%r is not an integer" % (D,))
         return FieldCtx(int(D))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("bad field discriminant parameter: %s" % exc)
 
 
@@ -150,6 +150,13 @@ def parse_complex(text: str):
     except ValueError as exc:
         raise InputError("bad complex literal %r: %s" % (text, exc))
     return mp.mpc(z)
+
+
+def _parse_upper_half_plane(text: str):
+    v = parse_complex(text)
+    if not v.imag > 0:
+        raise InputError("v must lie in the upper half plane")
+    return v
 
 
 def _numstr(x, ctx: PrecisionCtx) -> str:
@@ -169,43 +176,31 @@ def _fracstr(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator) if q.denominator != 1 else str(q.numerator)
 
 
-def emit_report(report: dict, rows, out: str | None, fmt: str, name: str):
-    """Write the JSON/CSV renderings; print JSON to stdout when no --out."""
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _elemstr(e: QuadElem) -> list[str]:
+    return [_fracstr(e.x), _fracstr(e.y)]
+
+
+def _quantity_table(report: dict, keys):
+    """The report with its `quantity,value` CSV table over the given keys."""
+    return report, ["quantity", "value"], [[k, str(report[k])] for k in keys]
+
+
+def emit_report(report: dict, header, rows, out: str | None, fmt: str, name: str):
+    """Write the JSON/CSV renderings to <out>/<name>.json and .csv, or to
+    stdout when no --out."""
     if out:
         os.makedirs(out, exist_ok=True)
-        if fmt in ("json", "both"):
-            with open(os.path.join(out, name + ".json"), "w") as fh:
-                fh.write(payload)
-        if fmt in ("csv", "both"):
-            header, data = rows
-            with open(os.path.join(out, name + ".csv"), "w", newline="") as fh:
+    for ext in ("json", "csv"):
+        if fmt not in (ext, "both"):
+            continue
+        with (open(os.path.join(out, name + "." + ext), "w", newline="") if out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if ext == "json":
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            else:
                 w = csv.writer(fh)
                 w.writerow(header)
-                w.writerows(data)
-    else:
-        if fmt in ("json", "both"):
-            sys.stdout.write(payload)
-        if fmt in ("csv", "both"):
-            buf = io.StringIO()
-            w = csv.writer(buf)
-            header, data = rows
-            w.writerow(header)
-            w.writerows(data)
-            sys.stdout.write(buf.getvalue())
-
-
-def common_options(fn):
-    fn = click.option("--prec", type=int, default=128,
-                      help="working precision in bits")(fn)
-    fn = click.option("--err", type=str, default="1e-30",
-                      help="target absolute error (decimal string)")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="output directory for report files")(fn)
-    fn = click.option("--format", "fmt",
-                      type=click.Choice(["json", "csv", "both"]),
-                      default="json", help="report format")(fn)
-    return fn
+                w.writerows(rows)
 
 
 def _ctx(prec: int, err: str) -> PrecisionCtx:
@@ -215,26 +210,26 @@ def _ctx(prec: int, err: str) -> PrecisionCtx:
         raise InputError("bad precision configuration: %s" % exc)
 
 
+# exception type -> (exit code, stderr prefix); the first match wins.
+# InputError and stark.ConditionFailed are ValueErrors.
+_EXITS = {
+    RouteDisagreement: (EXIT_RESIDUAL, "residual violation"),
+    ConvergenceError: (EXIT_CONVERGENCE, "convergence failure"),
+    BoundExceeded: (EXIT_CONVERGENCE, "bound exceeded"),
+    ValueError: (EXIT_INPUT, "invalid input"),
+    ZeroDivisionError: (EXIT_INPUT, "invalid input"),
+}
+
+
 def run_guarded(body) -> int:
-    """Map exceptions to the exit-code contract."""
+    """Run body, which returns an exit code; map its exceptions to the
+    exit-code contract."""
     try:
-        body()
-        return EXIT_OK
-    except ResidualViolation as exc:
-        click.echo("residual violation: %s" % exc, err=True)
-        return EXIT_RESIDUAL
-    except RouteDisagreement as exc:
-        click.echo("residual violation: %s" % exc, err=True)
-        return EXIT_RESIDUAL
-    except ConvergenceError as exc:
-        click.echo("convergence failure: %s" % exc, err=True)
-        return EXIT_CONVERGENCE
-    except BoundExceeded as exc:
-        click.echo("bound exceeded: %s" % exc, err=True)
-        return EXIT_CONVERGENCE
-    except (InputError, ConditionFailed, ValueError, ZeroDivisionError) as exc:
-        click.echo("invalid input: %s" % exc, err=True)
-        return EXIT_INPUT
+        return body()
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for t, v in _EXITS.items() if isinstance(exc, t))
+        click.echo("%s: %s" % (prefix, exc), err=True)
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -270,32 +265,57 @@ def main():
     """High-precision laboratory for real quadratic zeta and theta data."""
 
 
-@main.group()
-def stark():
-    """Partial zeta functions and Stark numbers."""
+for _name, _help in (
+    ("stark", "Partial zeta functions and Stark numbers."),
+    ("theta", "Theta series identity checks."),
+    ("lattice", "Pseudolattice classification tools."),
+    ("cyclotomic", "Rational congruence-class zeta identities."),
+    ("bc", "Hecke-algebra equilibrium states."),
+):
+    main.add_command(click.Group(_name, help=_help))
 
 
-@main.group()
-def theta():
-    """Theta series identity checks."""
+# in the order `--help` lists them, after each command's own options
+_COMMON_OPTIONS = (
+    click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
+                 default="json", help="report format"),
+    click.option("--out", type=click.Path(), default=None,
+                 help="output directory for report files"),
+    click.option("--err", type=str, default="1e-30",
+                 help="target absolute error (decimal string)"),
+    click.option("--prec", type=int, default=128, help="working precision in bits"),
+)
 
 
-@main.group()
-def lattice():
-    """Pseudolattice classification tools."""
+def report_command(path: str, *options):
+    """Register fn(ctx, **own_options) -> (report, csv_header, csv_rows) as
+    the command `path` ("<group> <command>") with its own options and the
+    common ones.  The runner builds the PrecisionCtx, writes the report as
+    <group>_<command> (dashes as underscores), exits 2 on "pass": false (a
+    report with "pass" also carries its "tolerance") and maps exceptions
+    through run_guarded."""
+    group, name = path.split()
+    stem = "%s_%s" % (group, name.replace("-", "_"))
+
+    def register(fn):
+        def run(prec, err, out, fmt, **own):
+            def body():
+                report, header, rows = fn(_ctx(prec, err), **own)
+                emit_report(report, header, rows, out, fmt, stem)
+                if report.get("pass") is False:
+                    click.echo("residual violation: %s exceeds its tolerance %s"
+                               % (report["check"], report["tolerance"]), err=True)
+                    return EXIT_RESIDUAL
+                return EXIT_OK
+            sys.exit(run_guarded(body))
+
+        for option in reversed(options + _COMMON_OPTIONS):
+            run = option(run)
+        return main.commands[group].command(name, help=fn.__doc__)(run)
+    return register
 
 
-@main.group()
-def cyclotomic():
-    """Rational congruence-class zeta identities."""
-
-
-@main.group()
-def bc():
-    """Hecke-algebra equilibrium states."""
-
-
-def _default_theta_spec(D: int, ideal_text: str | None, v, ctx: PrecisionCtx):
+def _default_theta_spec(D: int, ideal_text: str | None, v):
     F = _make_field(D)
     if ideal_text:
         I = parse_ideal_literal(ideal_text)
@@ -317,346 +337,272 @@ def _default_theta_spec(D: int, ideal_text: str | None, v, ctx: PrecisionCtx):
     raise InputError("no valid totally positive unit found for this lattice")
 
 
-@theta.command("check-fe")
-@click.option("--D", "D", type=int, required=True)
-@click.option("--v", "v_text", type=str, default="i", help="upper half plane point")
-@click.option("--ideal", "ideal_text", type=str, default=None,
-              help='ideal literal {"D":..,"ideal":[a,b,c]} for the lattice')
-@common_options
-def theta_check_fe(D, v_text, ideal_text, prec, err, out, fmt):
+def _theta_check(name: str, *extra):
+    """A theta identity check: --D, --v, the extra options, --ideal."""
+    return report_command(
+        "theta " + name,
+        click.option("--D", "D", type=int, required=True),
+        click.option("--v", "v_text", type=str, default="i",
+                     help="upper half plane point"),
+        *extra,
+        click.option("--ideal", "ideal_text", type=str, default=None,
+                     help='ideal literal {"D":..,"ideal":[a,b,c]} for the lattice'),
+    )
+
+
+def _theta_report(check: str, D: int, v, resid, tol, ctx: PrecisionCtx, **extra):
+    """A theta check's report and its one 4-column CSV row."""
+    report = {
+        "check": check,
+        "D": D,
+        "v": _numstr_c(v, ctx),
+        "residual": _numstr(resid, ctx),
+        "tolerance": _numstr(tol, ctx),
+        "pass": bool(resid <= tol),
+        **extra,
+    }
+    return report, ["check", "residual", "tolerance", "pass"], [
+        [check, "%.6e" % float(resid), "%.6e" % float(tol), report["pass"]]]
+
+
+@_theta_check("check-fe")
+def theta_check_fe(ctx, D, v_text, ideal_text):
     """Residual of the theta functional equation at v."""
-    def body():
-        ctx = _ctx(prec, err)
-        v = parse_complex(v_text)
-        if not v.imag > 0:
-            raise InputError("v must lie in the upper half plane")
-        spec = _default_theta_spec(D, ideal_text, v, ctx)
-        from .theta import theta_rm
-        lhs = theta_rm(spec, ctx)
-        resid = functional_equation_Theta(spec, ctx)
-        tol = mp.mpf(ctx.target_abs_err) * 100 + 4 * lhs.tail_bound
-        report = {
-            "check": "theta-functional-equation",
-            "D": D,
-            "v": _numstr_c(v, ctx),
-            "lhs": _numstr_c(lhs.value, ctx),
-            "residual": _numstr(resid, ctx),
-            "tolerance": _numstr(tol, ctx),
-            "pass": bool(resid <= tol),
-        }
-        rows = (["check", "residual", "tolerance", "pass"],
-                [["theta-functional-equation", "%.6e" % float(resid),
-                  "%.6e" % float(tol), report["pass"]]])
-        emit_report(report, rows, out, fmt, "theta_check_fe")
-        if not report["pass"]:
-            raise ResidualViolation("functional equation residual %s" % resid)
-    sys.exit(run_guarded(body))
+    v = _parse_upper_half_plane(v_text)
+    spec = _default_theta_spec(D, ideal_text, v)
+    lhs = theta_rm(spec, ctx)
+    resid = functional_equation_Theta(spec, ctx)
+    tol = mp.mpf(ctx.target_abs_err) * 100 + 4 * lhs.tail_bound
+    return _theta_report("theta-functional-equation", D, v, resid, tol, ctx,
+                         lhs=_numstr_c(lhs.value, ctx))
 
 
-@theta.command("check-average")
-@click.option("--D", "D", type=int, required=True)
-@click.option("--v", "v_text", type=str, default="i")
-@click.option("--ideal", "ideal_text", type=str, default=None)
-@common_options
-def theta_check_average(D, v_text, ideal_text, prec, err, out, fmt):
+@_theta_check("check-average")
+def theta_check_average(ctx, D, v_text, ideal_text):
     """Residual of the geodesic-average identity between the two theta kinds."""
-    def body():
-        ctx = _ctx(prec, err)
-        v = parse_complex(v_text)
-        if not v.imag > 0:
-            raise InputError("v must lie in the upper half plane")
-        spec = _default_theta_spec(D, ideal_text, v, ctx)
-        resid = hecke_average_check(spec, ctx)
-        tol = mp.mpf(ctx.target_abs_err) * 1000
-        report = {
-            "check": "theta-geodesic-average",
-            "D": D,
-            "v": _numstr_c(v, ctx),
-            "residual": _numstr(resid, ctx),
-            "tolerance": _numstr(tol, ctx),
-            "pass": bool(resid <= tol),
-        }
-        rows = (["check", "residual", "tolerance", "pass"],
-                [["theta-geodesic-average", "%.6e" % float(resid),
-                  "%.6e" % float(tol), report["pass"]]])
-        emit_report(report, rows, out, fmt, "theta_check_average")
-        if not report["pass"]:
-            raise ResidualViolation("average residual %s" % resid)
-    sys.exit(run_guarded(body))
+    v = _parse_upper_half_plane(v_text)
+    spec = _default_theta_spec(D, ideal_text, v)
+    resid = hecke_average_check(spec, ctx)
+    tol = mp.mpf(ctx.target_abs_err) * 1000
+    return _theta_report("theta-geodesic-average", D, v, resid, tol, ctx)
 
 
-@theta.command("check-poisson")
-@click.option("--D", "D", type=int, required=True)
-@click.option("--v", "v_text", type=str, default="i")
-@click.option("--t", "t_val", type=float, default=0.0, help="geodesic flow time")
-@click.option("--ideal", "ideal_text", type=str, default=None)
-@common_options
-def theta_check_poisson(D, v_text, t_val, ideal_text, prec, err, out, fmt):
+@_theta_check("check-poisson",
+              click.option("--t", "t_val", type=float, default=0.0,
+                           help="geodesic flow time"))
+def theta_check_poisson(ctx, D, v_text, t_val, ideal_text):
     """Residual of the Poisson summation identity on the flowed lattice."""
-    def body():
-        ctx = _ctx(prec, err)
-        v = parse_complex(v_text)
-        if not v.imag > 0:
-            raise InputError("v must lie in the upper half plane")
-        F = _make_field(D)
-        I = parse_ideal_literal(ideal_text) if ideal_text else QuadIdeal.unit_ideal(F)
-        lat = hecke_lattice(ideal_to_pseudolattice(I), mp.mpf(t_val), ctx)
-        resid = poisson_check(lat, v, mp.mpc(1), (0, 0), ctx)
-        tol = mp.mpf(ctx.target_abs_err) * 100
-        report = {
-            "check": "poisson-summation",
-            "D": D,
-            "t": "%r" % t_val,
-            "v": _numstr_c(v, ctx),
-            "residual": _numstr(resid, ctx),
-            "tolerance": _numstr(tol, ctx),
-            "pass": bool(resid <= tol),
-        }
-        rows = (["check", "residual", "tolerance", "pass"],
-                [["poisson-summation", "%.6e" % float(resid),
-                  "%.6e" % float(tol), report["pass"]]])
-        emit_report(report, rows, out, fmt, "theta_check_poisson")
-        if not report["pass"]:
-            raise ResidualViolation("poisson residual %s" % resid)
-    sys.exit(run_guarded(body))
+    v = _parse_upper_half_plane(v_text)
+    F = _make_field(D)
+    I = parse_ideal_literal(ideal_text) if ideal_text else QuadIdeal.unit_ideal(F)
+    lat = hecke_lattice(ideal_to_pseudolattice(I), mp.mpf(t_val), ctx)
+    resid = poisson_check(lat, v, mp.mpc(1), (0, 0), ctx)
+    tol = mp.mpf(ctx.target_abs_err) * 100
+    return _theta_report("poisson-summation", D, v, resid, tol, ctx, t="%r" % t_val)
 
 
-@stark.command("compute")
-@click.option("--ideal", "ideal_text", type=str, required=True,
-              help='ideal literal {"D":..,"ideal":[a,b,c]}')
-@click.option("--l0", "l0_text", type=str, required=True,
-              help='element literal [x, y] meaning x + y*sqrt(D)')
-@click.option("--s", "s_values", type=str, multiple=True,
-              help="additional evaluation points (complex literals)")
-@common_options
-def stark_compute(ideal_text, l0_text, s_values, prec, err, out, fmt):
+@report_command(
+    "stark compute",
+    click.option("--ideal", "ideal_text", type=str, required=True,
+                 help='ideal literal {"D":..,"ideal":[a,b,c]}'),
+    click.option("--l0", "l0_text", type=str, required=True,
+                 help='element literal [x, y] meaning x + y*sqrt(D)'),
+    click.option("--s", "s_values", type=str, multiple=True,
+                 help="additional evaluation points (complex literals)"),
+)
+def stark_compute(ctx, ideal_text, l0_text, s_values):
     """Stark number S0 = exp(zeta'(0)) for a validated pair (L, l0)."""
-    def body():
-        ctx = _ctx(prec, err)
-        L = parse_ideal_literal(ideal_text)
-        l0 = parse_elem(L.field, l0_text)
-        inp = validate_pair(L, l0)
-        res = stark_number(inp, ctx)
-        evals = []
-        for sv in s_values:
-            s = parse_complex(sv)
-            evals.append({"s": _numstr_c(s, ctx),
-                          "zeta": _numstr_c(partial_zeta_continued(inp, s, ctx), ctx)})
-        report = {
-            "check": "stark-number",
-            "D": L.field.D,
-            "ideal": list(L.hnf()),
-            "l0": [_fracstr(l0.x), _fracstr(l0.y)],
-            "zeta_prime_0": _numstr(res.zeta_prime_0, ctx),
-            "s0": _numstr(res.s0, ctx),
-            "zeta_0": _numstr(res.zeta_0, ctx),
-            "route_gap": _numstr(res.route_gap, ctx),
-            "evaluations": evals,
-        }
-        rows = (["quantity", "value"],
-                [["zeta_prime_0", report["zeta_prime_0"]],
-                 ["s0", report["s0"]],
-                 ["zeta_0", report["zeta_0"]],
-                 ["route_gap", report["route_gap"]]])
-        emit_report(report, rows, out, fmt, "stark_compute")
-    sys.exit(run_guarded(body))
+    L = parse_ideal_literal(ideal_text)
+    l0 = parse_elem(L.field, l0_text)
+    inp = validate_pair(L, l0)
+    res = stark_number(inp, ctx)
+    evals = [{"s": _numstr_c(s, ctx),
+              "zeta": _numstr_c(partial_zeta_continued(inp, s, ctx), ctx)}
+             for s in map(parse_complex, s_values)]
+    report = {
+        "check": "stark-number",
+        "D": L.field.D,
+        "ideal": list(L.hnf()),
+        "l0": _elemstr(l0),
+        "zeta_prime_0": _numstr(res.zeta_prime_0, ctx),
+        "s0": _numstr(res.s0, ctx),
+        "zeta_0": _numstr(res.zeta_0, ctx),
+        "route_gap": _numstr(res.route_gap, ctx),
+        "evaluations": evals,
+    }
+    return _quantity_table(report, ("zeta_prime_0", "s0", "zeta_0", "route_gap"))
 
 
-@stark.command("conjecture")
-@click.option("--modulus", "mod_text", type=str, required=True,
-              help='conductor ideal literal {"D":..,"ideal":[a,b,c]}')
-@click.option("--variant", type=click.Choice(["narrow", "wide"]), default="narrow")
-@click.option("--height", type=int, default=1000, help="recognition height bound")
-@common_options
-def stark_conjecture(mod_text, variant, height, prec, err, out, fmt):
+@report_command(
+    "stark conjecture",
+    click.option("--modulus", "mod_text", type=str, required=True,
+                 help='conductor ideal literal {"D":..,"ideal":[a,b,c]}'),
+    click.option("--variant", type=click.Choice(["narrow", "wide"]), default="narrow"),
+    click.option("--height", type=int, default=1000, help="recognition height bound"),
+)
+def stark_conjecture(ctx, mod_text, variant, height):
     """Class-invariance and algebraicity experiment over the ray classes."""
-    def body():
-        ctx = _ctx(prec, err)
-        f = parse_ideal_literal(mod_text)
-        rep = conjecture_check(f.field, f, ctx, variant=variant,
-                               recognition_height=height)
-        classes = [
-            {
-                "index": c.index,
-                "representative": list(c.representative_hnf),
-                "zeta_prime_0": _numstr(c.zeta_prime_0, ctx),
-                "s0": _numstr(c.s0, ctx),
-                "invariance_residual": (
-                    _numstr(c.invariance_residual, ctx)
-                    if c.invariance_residual is not None else None
-                ),
-            }
-            for c in rep.classes
-        ]
-        coeffs = [
-            {
-                "degree": ce.degree,
-                "value": _numstr(ce.value, ctx),
-                "recognized": (
-                    [_fracstr(ce.recognized[0]), _fracstr(ce.recognized[1])]
-                    if ce.recognized is not None else None
-                ),
-                "residual": ("%.6e" % ce.residual
-                             if ce.residual is not None else None),
-            }
-            for ce in rep.coefficients
-        ]
-        report = {
-            "check": "conjecture",
-            "D": rep.D,
-            "modulus": list(rep.modulus_hnf),
-            "variant": rep.variant,
-            "classes": classes,
-            "polynomial_coefficients": coeffs,
-            "constant_term_norm": (
-                _numstr(rep.constant_term_norm, ctx)
-                if rep.constant_term_norm is not None else None
+    f = parse_ideal_literal(mod_text)
+    rep = conjecture_check(f.field, f, ctx, variant=variant,
+                           recognition_height=height)
+    classes = [
+        {
+            "index": c.index,
+            "representative": list(c.representative_hnf),
+            "zeta_prime_0": _numstr(c.zeta_prime_0, ctx),
+            "s0": _numstr(c.s0, ctx),
+            "invariance_residual": (
+                _numstr(c.invariance_residual, ctx)
+                if c.invariance_residual is not None else None
             ),
-            "recognition_failures": list(rep.recognition_failures),
         }
-        rows = (["class", "representative", "s0", "invariance_residual"],
-                [[c["index"], "%s" % c["representative"], c["s0"],
-                  c["invariance_residual"]] for c in classes])
-        emit_report(report, rows, out, fmt, "stark_conjecture")
-    sys.exit(run_guarded(body))
+        for c in rep.classes
+    ]
+    coeffs = [
+        {
+            "degree": ce.degree,
+            "value": _numstr(ce.value, ctx),
+            "recognized": (
+                [_fracstr(ce.recognized[0]), _fracstr(ce.recognized[1])]
+                if ce.recognized is not None else None
+            ),
+            "residual": ("%.6e" % ce.residual
+                         if ce.residual is not None else None),
+        }
+        for ce in rep.coefficients
+    ]
+    report = {
+        "check": "conjecture",
+        "D": rep.D,
+        "modulus": list(rep.modulus_hnf),
+        "variant": rep.variant,
+        "classes": classes,
+        "polynomial_coefficients": coeffs,
+        "constant_term_norm": (
+            _numstr(rep.constant_term_norm, ctx)
+            if rep.constant_term_norm is not None else None
+        ),
+        "recognition_failures": list(rep.recognition_failures),
+    }
+    return report, ["class", "representative", "s0", "invariance_residual"], [
+        [c["index"], "%s" % c["representative"], c["s0"], c["invariance_residual"]]
+        for c in classes]
 
 
-@lattice.command("classify")
-@click.option("--lattice", "lat_text", type=str, required=True,
-              help='pseudolattice literal {"D":..,"l1":[x,y],"l2":[x,y]}')
-@click.option("--against", "other_text", type=str, default=None,
-              help="second pseudolattice literal for an equivalence test")
-@common_options
-def lattice_classify(lat_text, other_text, prec, err, out, fmt):
+@report_command(
+    "lattice classify",
+    click.option("--lattice", "lat_text", type=str, required=True,
+                 help='pseudolattice literal {"D":..,"l1":[x,y],"l2":[x,y]}'),
+    click.option("--against", "other_text", type=str, default=None,
+                 help="second pseudolattice literal for an equivalence test"),
+)
+def lattice_classify(ctx, lat_text, other_text):
     """Classification data of a pseudolattice; optional equivalence test."""
-    def body():
-        ctx = _ctx(prec, err)
-        L = parse_lattice_literal(lat_text)
-        order = endomorphism_ring(L)
-        aut = automorphism_group(L)
-        quotients, _, (start, period) = cf_expand(L.theta())
-        cyc = quotients[start:start + period]
-        report = {
-            "check": "lattice-classify",
-            "D": L.field.D,
-            "conductor": order.conductor,
-            "delta": _numstr(delta(L, ctx), ctx),
-            "geodesic_period": _numstr(geodesic_period(L, ctx), ctx),
-            "cf_cycle": list(cyc),
-            "automorphism_generator": [
-                _fracstr(aut.generator.x), _fracstr(aut.generator.y)
-            ],
-        }
-        if other_text:
-            M = parse_lattice_literal(other_text)
-            if M.field.D != L.field.D:
-                raise InputError("both pseudolattices must share the field")
-            flag, witness = is_isomorphic(L, M, oriented=True)
-            report["equivalent"] = bool(flag)
-            report["witness"] = (
-                [[witness.a, witness.b], [witness.c, witness.d]]
-                if flag else None
-            )
-        rows = (["quantity", "value"],
-                [[k, "%s" % v] for k, v in report.items() if k != "check"])
-        emit_report(report, rows, out, fmt, "lattice_classify")
-    sys.exit(run_guarded(body))
+    L = parse_lattice_literal(lat_text)
+    order = endomorphism_ring(L)
+    aut = automorphism_group(L)
+    quotients, _, (start, period) = cf_expand(L.theta())
+    report = {
+        "check": "lattice-classify",
+        "D": L.field.D,
+        "conductor": order.conductor,
+        "delta": _numstr(delta(L, ctx), ctx),
+        "geodesic_period": _numstr(geodesic_period(L, ctx), ctx),
+        "cf_cycle": list(quotients[start:start + period]),
+        "automorphism_generator": _elemstr(aut.generator),
+    }
+    if other_text:
+        M = parse_lattice_literal(other_text)
+        if M.field.D != L.field.D:
+            raise InputError("both pseudolattices must share the field")
+        flag, witness = is_isomorphic(L, M, oriented=True)
+        report["equivalent"] = bool(flag)
+        report["witness"] = (
+            [[witness.a, witness.b], [witness.c, witness.d]]
+            if flag else None
+        )
+    return _quantity_table(report, [k for k in report if k != "check"])
 
 
-@lattice.command("dual")
-@click.option("--lattice", "lat_text", type=str, required=True)
-@common_options
-def lattice_dual(lat_text, prec, err, out, fmt):
+@report_command(
+    "lattice dual",
+    click.option("--lattice", "lat_text", type=str, required=True),
+)
+def lattice_dual(ctx, lat_text):
     """Trace-dual basis of a pseudolattice."""
-    def body():
-        ctx = _ctx(prec, err)
-        L = parse_lattice_literal(lat_text)
-        M = dual(L)
-        report = {
-            "check": "lattice-dual",
-            "D": L.field.D,
-            "l1": [_fracstr(L.l1.x), _fracstr(L.l1.y)],
-            "l2": [_fracstr(L.l2.x), _fracstr(L.l2.y)],
-            "dual_l1": [_fracstr(M.l1.x), _fracstr(M.l1.y)],
-            "dual_l2": [_fracstr(M.l2.x), _fracstr(M.l2.y)],
-            "delta": _numstr(delta(L, ctx), ctx),
-            "dual_delta": _numstr(delta(M, ctx), ctx),
-        }
-        rows = (["basis", "x", "y"],
-                [["dual_l1"] + report["dual_l1"], ["dual_l2"] + report["dual_l2"]])
-        emit_report(report, rows, out, fmt, "lattice_dual")
-    sys.exit(run_guarded(body))
+    L = parse_lattice_literal(lat_text)
+    M = dual(L)
+    report = {
+        "check": "lattice-dual",
+        "D": L.field.D,
+        "l1": _elemstr(L.l1),
+        "l2": _elemstr(L.l2),
+        "dual_l1": _elemstr(M.l1),
+        "dual_l2": _elemstr(M.l2),
+        "delta": _numstr(delta(L, ctx), ctx),
+        "dual_delta": _numstr(delta(M, ctx), ctx),
+    }
+    return report, ["basis", "x", "y"], [[k] + report[k] for k in ("dual_l1", "dual_l2")]
 
 
-@cyclotomic.command("table")
-@click.option("--max-n", "max_n", type=int, default=20)
-@click.option("--tol", type=str, default="1e-20",
-              help="pass threshold for |lhs - rhs|")
-@common_options
-def cyclotomic_table(max_n, tol, prec, err, out, fmt):
+@report_command(
+    "cyclotomic table",
+    click.option("--max-n", "max_n", type=int, default=20),
+    click.option("--tol", type=str, default="1e-20",
+                 help="pass threshold for |lhs - rhs|"),
+)
+def cyclotomic_table(ctx, max_n, tol):
     """Table of exp(-2 zeta'_(m,n)(0)) against 4 sin^2(m pi/n)."""
-    def body():
-        ctx = _ctx(prec, err)
-        tolv = mp.mpf(tol)
-        data = []
-        worst = mp.mpf(0)
-        for n in range(2, max_n + 1):
-            for m in range(1, n):
-                lhs, rhs = stark_q(CongruenceClass(m, n), ctx)
-                gap = abs(lhs - rhs)
-                worst = max(worst, gap)
-                data.append({
-                    "m": m, "n": n,
-                    "lhs": _numstr(lhs, ctx),
-                    "rhs": _numstr(rhs, ctx),
-                    "abs_err": "%.6e" % float(gap),
-                })
-        report = {
-            "check": "cyclotomic-table",
-            "max_n": max_n,
-            "rows": data,
-            "max_abs_err": "%.6e" % float(worst),
-            "tolerance": tol,
-            "pass": bool(worst <= tolv),
-        }
-        rows = (["m", "n", "lhs", "rhs", "abs_err"],
-                [[r["m"], r["n"], r["lhs"], r["rhs"], r["abs_err"]] for r in data])
-        emit_report(report, rows, out, fmt, "cyclotomic_table")
-        if not report["pass"]:
-            raise ResidualViolation("max abs_err %s exceeds %s" % (worst, tol))
-    sys.exit(run_guarded(body))
+    tolv = mp.mpf(tol)
+    data = []
+    worst = mp.mpf(0)
+    for n in range(2, max_n + 1):
+        for m in range(1, n):
+            lhs, rhs = stark_q(CongruenceClass(m, n), ctx)
+            gap = abs(lhs - rhs)
+            worst = max(worst, gap)
+            data.append({
+                "m": m, "n": n,
+                "lhs": _numstr(lhs, ctx),
+                "rhs": _numstr(rhs, ctx),
+                "abs_err": "%.6e" % float(gap),
+            })
+    report = {
+        "check": "cyclotomic-table",
+        "max_n": max_n,
+        "rows": data,
+        "max_abs_err": "%.6e" % float(worst),
+        "tolerance": tol,
+        "pass": bool(worst <= tolv),
+    }
+    return report, ["m", "n", "lhs", "rhs", "abs_err"], [
+        [r["m"], r["n"], r["lhs"], r["rhs"], r["abs_err"]] for r in data]
 
 
-@bc.command("kms")
-@click.option("--beta", type=str, required=True)
-@click.option("--gamma", type=str, required=True, help="rational, e.g. 1/3")
-@click.option("--twist", type=int, default=1)
-@common_options
-def bc_kms(beta, gamma, twist, prec, err, out, fmt):
+@report_command(
+    "bc kms",
+    click.option("--beta", type=str, required=True),
+    click.option("--gamma", type=str, required=True, help="rational, e.g. 1/3"),
+    click.option("--twist", type=int, default=1),
+)
+def bc_kms(ctx, beta, gamma, twist):
     """Equilibrium state value on the unitary e(gamma)."""
-    def body():
-        ctx = _ctx(prec, err)
-        try:
-            b = mp.mpf(beta)
-            g = Fraction(gamma)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad bc parameters: %s" % exc)
-        val, tail = bcmod.kms_state(b, g, twist, ctx)
-        report = {
-            "check": "bc-kms",
-            "beta": _numstr(b, ctx),
-            "gamma": _fracstr(g % 1),
-            "twist": twist,
-            "value_re": _numstr(val.real, ctx),
-            "value_im": _numstr(val.imag, ctx),
-            "tail_bound": _numstr(tail, ctx),
-        }
-        rows = (["quantity", "value"],
-                [["value_re", report["value_re"]],
-                 ["value_im", report["value_im"]],
-                 ["tail_bound", report["tail_bound"]]])
-        emit_report(report, rows, out, fmt, "bc_kms")
-    sys.exit(run_guarded(body))
+    try:
+        b = mp.mpf(beta)
+        g = Fraction(gamma)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError("bad bc parameters: %s" % exc)
+    val, tail = bcmod.kms_state(b, g, twist, ctx)
+    report = {
+        "check": "bc-kms",
+        "beta": _numstr(b, ctx),
+        "gamma": _fracstr(g % 1),
+        "twist": twist,
+        "value_re": _numstr(val.real, ctx),
+        "value_im": _numstr(val.imag, ctx),
+        "tail_bound": _numstr(tail, ctx),
+    }
+    return _quantity_table(report, ("value_re", "value_im", "tail_bound"))
 
 
 if __name__ == "__main__":

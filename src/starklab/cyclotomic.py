@@ -35,10 +35,6 @@ class TauUndefined(ValueError):
     """The critical Temperley-Lieb parameter is undefined (cosine zero)."""
 
 
-def _bernoulli(k: int):
-    return mp.bernoulli(k)
-
-
 def hurwitz_zeta(s, a, ctx: PrecisionCtx = DEFAULT_CTX):
     """Hurwitz zeta zeta_H(s, a) = sum_{k>=0} (k+a)^{-s} for a > 0, continued
     to all s != 1 by Euler-Maclaurin:
@@ -70,7 +66,7 @@ def hurwitz_zeta(s, a, ctx: PrecisionCtx = DEFAULT_CTX):
             ok = False
             prev = mp.inf
             for j in range(1, 300):
-                term = _bernoulli(2 * j) / mp.factorial(2 * j) * poch * powb
+                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch * powb
                 total += term
                 mag = abs(term)
                 if mag <= tol:

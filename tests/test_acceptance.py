@@ -36,12 +36,13 @@ from starklab.theta import (
     functional_equation_Theta,
     hecke_average_check,
     poisson_check,
+    theta_rm,
 )
 
 import conftest
 from conftest import SQUAREFREE_50, random_pseudolattice
 from test_pseudolattice import brute_force_equivalent, conductor_oracle
-from test_theta import maximal_lattice, standard_spec
+from test_theta import maximal_lattice, nondegenerate_spec, standard_spec
 
 mp.mp.dps = 50
 
@@ -79,9 +80,20 @@ def test_criterion_2_theta_functional_equation():
             for v in (1j, 2j, 0.5 + 1j):
                 spec = standard_spec(D, v)
                 worst = max(worst, functional_equation_Theta(spec, CTX))
+        # l0 = 1 lies in L above, where Theta^U vanishes identically; the
+        # shift l0 = 1/11 gives a nonzero Theta^U, so the identity is tested
+        worst_nd, min_theta = mp.mpf(0), mp.inf
+        for v in (1j, 2j, 0.5 + 1j):
+            spec = nondegenerate_spec(v)
+            worst_nd = max(worst_nd, functional_equation_Theta(spec, CTX))
+            min_theta = min(min_theta, abs(theta_rm(spec, CTX).value))
     report(2, "unit-averaged theta functional equation residual < 1e-10 "
-              "(D in {2,3,5}, v in {i, 2i, 1/2+i})",
-           worst < mp.mpf("1e-10"), "worst residual %s" % mp.nstr(worst, 3))
+              "(D in {2,3,5}, v in {i, 2i, 1/2+i}; and D=5, l0=1/11 with "
+              "|Theta^U| > 0.5)",
+           worst < mp.mpf("1e-10") and worst_nd < mp.mpf("1e-10")
+           and min_theta > mp.mpf("0.5"),
+           "worst residual %s; l0=1/11: worst residual %s, min |Theta^U| %s"
+           % (mp.nstr(worst, 3), mp.nstr(worst_nd, 3), mp.nstr(min_theta, 3)))
 
 
 def test_criterion_3_hecke_averaging():
@@ -91,8 +103,17 @@ def test_criterion_3_hecke_averaging():
             for v in (1j, 2j, 0.5 + 1j):
                 spec = standard_spec(D, v, ctx=FAST)
                 worst = max(worst, hecke_average_check(spec, FAST))
-    report(3, "Theta^U matches sqrt(-iv) * geodesic average within 1e-8",
-           worst < mp.mpf("1e-8"), "worst residual %s" % mp.nstr(worst, 3))
+        worst_nd, min_theta = mp.mpf(0), mp.inf
+        for v in (1j, 2j, 0.5 + 1j):
+            spec = nondegenerate_spec(v)
+            worst_nd = max(worst_nd, hecke_average_check(spec, FAST))
+            min_theta = min(min_theta, abs(theta_rm(spec, FAST).value))
+    report(3, "Theta^U matches sqrt(-iv) * geodesic average within 1e-8 "
+              "(also D=5, l0=1/11 with |Theta^U| > 0.5)",
+           worst < mp.mpf("1e-8") and worst_nd < mp.mpf("1e-8")
+           and min_theta > mp.mpf("0.5"),
+           "worst residual %s; l0=1/11: worst residual %s, min |Theta^U| %s"
+           % (mp.nstr(worst, 3), mp.nstr(worst_nd, 3), mp.nstr(min_theta, 3)))
 
 
 def test_criterion_4_poisson():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 import re
@@ -127,14 +129,54 @@ def test_repeated_runs_byte_identical(args):
     assert a.output.encode() == b.output.encode()
 
 
-def test_csv_output(tmp_path):
+# (arguments, report file stem, CSV header, CSV rows expected from the report)
+RENDERINGS = [
+    (("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]',
+      "--prec", "64", "--err", "1e-12"),
+     "stark_compute", ["quantity", "value"], lambda rep: 4),
+    (("stark", "conjecture", "--modulus", '{"D": 13, "ideal": [3, 1, 1]}',
+      "--prec", "64", "--err", "1e-12"),
+     "stark_conjecture", ["class", "representative", "s0", "invariance_residual"],
+     lambda rep: len(rep["classes"])),
+    (("theta", "check-fe", "--D", "5", "--prec", "96", "--err", "1e-14"),
+     "theta_check_fe", ["check", "residual", "tolerance", "pass"], lambda rep: 1),
+    (("theta", "check-average", "--D", "2", "--prec", "96", "--err", "1e-12"),
+     "theta_check_average", ["check", "residual", "tolerance", "pass"],
+     lambda rep: 1),
+    (("theta", "check-poisson", "--D", "3", "--t", "0.7", "--prec", "96",
+      "--err", "1e-14"),
+     "theta_check_poisson", ["check", "residual", "tolerance", "pass"],
+     lambda rep: 1),
+    (("lattice", "classify", "--lattice", LAT5,
+      "--against", '{"D": 5, "l1": ["1", "0"], "l2": ["2", "1"]}'),
+     "lattice_classify", ["quantity", "value"], lambda rep: len(rep) - 1),
+    (("lattice", "dual", "--lattice", LAT5),
+     "lattice_dual", ["basis", "x", "y"], lambda rep: 2),
+    (("cyclotomic", "table", "--max-n", "5"),
+     "cyclotomic_table", ["m", "n", "lhs", "rhs", "abs_err"],
+     lambda rep: len(rep["rows"])),
+    (("bc", "kms", "--beta", "2", "--gamma", "1/3"),
+     "bc_kms", ["quantity", "value"], lambda rep: 3),
+]
+
+
+@pytest.mark.parametrize("args, stem, header, n_rows", RENDERINGS,
+                         ids=[r[1] for r in RENDERINGS])
+def test_csv_output(tmp_path, args, stem, header, n_rows):
+    # --out writes <group>_<command>.json/.csv with exactly the bytes the
+    # command prints without --out
     out = tmp_path / "rep"
-    r = run("bc", "kms", "--beta", "2", "--gamma", "1/3",
-            "--out", str(out), "--format", "both")
-    assert r.exit_code == 0
-    assert (out / "bc_kms.json").exists()
-    csv_text = (out / "bc_kms.csv").read_text()
-    assert csv_text.splitlines()[0]  # has a header row
+    printed = run(*args, "--format", "both")
+    written = run(*args, "--out", str(out), "--format", "both")
+    assert printed.exit_code == 0 and written.exit_code == 0, printed.stderr
+    assert written.stdout == ""
+    assert sorted(f.name for f in out.iterdir()) == [stem + ".csv", stem + ".json"]
+    json_bytes = (out / (stem + ".json")).read_bytes()
+    csv_bytes = (out / (stem + ".csv")).read_bytes()
+    assert printed.stdout_bytes == json_bytes + csv_bytes
+    rows = list(csv.reader(io.StringIO(csv_bytes.decode(), newline="")))
+    assert rows[0] == header
+    assert len(rows) - 1 == n_rows(json.loads(json_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +195,21 @@ def test_exit_4_on_malformed_literals():
     assert r.exit_code == 4  # rationally dependent generators
     r = run("bc", "kms", "--beta", "0.5", "--gamma", "1/3")
     assert r.exit_code == 4  # beta must exceed 1
+    # non-integral or infinite field and HNF entries are rejected, not
+    # truncated or left to a traceback
+    for args in (
+        ("lattice", "dual", "--lattice",
+         '{"D": 5.9, "l1": ["1", "0"], "l2": ["1/2", "1/2"]}'),
+        ("lattice", "dual", "--lattice",
+         '{"D": Infinity, "l1": ["1", "0"], "l2": ["1/2", "1/2"]}'),
+        ("stark", "compute", "--ideal", '{"D": 5, "ideal": ["23/2", 3, 1]}',
+         "--l0", '["1", "0"]'),
+        ("theta", "check-poisson", "--D", "5",
+         "--ideal", '{"D": 5, "ideal": [11, "7/2", 1]}'),
+    ):
+        r = run(*args)
+        assert r.exit_code == 4, args
+        assert r.stderr.startswith("invalid input:"), r.stderr
 
 
 def test_exit_2_on_residual_violation():
@@ -161,6 +218,8 @@ def test_exit_2_on_residual_violation():
     r = run("cyclotomic", "table", "--max-n", "6", "--tol", "1e-60",
             "--prec", "128", "--err", "1e-30")
     assert r.exit_code == 2
+    assert r.stderr.startswith("residual violation:")
+    assert json.loads(r.stdout)["pass"] is False  # the report is still written
 
 
 def test_exit_3_on_convergence_failure(monkeypatch):
