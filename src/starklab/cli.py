@@ -33,7 +33,7 @@ import click
 import mpmath as mp
 
 from .numerics import ConvergenceError, PrecisionCtx
-from .quadfield import FieldCtx, QuadElem, QuadIdeal, cf_expand, unit_mod_f
+from .quadfield import FieldCtx, QuadElem, QuadIdeal, cf_expand, unit_mod_f, _hnf_2col
 from .pseudolattice import (
     Pseudolattice,
     automorphism_group,
@@ -118,7 +118,8 @@ def parse_ideal_literal(text: str) -> QuadIdeal:
     a, b, c = (int(q) for q in entries)
     if a <= 0 or c <= 0:
         raise InputError("ideal [a, b, c] requires a > 0 and c > 0")
-    return QuadIdeal.from_generators(F, [F.elem(a), F.from_coords(b, c)])
+    # the module aZ + (b + c w)Z itself, rejected unless it is an ideal
+    return QuadIdeal(F, *_hnf_2col([(a, 0), (b, c)]))
 
 
 def parse_lattice_literal(text: str) -> Pseudolattice:
@@ -279,7 +280,7 @@ for _name, _help in (
 _COMMON_OPTIONS = (
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "both"]),
                  default="json", help="report format"),
-    click.option("--out", type=click.Path(), default=None,
+    click.option("--out", type=click.Path(file_okay=False), default=None,
                  help="output directory for report files"),
     click.option("--err", type=str, default="1e-30",
                  help="target absolute error (decimal string)"),
@@ -315,14 +316,20 @@ def report_command(path: str, *options):
     return register
 
 
-def _default_theta_spec(D: int, ideal_text: str | None, v):
+def _theta_ideal(D: int, ideal_text: str | None) -> QuadIdeal:
+    """The --ideal literal, which must lie in the field of --D, or (1)."""
     F = _make_field(D)
-    if ideal_text:
-        I = parse_ideal_literal(ideal_text)
-        if I.field.D != F.D:
-            raise InputError("ideal literal field does not match --D")
-    else:
-        I = QuadIdeal.unit_ideal(F)
+    if not ideal_text:
+        return QuadIdeal.unit_ideal(F)
+    I = parse_ideal_literal(ideal_text)
+    if I.field.D != F.D:
+        raise InputError("ideal literal field does not match --D")
+    return I
+
+
+def _default_theta_spec(D: int, ideal_text: str | None, v):
+    I = _theta_ideal(D, ideal_text)
+    F = I.field
     lat = ideal_to_pseudolattice(I)
     l0 = F.elem(1)
     ud = unit_mod_f(F, I)
@@ -393,8 +400,7 @@ def theta_check_average(ctx, D, v_text, ideal_text):
 def theta_check_poisson(ctx, D, v_text, t_val, ideal_text):
     """Residual of the Poisson summation identity on the flowed lattice."""
     v = _parse_upper_half_plane(v_text)
-    F = _make_field(D)
-    I = parse_ideal_literal(ideal_text) if ideal_text else QuadIdeal.unit_ideal(F)
+    I = _theta_ideal(D, ideal_text)
     lat = hecke_lattice(ideal_to_pseudolattice(I), mp.mpf(t_val), ctx)
     resid = poisson_check(lat, v, mp.mpc(1), (0, 0), ctx)
     tol = mp.mpf(ctx.target_abs_err) * 100

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import DEFAULT_CTX, PrecisionCtx
+from .numerics import DEFAULT_CTX, BoundExceeded, PrecisionCtx
 from .quadfield import (
     FieldCtx,
     QuadElem,
@@ -21,6 +21,7 @@ from .quadfield import (
     _convergent_matrix,
     _float_embed,
     _float_embed_conj,
+    _omega_mul,
 )
 
 
@@ -228,19 +229,22 @@ class AutomorphismGroup:
 
 def automorphism_group(L: Pseudolattice) -> AutomorphismGroup:
     """Units of End L: infinite part generated by the fundamental unit of the
-    conductor-f order, torsion {+-1}."""
+    conductor-f order, torsion {+-1}.  That unit is the least power eps0^k in
+    Z + f*omega, found by walking eps0^k mod (f) (residue v-coordinate 0);
+    raises BoundExceeded when k would exceed 499."""
     F = L.field
     f = endomorphism_ring(L).conductor
     eps0 = fundamental_unit(F.D)
-    power = F.elem(1)
+    f_ideal = QuadIdeal(F, f, 0, f)
+    step = tuple(map(int, F.coords(eps0)))
+    r = (1, 0)
     for k in range(1, 500):
-        power = power * eps0
-        u, v = F.coords(power)
-        if v % f == 0:
-            gen = power
+        r = f_ideal._residue(_omega_mul(F, r, step))
+        if r[1] == 0:
+            gen = eps0 ** k
             break
     else:
-        raise ArithmeticError("no unit of the order found")
+        raise BoundExceeded("no unit of the conductor-%d order up to eps0^499" % f)
     assert L.contains(gen * L.l1) and L.contains(gen * L.l2)
     assert L.contains(L.l1 / gen) and L.contains(L.l2 / gen)
     return AutomorphismGroup(generator=gen, torsion_order=2)

@@ -1,7 +1,14 @@
 """Exact arithmetic in a real quadratic field K = Q(sqrt(D)): elements with
 rational coordinates, conjugation, norms and traces, continued-fraction
 fundamental units, integral ideals in Hermite normal form, and congruence
-conditions on units."""
+conditions on units.
+
+The ideal layer works on integer omega-coordinates: (u, v) means
+u + v*omega in O_K = Z[omega], an ideal is its HNF triple (a, b, c) on that
+basis, products use omega^2 = t*omega - n (`_omega_mul`) and congruences
+compare canonical residues (`QuadIdeal._residue`).  QuadElems of Fractions
+appear only at the public edges: generators passed in, elements tested for
+membership, and generators and units handed back."""
 
 from __future__ import annotations
 
@@ -415,15 +422,21 @@ def _hnf_2col(rows: list[tuple[int, int]]):
     for r in rows:
         if r[1] == 0:
             a = math.gcd(a, abs(r[0]))
-    if pivot is None:
-        raise ValueError("module has rank < 2 (not an ideal-like module)")
-    if a == 0:
+    if pivot is None or a == 0:
         raise ValueError("module has rank < 2 (not an ideal-like module)")
     b, c = pivot
     if c < 0:
         b, c = -b, -c
     b %= a
     return a, b, c
+
+
+def _omega_mul(F: FieldCtx, p: tuple[int, int], q: tuple[int, int]):
+    """(u1 + v1*omega)(u2 + v2*omega) in omega-coordinates, by
+    omega^2 = t*omega - n (t, n the trace and norm of omega)."""
+    (u1, v1), (u2, v2) = p, q
+    vv = v1 * v2
+    return (u1 * u2 - F.omega_norm * vv, u1 * v2 + v1 * u2 + F.omega_trace * vv)
 
 
 def _xgcd(a: int, b: int):
@@ -457,17 +470,13 @@ class QuadIdeal:
     def from_generators(cls, field: FieldCtx, gens) -> "QuadIdeal":
         """Ideal generated (over O_K) by the given integral elements."""
         rows = []
-        omega = field.omega
         for g in gens:
-            if isinstance(g, (int, Fraction)):
-                g = field.elem(g)
-            for h in (g, g * omega):
-                u, v = field.coords(h)
-                if u.denominator != 1 or v.denominator != 1:
-                    raise ValueError("generators must be integral")
-                rows.append((int(u), int(v)))
-        a, b, c = _hnf_2col(rows)
-        return cls(field, a, b, c)
+            u, v = field.coords(g if isinstance(g, QuadElem) else field.elem(g))
+            if u.denominator != 1 or v.denominator != 1:
+                raise ValueError("generators must be integral")
+            p = (int(u), int(v))
+            rows += [p, _omega_mul(field, p, (0, 1))]
+        return cls(field, *_hnf_2col(rows))
 
     @classmethod
     def principal(cls, field: FieldCtx, g) -> "QuadIdeal":
@@ -491,18 +500,19 @@ class QuadIdeal:
         F = self.field
         return [F.elem(self.a), F.from_coords(self.b, self.c)]
 
+    def _residue(self, p: tuple[int, int]) -> tuple[int, int]:
+        """Canonical representative of u + v*omega modulo the ideal: equal
+        residues mean congruent elements, and (0, 0) means membership."""
+        u, v = p
+        k = v // self.c
+        return ((u - k * self.b) % self.a, v - k * self.c)
+
     def contains(self, e: QuadElem) -> bool:
         """Exact membership of a field element in the ideal's Z-module."""
-        if isinstance(e, (int, Fraction)):
-            e = self.field.elem(e)
-        u, v = self.field.coords(e)
+        u, v = self.field.coords(e if isinstance(e, QuadElem) else self.field.elem(e))
         if u.denominator != 1 or v.denominator != 1:
             return False
-        u, v = int(u), int(v)
-        if v % self.c:
-            return False
-        k = v // self.c
-        return (u - k * self.b) % self.a == 0
+        return self._residue((int(u), int(v))) == (0, 0)
 
     def norm(self) -> int:
         return self.a * self.c
@@ -530,36 +540,22 @@ class QuadIdeal:
             raise ValueError("mixed-field ideals rejected")
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
-            gens = [g * other for g in self.module_generators()]
-            rows = []
-            for g in gens:
-                u, v = self.field.coords(g)
-                if u.denominator != 1 or v.denominator != 1:
-                    raise ValueError("scaling must keep the ideal integral")
-                rows.append((int(u), int(v)))
-            a, b, c = _hnf_2col(rows)
-            return QuadIdeal(self.field, a, b, c)
+        """Product with an ideal, an int or an integral QuadElem."""
+        if not isinstance(other, QuadIdeal):
+            other = QuadIdeal.principal(self.field, other)
         self._same_field(other)
-        rows = []
-        for g in self.module_generators():
-            for h in other.module_generators():
-                u, v = self.field.coords(g * h)
-                rows.append((int(u), int(v)))
-        a, b, c = _hnf_2col(rows)
-        return QuadIdeal(self.field, a, b, c)
+        rows = [_omega_mul(self.field, p, q)
+                for p in ((self.a, 0), (self.b, self.c))
+                for q in ((other.a, 0), (other.b, other.c))]
+        return QuadIdeal(self.field, *_hnf_2col(rows))
 
     __rmul__ = __mul__
 
     def gcd(self, other: "QuadIdeal") -> "QuadIdeal":
         """Ideal sum (the gcd in the lattice of ideals)."""
         self._same_field(other)
-        rows = []
-        for g in self.module_generators() + other.module_generators():
-            u, v = self.field.coords(g)
-            rows.append((int(u), int(v)))
-        a, b, c = _hnf_2col(rows)
-        return QuadIdeal(self.field, a, b, c)
+        rows = [(self.a, 0), (self.b, self.c), (other.a, 0), (other.b, other.c)]
+        return QuadIdeal(self.field, *_hnf_2col(rows))
 
     def coprime(self, other: "QuadIdeal") -> bool:
         return self.gcd(other).is_unit_ideal()
@@ -571,16 +567,10 @@ class QuadIdeal:
 
     def divide_by_integer(self, n: int) -> "QuadIdeal":
         """Exact quotient (1/n) * self; requires all HNF data divisible."""
-        F = self.field
-        gens = [g * Fraction(1, n) for g in self.module_generators()]
-        rows = []
-        for g in gens:
-            u, v = F.coords(g)
-            if u.denominator != 1 or v.denominator != 1:
-                raise ValueError("ideal not divisible by %d" % n)
-            rows.append((int(u), int(v)))
-        a, b, c = _hnf_2col(rows)
-        return QuadIdeal(F, a, b, c)
+        m = abs(n)
+        if self.a % m or self.b % m or self.c % m:
+            raise ValueError("ideal not divisible by %d" % n)
+        return QuadIdeal(self.field, self.a // m, self.b // m, self.c // m)
 
     def divide(self, other: "QuadIdeal") -> "QuadIdeal":
         """Exact ideal quotient self / other, assuming other | self."""
@@ -659,22 +649,20 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
     Raises BoundExceeded when no eps0^k with k <= max_power is == +-1 mod f."""
     eps0 = fundamental_unit(F.D)
     eps_plus = eps0 if eps0.is_totally_positive() else eps0 * eps0
-    minus_one = f.contains(F.elem(-2))  # -1 == 1 mod f  <=>  2 in f
-    if f.is_unit_ideal():
-        g = eps0
-        k_found = 1
+    one, minus = f._residue((1, 0)), f._residue((-1, 0))
+    minus_one = one == minus  # -1 == 1 mod f
+    step = tuple(map(int, F.coords(eps0)))
+    r = (1, 0)
+    for k_found in range(1, max_power + 1):
+        r = f._residue(_omega_mul(F, r, step))  # eps0^k mod f
+        if r == one:
+            g = eps0 ** k_found
+            break
+        if r == minus:
+            g = -(eps0 ** k_found)
+            break
     else:
-        power = F.elem(1)
-        for k_found in range(1, max_power + 1):
-            power = power * eps0
-            if f.contains(power - 1):
-                g = power
-                break
-            if f.contains(power + 1):
-                g = -power
-                break
-        else:
-            raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % max_power)
+        raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % max_power)
     # least totally positive unit == 1 mod f (of the form +-g^j)
     if g.is_totally_positive():
         g_plus = g

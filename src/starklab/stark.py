@@ -48,6 +48,7 @@ from .quadfield import (
     UnitData,
     fundamental_unit,
     unit_mod_f,
+    _omega_mul,
 )
 from .pseudolattice import Pseudolattice, coset_slice_reps, dual, ideal_to_pseudolattice
 
@@ -424,20 +425,13 @@ def _sign_pair(e: QuadElem) -> tuple[int, int]:
 
 
 def _achievable_sign_pairs(unit: UnitData) -> set:
-    """Sign patterns (sgn, sgn') realized by the units congruent to 1 mod f."""
-    gens = [_sign_pair(unit.eps_f)]
+    """Sign patterns (sgn, sgn') realized by the units congruent to 1 mod f:
+    the group generated by the pattern of eps_f, and by (-1, -1) when
+    -1 == 1 mod f (each pattern is its own inverse)."""
+    s, s_conj = _sign_pair(unit.eps_f)
+    pairs = {(1, 1), (s, s_conj)}
     if unit.minus_one_in_ef:
-        gens.append((-1, -1))
-    pairs = {(1, 1)}
-    changed = True
-    while changed:
-        changed = False
-        for p in list(pairs):
-            for g in gens:
-                q = (p[0] * g[0], p[1] * g[1])
-                if q not in pairs:
-                    pairs.add(q)
-                    changed = True
+        pairs |= {(-1, -1), (-s, -s_conj)}
     return pairs
 
 
@@ -474,7 +468,11 @@ def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
     With n = N(B), A conj(B) = (n) A B^{-1}, so alpha = gamma/n for a
     generator gamma of A conj(B), and alpha == 1 mod* f iff gamma - n lies
     in f (n)_f, (n)_f the part of (n) on the primes of f.  As n > 0, alpha
-    and gamma have the same signs."""
+    and gamma have the same signs.
+
+    The candidates +-gamma eps0^k are walked as residues mod f (n)_f; as
+    eps0 > 0, the sign pair of +-gamma eps0^k is +-(sgn gamma,
+    sgn gamma' * sgn(eps0')^k)."""
     F = A.field
     n = B.norm()
     gen = (A * B.conjugate()).principal_generator()
@@ -483,15 +481,19 @@ def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
     ordr, signs_ef = _ray_unit_data(F, f)
     target = _congruence_ideal(n, f)
     eps0 = fundamental_unit(F.D)
-    u = F.elem(1)
+    step = tuple(map(int, F.coords(eps0)))
+    r = target._residue(tuple(map(int, F.coords(gen))))
+    sgn, sgn_conj = _sign_pair(gen)
+    sgn_eps_conj = int(eps0.norm())
+    plus, minus = target._residue((n, 0)), target._residue((-n, 0))
     for _ in range(ordr):
-        for cand in (gen * u, -(gen * u)):
+        for m, res in ((1, plus), (-1, minus)):
             # narrow: alpha must be totally positive after adjusting by a
             # unit congruent to 1 mod f
-            if target.contains(cand - n) and (
-                    variant == "wide" or _sign_pair(cand) in signs_ef):
+            if r == res and (variant == "wide" or (m * sgn, m * sgn_conj) in signs_ef):
                 return True
-        u = u * eps0
+        r = target._residue(_omega_mul(F, r, step))
+        sgn_conj *= sgn_eps_conj
     return False
 
 
@@ -507,10 +509,8 @@ def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int):
                 a = n // (c * c)
                 for b in range(a):
                     if (b * b + t * b + nw) % a == 0:
-                        I = QuadIdeal.from_generators(
-                            F, [F.elem(a * c), (F.omega + b) * c]
-                        )
-                        if I.norm() == n and I.coprime(f):
+                        I = QuadIdeal(F, a * c, b * c, c)
+                        if I.coprime(f):
                             out.append(I)
             c += 1
     return out

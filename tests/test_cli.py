@@ -134,7 +134,7 @@ RENDERINGS = [
     (("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]',
       "--prec", "64", "--err", "1e-12"),
      "stark_compute", ["quantity", "value"], lambda rep: 4),
-    (("stark", "conjecture", "--modulus", '{"D": 13, "ideal": [3, 1, 1]}',
+    (("stark", "conjecture", "--modulus", '{"D": 13, "ideal": [1, 0, 1]}',
       "--prec", "64", "--err", "1e-12"),
      "stark_conjecture", ["class", "representative", "s0", "invariance_residual"],
      lambda rep: len(rep["classes"])),
@@ -206,10 +206,21 @@ def test_exit_4_on_malformed_literals():
          "--l0", '["1", "0"]'),
         ("theta", "check-poisson", "--D", "5",
          "--ideal", '{"D": 5, "ideal": [11, "7/2", 1]}'),
+        # modules aZ + (b + c w)Z that are not ideals are rejected, not
+        # replaced by the ideal they generate
+        ("stark", "compute", "--ideal", '{"D": 5, "ideal": [7, 0, 1]}',
+         "--l0", '["1", "0"]'),
+        ("stark", "compute", "--ideal", '{"D": 5, "ideal": [11, 3, 2]}',
+         "--l0", '["1", "0"]'),
+        # the literal's field must be the one of --D
+        ("theta", "check-poisson", "--D", "3", "--ideal", P11),
     ):
         r = run(*args)
         assert r.exit_code == 4, args
         assert r.stderr.startswith("invalid input:"), r.stderr
+    # a non-reduced b that spans the same module is still the same ideal
+    assert (cli_mod.parse_ideal_literal('{"D": 5, "ideal": [11, 14, 1]}')
+            == cli_mod.parse_ideal_literal(P11))
 
 
 def test_exit_2_on_residual_violation():
@@ -241,13 +252,19 @@ def test_exit_3_on_bound_exceeded(monkeypatch):
     def boom(*a, **k):
         raise BoundExceeded("synthetic ray class overflow")
 
+    # conductor 503: the least unit of the order is eps0^504
+    r = run("lattice", "classify", "--lattice",
+            '{"D": 5, "l1": ["1", "0"], "l2": ["503/2", "503/2"]}')
+    assert r.exit_code == 3
+    assert r.stderr.startswith("bound exceeded:")
+
     monkeypatch.setattr(cli_mod, "conjecture_check", boom)
     r = run("stark", "conjecture", "--modulus", P11)
     assert r.exit_code == 3
     assert r.stderr == "bound exceeded: synthetic ray class overflow\n"
 
 
-def test_exit_4_on_usage_errors():
+def test_exit_4_on_usage_errors(tmp_path, monkeypatch):
     # click reports usage errors with 2, the residual-violation code
     r = run("stark", "compute", "--l0", '["1", "0"]')  # missing --ideal
     assert r.exit_code == 4
@@ -256,6 +273,14 @@ def test_exit_4_on_usage_errors():
     assert r.exit_code == 4
     r = run("stark", "no-such-command")
     assert r.exit_code == 4
+    # --out naming an existing file is rejected before any work is done
+    target = tmp_path / "report"
+    target.write_text("kept")
+    monkeypatch.setattr(cli_mod.bcmod, "kms_state", None)  # never reached
+    r = run("bc", "kms", "--beta", "2", "--gamma", "1/2", "--out", str(target))
+    assert r.exit_code == 4
+    assert "is a file" in r.stderr
+    assert target.read_text() == "kept"
 
 
 def test_readme_examples_run():

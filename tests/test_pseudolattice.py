@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import PrecisionCtx
+from starklab.numerics import BoundExceeded, PrecisionCtx
 from starklab.pseudolattice import (
     IntMat2,
     Pseudolattice,
@@ -256,6 +256,23 @@ def test_automorphism_group_of_maximal_order():
         L = Pseudolattice(F, F.elem(1), F.omega)
         g = automorphism_group(L).generator
         assert g == fundamental_unit(D)
+
+
+def test_automorphism_group_of_non_maximal_orders():
+    # reference: the least exact power eps0^k with omega-coordinate in fZ
+    for D in (2, 3, 5, 13):
+        F = FieldCtx(D)
+        eps0 = fundamental_unit(D)
+        for f in range(2, 41):
+            L = Pseudolattice(F, F.elem(1), f * F.omega)  # End L = Z + f*omega
+            k = 1
+            while F.coords(eps0 ** k)[1] % f:
+                k += 1
+            assert automorphism_group(L).generator == eps0 ** k, (D, f)
+    # conductor 503 in Q(sqrt 5): the least such power is eps0^504
+    F = FieldCtx(5)
+    with pytest.raises(BoundExceeded):
+        automorphism_group(Pseudolattice(F, F.elem(1), 503 * F.omega))
 
 
 def test_slice_reps_unique_per_orbit():

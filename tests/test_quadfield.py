@@ -8,16 +8,19 @@ mp.mp.dps = 50
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starklab.pseudolattice import ideal_to_pseudolattice
 from starklab.quadfield import (
     FieldCtx,
     QuadElem,
     QuadIdeal,
+    _hnf_2col,
     cf_expand,
     fundamental_unit,
     pell_fundamental_unit,
     unit_mod_f,
 )
-from conftest import SQUAREFREE_50
+from starklab.stark import _enumerate_coprime_ideals
+from conftest import SQUAREFREE_50, random_elem
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 ds = st.sampled_from(SQUAREFREE_50)
@@ -224,3 +227,57 @@ def test_unit_mod_f_congruence_property():
         assert f.contains(ud.eps_f - 1)
         assert f.contains(ud.eps_f_plus - 1)
         assert ud.eps_f_plus.is_totally_positive()
+
+
+def _span(F, elems):
+    """Reference HNF of the Z-module spanned by integral QuadElems, through
+    QuadElem coordinates (no ideal arithmetic)."""
+    rows = []
+    for e in elems:
+        u, v = F.coords(e)
+        assert u.denominator == 1 and v.denominator == 1
+        rows.append((int(u), int(v)))
+    return _hnf_2col(rows)
+
+
+def test_ideal_arithmetic_matches_generator_products():
+    rng = random.Random(9)
+    for _ in range(40):
+        F = FieldCtx(rng.choice([2, 3, 5, 13, 21, 46]))
+        A = _rand_ideal(rng, F)
+        B = _rand_ideal(rng, F)
+        g = F.from_coords(rng.randint(-9, 9), rng.randint(1, 9))
+        k = rng.randint(2, 9)
+        gens_a, gens_b = A.module_generators(), B.module_generators()
+        assert (A * B).hnf() == _span(F, [x * y for x in gens_a for y in gens_b])
+        assert (A * g).hnf() == _span(F, [x * g for x in gens_a])
+        assert (g * A).hnf() == (A * g).hnf()
+        assert (A * k).hnf() == _span(F, [x * k for x in gens_a])
+        assert (A * k).divide_by_integer(k) == A
+        assert A.gcd(B).hnf() == _span(F, gens_a + gens_b)
+        with pytest.raises(ValueError):
+            A.divide_by_integer(A.a + 1)
+        # membership against the exact coordinate solve of the Z-module
+        lat = ideal_to_pseudolattice(A)
+        for _ in range(10):
+            x = random_elem(rng, F.D, span=9)
+            if rng.random() < 0.5:
+                x = rng.randint(-5, 5) * gens_a[0] + rng.randint(-5, 5) * gens_a[1]
+            assert A.contains(x) == lat.contains(x)
+
+
+def test_unit_mod_f_order_is_least_power_congruent_to_pm1():
+    # reference: exact powers of eps0, membership by coordinate solve
+    for D in (2, 3, 5, 13, 46):
+        F = FieldCtx(D)
+        eps0 = fundamental_unit(D)
+        for f in _enumerate_coprime_ideals(F, QuadIdeal.unit_ideal(F), 30):
+            lat = ideal_to_pseudolattice(f)
+            ud = unit_mod_f(F, f)
+            k = 1
+            while not (lat.contains(eps0 ** k - 1) or lat.contains(eps0 ** k + 1)):
+                k += 1
+            assert ud.order == k, (D, f)
+            sign = 1 if lat.contains(eps0 ** k - 1) else -1
+            assert ud.eps_f == sign * eps0 ** k
+            assert ud.minus_one_in_ef == lat.contains(F.elem(2))
