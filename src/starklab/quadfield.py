@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath as mp
 
@@ -345,10 +346,11 @@ def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def fundamental_unit(D: int) -> QuadElem:
-    """Fundamental unit eps0 > 1 of O_K, |N(eps0)| = 1, via the continued
-    fraction of omega: the matrix of one period of quotients fixes the
-    first repeated complete quotient, and its bottom row yields the unit."""
+def _omega_cf(D: int):
+    """The continued fraction of omega, read once per field: its partial
+    quotients, the index of each complete quotient, and the fundamental
+    unit eps0 > 1 of O_K.  The matrix of one period of quotients fixes the
+    first repeated complete quotient, and its bottom row yields eps0."""
     F = FieldCtx(D)
     quotients, values, (start, period) = cf_expand(F.omega)
     _, _, c, d = _convergent_matrix(quotients[start:start + period])
@@ -360,7 +362,13 @@ def fundamental_unit(D: int) -> QuadElem:
     eps = next(e for e in candidates if e.compare(1) > 0)
     if not F.is_integral(eps):
         raise ArithmeticError("unit not integral")
-    return eps
+    index = MappingProxyType({x: j for j, x in enumerate(values)})
+    return tuple(quotients), index, eps
+
+
+def fundamental_unit(D: int) -> QuadElem:
+    """Fundamental unit eps0 > 1 of O_K, |N(eps0)| = 1."""
+    return _omega_cf(D)[2]
 
 
 def pell_fundamental_unit(D: int, bound: int = 4000) -> QuadElem | None:
@@ -588,8 +596,7 @@ class QuadIdeal:
         Z + Z theta = (N21 x + N22)/(M21 x + M22) * (Z + Z omega)."""
         F = self.field
         q1, v1, _ = cf_expand(F.from_coords(self.b, self.c) / self.a)
-        q2, v2, _ = cf_expand(F.omega)
-        index2 = {x: j for j, x in enumerate(v2)}
+        q2, index2, _ = _omega_cf(F.D)
         for k, x in enumerate(v1):
             j = index2.get(x)
             if j is not None:

@@ -269,6 +269,17 @@ class ContinuationData:
             delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(lat.field.D)
             return cls(primal=primal, dual=tuple(dual_pairs), delta=delta)
 
+    def split_sum(self, primal_term, dual_term):
+        """sum_primal primal_term(m, x) + (1/(i delta)) sum_dual
+        dual_term(c, x), each side accumulated in ascending |N|."""
+        part1 = mp.mpc(0)
+        for x, mult in self.primal:
+            part1 += primal_term(mult, x)
+        part2 = mp.mpc(0)
+        for x, coeff in self.dual:
+            part2 += dual_term(coeff, x)
+        return part1 + part2 / (mp.mpc(0, 1) * self.delta)
+
 
 def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
                        s_scale: float = 1.0) -> ContinuationData:
@@ -313,13 +324,10 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     data = _continuation_data(inp, ctx, s_scale=abs(complex(s)))
     with ctx.workprec():
         s = mp.mpmathify(s)
-        part1 = mp.mpc(0)
-        for x, mult in data.primal:
-            part1 += mult * upper_gamma(s, x, ctx) * mp.power(x, -s)
-        part2 = mp.mpc(0)
-        for x, coeff in data.dual:
-            part2 += coeff * upper_gamma(1 - s, x, ctx) * mp.power(x, -(1 - s))
-        part2 = part2 / (mp.mpc(0, 1) * data.delta)
+        total = data.split_sum(
+            lambda m, x: m * upper_gamma(s, x, ctx) * mp.power(x, -s),
+            lambda c, x: c * upper_gamma(1 - s, x, ctx) * mp.power(x, -(1 - s)),
+        )
         pref = (
             inp.sign_l0_conj
             * mp.power(inp.b.norm(), s)
@@ -327,7 +335,7 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
             * mp.rgamma(s)
             / inp.unit.kappa
         )
-        return mp.mpc(pref * (part1 + part2))
+        return mp.mpc(pref * total)
 
 
 @dataclass(frozen=True)
@@ -349,14 +357,9 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx):
     inp = inp.reduced()
     data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        part1 = mp.mpf(0)
-        for x, mult in data.primal:
-            part1 += mult * e1(x, ctx)
-        part2 = mp.mpc(0)
-        for x, coeff in data.dual:
-            part2 += coeff * mp.exp(-x) / x
-        part2 = part2 / (mp.mpc(0, 1) * data.delta)
-        val = mp.mpc(part1 + part2) * inp.sign_l0_conj / inp.unit.kappa
+        total = data.split_sum(lambda m, x: m * e1(x, ctx),
+                               lambda c, x: c * mp.exp(-x) / x)
+        val = total * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
             raise ConvergenceError(
                 "regularized zeta'(0) has non-negligible imaginary part: %s"
@@ -666,12 +669,12 @@ def _second_ideal_in_class(group: RayClassGroup, idx: int,
 
 def conjecture_check(F: FieldCtx, f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX,
                      variant: str = "narrow", norm_bound: int = 30,
-                     recognition_height: int = 1000,
-                     recognition_tol: float = 1e-6) -> ConjectureReport:
+                     recognition_height: int = 1000) -> ConjectureReport:
     """Numerical experiment: compute S0 for one pair per ray class mod f,
     verify class-invariance on a second pair in each class, form
     P(X) = prod (X - S0(class)) and attempt to recognize its coefficients
-    as elements a + b sqrt(D) of bounded height."""
+    as elements a + b sqrt(D) of bounded height, to within ctx's error
+    target relative to the coefficient's size."""
     group = ray_classes(f, variant=variant, norm_bound=norm_bound)
     pool = _enumerate_coprime_ideals(F, f, norm_bound)
     entries = []
@@ -706,8 +709,9 @@ def conjecture_check(F: FieldCtx, f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX,
         coeff_entries = []
         failures = []
         for deg, c in enumerate(coeffs):
+            tol = ctx.target_abs_err * max(1, abs(c))
             rec = recognize_quadratic(c, F.D, max_height=recognition_height,
-                                      tol=recognition_tol, ctx=ctx)
+                                      tol=tol, ctx=ctx)
             if rec is None:
                 failures.append(deg)
                 coeff_entries.append(

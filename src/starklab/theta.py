@@ -2,7 +2,8 @@
 lattice theta (a sign-weighted Gaussian sum with shift characters), the
 real-multiplication theta summed over unit-orbit representatives, the
 Fourier/Poisson toolkit for the Gaussian family, and the two functional
-equations that drive the zeta continuation."""
+equations that drive the zeta continuation.  Both integrals, the geodesic
+average and the Fourier transform, use the trapezoid rule."""
 
 from __future__ import annotations
 
@@ -18,10 +19,9 @@ from .numerics import (
     DEFAULT_CTX,
     PrecisionCtx,
     branch_sqrt_neg_iv,
-    gauss_legendre,
-    legendre_nodes,
     mpf_from_fraction,
     ordered_sum,
+    trapezoid,
 )
 from .hecke import HeckeLattice, hecke_lattice, scalar_product
 from .pseudolattice import Pseudolattice, coset_slice_reps, delta, dual
@@ -232,9 +232,8 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
 
 def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
     """|Theta^U(v) - sqrt(-iv) * integral over one geodesic period of the
-    complex theta|, both sides computed independently.  Returns the
-    residual."""
-    spec.validate()
+    complex theta|, both sides computed independently, the integral by the
+    trapezoid rule.  Returns the residual."""
     with ctx.workprec():
         lhs = theta_rm(spec, ctx).value
         loge = mp.log(spec.epsU.embed("id", ctx))
@@ -250,7 +249,8 @@ def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
             )
             return theta_complex(cs, ctx).value
 
-        integral, _, converged = gauss_legendre(integrand, -loge, loge, 16, ctx)
+        # one whole period: there the trapezoid rule converges exponentially
+        integral, _, converged = trapezoid(integrand, -loge, loge, ctx)
         if not converged:
             raise ConvergenceError("geodesic quadrature did not converge")
         rhs = branch_sqrt_neg_iv(spec.v, ctx) * integral
@@ -260,7 +260,9 @@ def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
 def fourier_gaussian_pair(eta, v, y, ctx: PrecisionCtx = DEFAULT_CTX):
     """Fourier transform of f(x) = (x.eta) e^{pi i v |x|^2} under the pairing
     (x.y) = x0 y1 + x1 y0: returns (closed_form, quadrature) evaluated at y,
-    where closed_form = (i/v^2) (y . i conj(eta)) e^{-pi i |y|^2 / v}."""
+    where closed_form = (i/v^2) (y . i conj(eta)) e^{-pi i |y|^2 / v} and
+    quadrature is the nested trapezoid rule over [-A, A]^2, with A where the
+    Gaussian is negligible; a row that does not converge raises."""
     with ctx.workprec():
         v, eta, y = mp.mpc(v), mp.mpc(eta), mp.mpc(y)
         if not v.imag > 0:
@@ -281,25 +283,13 @@ def fourier_gaussian_pair(eta, v, y, ctx: PrecisionCtx = DEFAULT_CTX):
             pair = x0 * y.imag + x1 * y.real
             return sp * mp.expjpi(v * modsq) * mp.expjpi(-2 * pair)
 
-        def tensor(n):
-            xs, ws = legendre_nodes(n, ctx.work_bits)
-            xs = [A * x for x in xs]
-            ws = [A * w for w in ws]
-            vals = []
-            for x0, w0 in zip(xs, ws):
-                row = mp.fsum(w1 * f(x0, x1) for x1, w1 in zip(xs, ws))
-                vals.append(w0 * row)
-            return mp.fsum(vals)
+        def integrate(g):
+            value, _, converged = trapezoid(g, -A, A, ctx)
+            if not converged:
+                raise ConvergenceError("2D Fourier quadrature did not converge")
+            return value
 
-        n = 32
-        prev = tensor(n)
-        for _ in range(5):
-            n *= 2
-            cur = tensor(n)
-            if abs(cur - prev) < max(ctx.target_abs_err, mp.mpf(10) ** (-ctx.dps + 6)):
-                return +lhs, +cur
-            prev = cur
-        raise ConvergenceError("2D Fourier quadrature did not converge")
+        return +lhs, +integrate(lambda x0: integrate(lambda x1: f(x0, x1)))
 
 
 def _dual_basis_complex(g1, g2):

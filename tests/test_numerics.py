@@ -9,9 +9,9 @@ from starklab.numerics import (
     PrecisionCtx,
     branch_sqrt_neg_iv,
     e1,
-    gauss_legendre,
     numeric_derivative,
     ordered_sum,
+    trapezoid,
     upper_gamma,
 )
 
@@ -20,17 +20,21 @@ mp.mp.dps = 50
 CTX = PrecisionCtx(128, 1e-30)
 
 
-def test_gauss_legendre_polynomial_exact():
-    val, err, ok = gauss_legendre(lambda x: x ** 6 - 2 * x + 1, mp.mpf(-1), mp.mpf(2), ctx=CTX)
-    exact = mp.mpf(129) / 7 - 3 + 3  # integral of x^6 - 2x + 1 on [-1, 2]
-    assert ok
-    assert abs(val - exact) < 1e-30
+def test_trapezoid_periodic_integrand():
+    # e^{cos x} over one period: 2 pi I0(1), exponential convergence
+    val, err, ok = trapezoid(lambda x: mp.exp(mp.cos(x)), 0, 2 * mp.pi, CTX)
+    assert ok and err < 1e-30
+    assert abs(val - 2 * mp.pi * mp.besseli(0, 1)) < 1e-30
 
 
-def test_gauss_legendre_oscillatory():
-    val, err, ok = gauss_legendre(lambda x: mp.cos(10 * x), mp.mpf(0), mp.mpf(1), ctx=CTX)
-    assert ok
-    assert abs(val - mp.sin(mp.mpf(10)) / 10) < 1e-28
+def test_trapezoid_gaussian_on_truncated_line():
+    # e^{-pi x^2} e^{-2 pi i x y} is below 1e-49 at |x| = 6, so [-6, 6]
+    # carries its whole Fourier transform e^{-pi y^2}
+    y = mp.mpf("0.7")
+    val, err, ok = trapezoid(
+        lambda x: mp.exp(-mp.pi * x * x) * mp.expjpi(-2 * x * y), -6, 6, CTX)
+    assert ok and err < 1e-30
+    assert abs(val - mp.exp(-mp.pi * y * y)) < 1e-30
 
 
 def test_numeric_derivative_exp():
@@ -120,10 +124,11 @@ def test_precision_refinement_self_consistency():
         assert abs(va - vb) < 1e-20
 
 
-def test_gauss_legendre_reports_nonconvergence():
+def test_trapezoid_reports_nonconvergence():
+    # the periodic extension of |sin x| is kinked at 0 and pi, so the rule
+    # converges only like h^2 and cannot reach 1e-40 within its node cap
     hard = PrecisionCtx(160, 1e-40)
-    val, err, ok = gauss_legendre(
-        lambda x: 1 / mp.sqrt(x), mp.mpf(0), mp.mpf(1), ctx=hard, max_nodes=512
-    )
+    val, err, ok = trapezoid(lambda x: abs(mp.sin(x)), 0, mp.pi, hard)
     assert not ok
     assert err > 1e-40
+    assert abs(val - 2) < err

@@ -11,6 +11,7 @@ from starklab.stark import (
     ConditionFailed,
     ContinuationData,
     StarkInput,
+    StarkResult,
     conjecture_check,
     pair_for_class,
     partial_zeta_continued,
@@ -298,3 +299,21 @@ def test_recognize_quadratic_rejects_transcendental():
     with CTX.workprec():
         got = recognize_quadratic(mp.pi, 5, max_height=10, tol=1e-10, ctx=CTX)
         assert got is None
+
+
+def test_conjecture_check_rejects_random_coefficients(monkeypatch):
+    # Seeded random reals are no a + b sqrt(5) of small height, yet the
+    # exhaustive search matches 5 of these 40 within a fixed 1e-6.  Fed as
+    # the one S0 of the trivial modulus, each must stay unrecognized at the
+    # tolerance conjecture_check derives from its error target.
+    F = FieldCtx(5)
+    rng = random.Random(0)
+    with CTX.workprec():
+        xs = [mp.mpf(rng.uniform(-20, 20)) for _ in range(40)]
+        loose = [recognize_quadratic(x, 5, tol=1e-6, ctx=CTX) for x in xs]
+    assert sum(r is not None for r in loose) == 5
+    for x in xs:
+        monkeypatch.setattr(stark_mod, "stark_number",
+                            lambda inp, ctx: StarkResult(x, x, mp.mpf(0), mp.mpf(0)))
+        rep = conjecture_check(F, QuadIdeal(F, 1, 0, 1), CTX)
+        assert rep.recognition_failures == (0,)
