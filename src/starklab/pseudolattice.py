@@ -301,10 +301,11 @@ def _sign_surd(r: int, t: int, D: int) -> int:
     return (1 if r > 0 else -1) if r * r > D * t * t else (1 if t > 0 else -1)
 
 
-def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
+def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     """Exactly one representative of each <u>-orbit of (l0 + L) \\ {0} with
     |N(xi)| <= max_norm, where W = u/u' = u^2 (totally positive, W > 1) for
-    the totally positive norm-one unit u generating the orbit group.
+    the totally positive norm-one unit u generating the orbit group, as
+    integer rows.
 
     The fundamental slice is tau(xi)^2 := (xi/xi')^2 in (1/W, W]:
     xi^2 <= W xi'^2 (upper, closed) and W xi^2 > xi'^2 (lower, open), so
@@ -313,11 +314,11 @@ def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     integer arithmetic: with a common denominator den, xi = (x + y sqrt(D))/den
     where x = x0 + a x1 + b x2 (y likewise), and W = (Wx + Wy sqrt(D))/wd.
     The norm is (x^2 - D y^2)/den^2, and each slice inequality is the exact
-    sign of an integer combination r + t sqrt(D).  QuadElems are built only
-    for the representatives kept.
+    sign of an integer combination r + t sqrt(D).
 
-    Returns a list of (xi: QuadElem, a: int, b: int, absN: Fraction) with
-    xi = l0 + a*l1 + b*l2, sorted by (absN, a, b) for determinism."""
+    Returns (den, rows), rows a list of (n, a, b, x, y) for
+    xi = l0 + a*l1 + b*l2 = (x + y sqrt(D))/den with |N(xi)| = n/den^2,
+    sorted by (n, a, b) for determinism."""
     if not (W.is_totally_positive() and W > QuadElem(W.D, 1)):
         raise ValueError("W must be totally positive and > 1")
     X = float(max_norm)
@@ -388,11 +389,18 @@ def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
         kept.append((abs(n), a, b, x, y))
     # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
     kept.sort()
-    dd = den * den
+    return den, kept
+
+
+def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
+    """The representatives of coset_slice_rows as a list of
+    (xi: QuadElem, a: int, b: int, absN: Fraction), in the same order."""
+    den, rows = coset_slice_rows(L, l0, W, max_norm)
+    D, dd = L.field.D, den * den
     # converted in place, so the integer rows and the output never coexist
-    for i, (n, a, b, x, y) in enumerate(kept):
-        kept[i] = (QuadElem(D, Fraction(x, den), Fraction(y, den)), a, b, Fraction(n, dd))
-    return kept
+    for i, (n, a, b, x, y) in enumerate(rows):
+        rows[i] = (QuadElem(D, Fraction(x, den), Fraction(y, den)), a, b, Fraction(n, dd))
+    return rows
 
 
 def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:

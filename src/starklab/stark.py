@@ -50,7 +50,14 @@ from .quadfield import (
     unit_mod_f,
     _omega_mul,
 )
-from .pseudolattice import Pseudolattice, coset_slice_reps, dual, ideal_to_pseudolattice
+from .pseudolattice import (
+    Pseudolattice,
+    _sign_surd,
+    coset_slice_reps,
+    coset_slice_rows,
+    dual,
+    ideal_to_pseudolattice,
+)
 
 
 class ConditionFailed(ValueError):
@@ -228,45 +235,52 @@ class ContinuationData:
     @classmethod
     def build(cls, inp: StarkInput, ctx: PrecisionCtx, max_norm: Fraction):
         """Enumerate both lattices inside the totally-positive unit slice up
-        to max_norm and fold them by exact norm, at ctx's working precision."""
+        to max_norm and fold their integer rows by exact norm, at ctx's
+        working precision.  A row (n, a, b, x, y) is xi = (x + y sqrt(D))/den
+        with |N(xi)| = n/den^2; for l0 = (p + q sqrt(D))/ld,
+        tr(xi l0') = 2(x p - D y q)/(den ld)."""
         with ctx.workprec():
             U = inp.unit.eps_f_plus
             W = U * U
             lat = inp.lattice
-            reps1 = coset_slice_reps(lat, inp.l0, W, max_norm)
-            reps2 = coset_slice_reps(dual(lat), lat.field.elem(0), W, max_norm)
+            D = lat.field.D
+            den1, rows1 = coset_slice_rows(lat, inp.l0, W, max_norm)
+            den2, rows2 = coset_slice_rows(dual(lat), lat.field.elem(0), W, max_norm)
             two_pi = 2 * mp.pi
 
-            mults: dict[Fraction, int] = {}
-            for xi, _, _, n in reps1:
-                mults[n] = mults.get(n, 0) + xi.conjugate().sign()
+            mults: dict[int, int] = {}
+            for n, _, _, x, y in rows1:
+                mults[n] = mults.get(n, 0) + _sign_surd(x, -y, D)
+            dd = den1 * den1
             primal = tuple(
-                (two_pi * mpf_from_fraction(n), m)
+                (two_pi * (mp.mpf(n) / dd), m)
                 for n, m in sorted(mults.items()) if m != 0
             )
 
-            l0c = inp.l0.conjugate()
-            terms: dict[Fraction, list] = {}
-            for xi, _, _, n in reps2:
-                tr = (xi * l0c).trace()
-                expo = tr - (tr // 1)  # character exponent mod 1, exact
-                terms.setdefault(n, []).append((xi.sign(), expo))
-            chars: dict[Fraction, mp.mpc] = {}
+            ld = math.lcm(inp.l0.x.denominator, inp.l0.y.denominator)
+            p, q = int(inp.l0.x * ld), int(inp.l0.y * ld)
+            modulus = den2 * ld
+            terms: dict[int, list] = {}
+            for n, _, _, x, y in rows2:
+                r = 2 * (x * p - D * y * q) % modulus  # tr(xi l0') mod 1, scaled
+                terms.setdefault(n, []).append((_sign_surd(x, y, D), r))
+            chars: dict[int, mp.mpc] = {}
 
-            def character(expo):
-                """e^{2 pi i expo}, computed once per exponent."""
-                if expo not in chars:
-                    chars[expo] = mp.expjpi(2 * mpf_from_fraction(expo))
-                return chars[expo]
+            def character(r):
+                """e^{2 pi i r / modulus}, computed once per exponent."""
+                if r not in chars:
+                    chars[r] = mp.expjpi(2 * mpf_from_fraction(Fraction(r, modulus)))
+                return chars[r]
 
             dual_pairs = []
+            dd = den2 * den2
             for n, entries in sorted(terms.items()):
                 coeff = mp.mpc(mp.fsum(
-                    (sg * character(expo) for sg, expo in entries), absolute=False
+                    (sg * character(r) for sg, r in entries), absolute=False
                 ))
                 if coeff != 0:
-                    dual_pairs.append((two_pi * mpf_from_fraction(n), coeff))
-            delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(lat.field.D)
+                    dual_pairs.append((two_pi * (mp.mpf(n) / dd), coeff))
+            delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(D)
             return cls(primal=primal, dual=tuple(dual_pairs), delta=delta)
 
     def split_sum(self, primal_term, dual_term):

@@ -86,13 +86,21 @@ def test_branch_sqrt_squares_back(x, y):
 
 
 @pytest.mark.parametrize("a", [-3, -2, -1, 0, 0.4, -0.6, 1.3, 2, 3.5,
-                               mp.mpc(1, 1), mp.mpc(-0.5, 2)])
-@pytest.mark.parametrize("x", [0.01, 0.114, 0.5, 1.2, 1.5, 3.0, 20.0, 80.0])
+                               mp.mpc(1, 1), mp.mpc(-0.5, 2),
+                               mp.mpc(-20, 10), mp.mpc(0.25, -40)])
+@pytest.mark.parametrize("x", [0.01, 0.114, 0.5, 1.2, 1.5, 3.0, 20.0, 80.0,
+                               1e3, 1e4, 1e5])
 def test_upper_gamma_against_oracle(a, x):
-    with mp.workprec(200):
-        mine = upper_gamma(mp.mpmathify(a), mp.mpf(x), CTX)
-        ref = mp.gammainc(mp.mpmathify(a), mp.mpf(x))
-        assert abs(mine - ref) < mp.mpf(10) ** -30 * max(1, abs(ref))
+    # relative error within 2^-(work_bits+14) (1 + x) of a 400-bit oracle;
+    # the (1 + x) is the rounding of -x in the exponent of x^a e^{-x}
+    a, x = mp.mpmathify(a), mp.mpf(x)
+    with mp.workprec(400):
+        ref = mp.gammainc(a, x)
+    for bits in (64, 128, 256):
+        mine = upper_gamma(a, x, PrecisionCtx(bits, 1e-30))
+        with mp.workprec(400):
+            bound = mp.ldexp(1 + x, -(bits + 14))
+            assert abs(mine - ref) <= bound * abs(ref), bits
 
 
 def test_e1_against_oracle():

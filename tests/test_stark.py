@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import PrecisionCtx
+from starklab.numerics import PrecisionCtx, mpf_from_fraction
+from starklab.pseudolattice import coset_slice_reps, dual
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
 import starklab.stark as stark_mod
 from starklab.stark import (
@@ -166,6 +167,62 @@ def test_stark_number_reference_value():
         assert abs(r.s0 - mp.exp(r.zeta_prime_0)) < 1e-25
         assert r.route_gap < 1e-20
         assert r.zeta_0 < 1e-8
+
+
+def _reference_fold(inp, ctx, max_norm):
+    """ContinuationData folded from QuadElem representatives with Fraction
+    norms and traces: the representation-level definition that the
+    integer-row fold in ContinuationData.build must reproduce bit for bit."""
+    with ctx.workprec():
+        W = inp.unit.eps_f_plus ** 2
+        lat = inp.lattice
+        reps1 = coset_slice_reps(lat, inp.l0, W, max_norm)
+        reps2 = coset_slice_reps(dual(lat), lat.field.elem(0), W, max_norm)
+        two_pi = 2 * mp.pi
+        mults = {}
+        for xi, _, _, n in reps1:
+            mults[n] = mults.get(n, 0) + xi.conjugate().sign()
+        primal = tuple((two_pi * mpf_from_fraction(n), m)
+                       for n, m in sorted(mults.items()) if m != 0)
+        l0c = inp.l0.conjugate()
+        terms = {}
+        for xi, _, _, n in reps2:
+            tr = (xi * l0c).trace()
+            terms.setdefault(n, []).append((xi.sign(), tr - (tr // 1)))
+        dual_pairs = []
+        for n, entries in sorted(terms.items()):
+            coeff = mp.mpc(mp.fsum(
+                (sg * mp.expjpi(2 * mpf_from_fraction(e)) for sg, e in entries),
+                absolute=False))
+            if coeff != 0:
+                dual_pairs.append((two_pi * mpf_from_fraction(n), coeff))
+        delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(lat.field.D)
+        return primal, tuple(dual_pairs), delta
+
+
+def _bits(v):
+    """The exact mpf tuples of a real or complex mpmath number."""
+    return (v._mpf_,) if isinstance(v, mp.mpf) else v._mpc_
+
+
+def test_continuation_data_matches_reference_fold():
+    # D=2 p7, D=3 (5) and D=5 p11 with l0 = 1, then l0 with a sqrt(D) part:
+    # 1 + sqrt 2 for p7, and (5 + sqrt 5)/2 for p11 (halves, ld = 2)
+    F2, F5 = FieldCtx(2), FieldCtx(5)
+    pairs = suite_pairs() + [
+        validate_pair(QuadIdeal.from_generators(F2, [7, F2.omega + 3]), F2.omega + 1),
+        validate_pair(QuadIdeal.from_generators(F5, [11, F5.omega + 3]), F5.omega + 2),
+    ]
+    for inp in pairs:
+        data = ContinuationData.build(inp, CTX, Fraction(15))
+        primal, dual_pairs, delta = _reference_fold(inp, CTX, Fraction(15))
+        assert data.primal and data.dual
+        assert len(data.primal) == len(primal) and len(data.dual) == len(dual_pairs)
+        for (x, m), (rx, rm) in zip(data.primal, primal):
+            assert m == rm and _bits(x) == _bits(rx)
+        for (x, c), (rx, rc) in zip(data.dual, dual_pairs):
+            assert _bits(x) == _bits(rx) and _bits(c) == _bits(rc)
+        assert _bits(data.delta) == _bits(delta)
 
 
 def test_stark_number_builds_continuation_data_once(monkeypatch):
