@@ -16,27 +16,30 @@ from .quadfield import QuadElem
 
 @dataclass
 class HeckeLattice:
-    """Complex lattice generated by the images of l1, l2 at flow time t."""
+    """Complex lattice generated by the images of l1, l2 at flow time t;
+    grow = e^{t/2} and shrink = e^{-t/2} are taken once, at the precision of
+    the ctx given to hecke_lattice."""
 
     base: Pseudolattice
     t: object  # high-precision real
     gen1: object = field(default=None)  # mpc
     gen2: object = field(default=None)
+    grow: object = field(default=None)  # mpf
+    shrink: object = field(default=None)
 
     def embed_point(self, l: QuadElem, ctx: PrecisionCtx = DEFAULT_CTX):
         """l e^{t/2} + i l' e^{-t/2} at working precision."""
         with ctx.workprec():
-            t = mp.mpf(self.t)
             return +(
-                l.embed("id", ctx) * mp.exp(t / 2)
-                + 1j * l.embed("conj", ctx) * mp.exp(-t / 2)
+                l.embed("id", ctx) * self.grow
+                + 1j * l.embed("conj", ctx) * self.shrink
             )
 
 
 def hecke_lattice(L: Pseudolattice, t, ctx: PrecisionCtx = DEFAULT_CTX) -> HeckeLattice:
     with ctx.workprec():
         t = mp.mpf(t)
-        lat = HeckeLattice(base=L, t=t)
+        lat = HeckeLattice(base=L, t=t, grow=mp.exp(t / 2), shrink=mp.exp(-t / 2))
         lat.gen1 = lat.embed_point(L.l1, ctx)
         lat.gen2 = lat.embed_point(L.l2, ctx)
         if lat.gen1.real * lat.gen2.imag - lat.gen2.real * lat.gen1.imag == 0:

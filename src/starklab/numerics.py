@@ -1,7 +1,7 @@
 """Precision-tracked arithmetic kernel: precision contexts, the √(-iv) branch,
 the trapezoid rule with nested halving and error control, numeric
-differentiation, ordered compensated summation, and the upper incomplete
-gamma function used by the zeta continuation.
+differentiation, and the upper incomplete gamma function used by the zeta
+continuation.
 
 The incomplete gamma's three loops (the modified-Lentz continued fraction,
 the lower power series and the E1 series) run on Gaussian fixed-point
@@ -122,16 +122,6 @@ def numeric_derivative(f, s0, h, ctx: PrecisionCtx = DEFAULT_CTX):
         err = abs(d1 - d2)
         stable = err <= 10 * ctx.target_abs_err or err <= abs(d2) * 1e-6
         return d2, err, stable
-
-
-def ordered_sum(terms):
-    """Deterministic compensated summation: terms sorted by ascending |term|
-    (ties broken by insertion index) then accumulated with mp.fsum."""
-    seq = list(terms)
-    if not seq:
-        return mp.mpf(0)
-    order = sorted(range(len(seq)), key=lambda i: (abs(seq[i]), i))
-    return mp.fsum(seq[i] for i in order)
 
 
 # Guard bits of the fixed-point kernel beyond the working precision.

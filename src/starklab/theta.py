@@ -3,13 +3,22 @@ lattice theta (a sign-weighted Gaussian sum with shift characters), the
 real-multiplication theta summed over unit-orbit representatives, the
 Fourier/Poisson toolkit for the Gaussian family, and the two functional
 equations that drive the zeta continuation.  Both integrals, the geodesic
-average and the Fourier transform, use the trapezoid rule."""
+average and the Fourier transform, use the trapezoid rule.
+
+Both sums make their transcendental calls per row or per norm, not per
+point: the complex theta walks the rows of a Lagrange-Gauss reduced basis
+by recurrence (as Deconinck et al., Math. Comp. 73, 2004, reduce first),
+and the real-multiplication theta folds the integer rows of
+coset_slice_rows by norm.  mp.fsum adds mantissas exactly, so neither
+sorts its terms."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import mpmath as mp
@@ -20,11 +29,17 @@ from .numerics import (
     PrecisionCtx,
     branch_sqrt_neg_iv,
     mpf_from_fraction,
-    ordered_sum,
     trapezoid,
 )
 from .hecke import HeckeLattice, hecke_lattice, scalar_product
-from .pseudolattice import Pseudolattice, coset_slice_reps, delta, dual
+from .pseudolattice import (
+    Pseudolattice,
+    _sign_surd,
+    coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
+    coset_slice_rows,
+    delta,
+    dual,
+)
 from .quadfield import QuadElem
 
 
@@ -108,10 +123,61 @@ class ComplexThetaSpec:
         return mp.mpc(g1), mp.mpc(g2)
 
 
+def _gauss_reduce(g1, g2):
+    """Lagrange-Gauss reduction of the basis (g1, g2): returns h1, h2 with
+    |h1| <= |h2| and |Re(h1 conj(h2))| <= |h1|^2 / 2, up to float64
+    rounding.  The integer steps are chosen in float64 and applied to g1, g2
+    as a unimodular matrix, so h1, h2 generate exactly the lattice of g1, g2."""
+    u, w = complex(g1), complex(g2)
+    cu, cw = (1, 0), (0, 1)
+    while True:
+        if abs(u) > abs(w):
+            u, w, cu, cw = w, u, cw, cu
+        x = (u.conjugate() * w).real / (u.real * u.real + u.imag * u.imag)
+        # a tie |x| = 1/2 is reduced already; float rounding must not turn
+        # it into a step that swaps two vectors of equal length forever
+        if abs(x) <= 0.5 + 1e-9:
+            return cu[0] * g1 + cu[1] * g2, cw[0] * g1 + cw[1] * g2
+        k = round(x)
+        w, cw = w - k * u, (cw[0] - k * cu[0], cw[1] - k * cu[1])
+
+
+def _disk_rows(h1, h2, lam0, R):
+    """The lattice points lam0 + a h1 + b h2 in the disk |z| <= R, row by
+    row, in float64 with a relative margin: (a, lo, hi, bstar) for each
+    nonempty row lo <= b <= hi, bstar the integer nearest the row's
+    minimiser of |z|."""
+    f1, f2, fl0 = complex(h1), complex(h2), complex(lam0)
+    Rf = float(R) * (1 + 1e-12) + 1e-300
+    n2 = f2.real * f2.real + f2.imag * f2.imag
+    # row a lies on a line at distance |off + a cross| / |h2| from 0
+    cross = (f1 * f2.conjugate()).imag
+    off = (fl0 * f2.conjugate()).imag
+    span = Rf * math.sqrt(n2) / abs(cross)
+    rows = []
+    for a in range(math.floor(-off / cross - span), math.ceil(-off / cross + span) + 1):
+        p = (fl0 + a * f1) * f2.conjugate()
+        disc = Rf * Rf * n2 - p.imag * p.imag
+        if disc < 0:
+            continue
+        mid, half = -p.real / n2, math.sqrt(disc) / n2
+        lo, hi = math.ceil(mid - half), math.floor(mid + half)
+        if lo <= hi:
+            rows.append((a, lo, hi, min(max(math.floor(mid + 0.5), lo), hi)))
+    return rows
+
+
 def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
     """Sum of ((lambda0+lambda) . eta) e^{pi i v |lambda0+lambda|^2}
     e^{-2 pi i (lambda . mu0) - pi i (lambda0 . mu0)} over the lattice,
-    truncated at |lambda0 + lambda| <= R with a Gaussian shell tail bound."""
+    truncated at |lambda0 + lambda| <= R with a Gaussian shell tail bound.
+
+    The basis is Lagrange-Gauss reduced first, with h2 its shortest vector.
+    Along a row z = lambda0 + a h1 + b h2 the exponent is quadratic in b, so
+    each row takes three expjpi calls: the term at bstar, nearest the row's
+    minimiser of |z|, and the ratios to its two neighbours.  Walking outward
+    multiplies the term by the ratio and the ratio by q = e^{2 pi i v |h2|^2},
+    and every factor has modulus at most 1."""
     with ctx.workprec():
         v = mp.mpc(spec.v)
         if not v.imag > 0:
@@ -138,37 +204,39 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
             if R > 1e6:
                 raise ConvergenceError("Im(v) too small to reach the target")
 
-        # float64 lattice-point enumeration in the disk |lam0 + lam| <= R
-        fg1, fg2 = complex(g1), complex(g2)
-        fl0 = complex(lam0)
-        Rf = float(R) * (1 + 1e-12) + 1e-300
-        det = fg1.real * fg2.imag - fg2.real * fg1.imag
-        ca = (abs(fg2.imag) + abs(fg2.real)) * Rf / abs(det)
-        cb = (abs(fg1.imag) + abs(fg1.real)) * Rf / abs(det)
-        a0 = (-fl0.real * fg2.imag + fl0.imag * fg2.real) / det
-        b0 = (fg1.real * -fl0.imag + fg1.imag * fl0.real) / det
-        pts = []
-        for a in range(math.floor(a0 - ca) - 1, math.ceil(a0 + ca) + 2):
-            for b in range(math.floor(b0 - cb) - 1, math.ceil(b0 + cb) + 2):
-                z = fl0 + a * fg1 + b * fg2
-                if abs(z) <= Rf:
-                    pts.append((a, b))
-        if len(pts) > ctx.max_terms:
+        # rows step along h1 and walk along the shortest vector h2, which
+        # makes them long and few
+        h2, h1 = _gauss_reduce(g1, g2)
+        rows = _disk_rows(h1, h2, lam0, R)
+        if sum(hi - lo + 1 for _, lo, hi, _ in rows) > ctx.max_terms:
             raise ConvergenceError("term cap exceeded")
-        pts.sort()
+
+        n2 = h2.real * h2.real + h2.imag * h2.imag
+        q = mp.expjpi(2 * v * n2)
+        p1, p2 = scalar_product(h1, mu0), scalar_product(h2, mu0)
+        step = scalar_product(h2, eta)
+
+        def walk(e, r, coef, count, dstep):
+            for _ in range(count):
+                yield coef * e
+                e, r, coef = e * r, r * q, coef + dstep
+
+        def row_terms(a, lo, hi, b):
+            # the exponent at z = lam0 + a h1 + b h2 is
+            # x = v |z|^2 - 2 (a h1 + b h2) . mu0, and
+            # x(b +- 1) - x(b) = v (n2 +- 2 Re(z conj(h2))) -+ 2 (h2 . mu0)
+            z = lam0 + a * h1 + b * h2
+            zr, zi = z.real, z.imag
+            e = mp.expjpi(v * (zr * zr + zi * zi) - 2 * (a * p1 + b * p2))
+            lin = 2 * (zr * h2.real + zi * h2.imag)
+            up = mp.expjpi(v * (n2 + lin) - 2 * p2)
+            down = mp.expjpi(v * (n2 - lin) + 2 * p2)
+            coef = zr * eta.imag + zi * eta.real
+            yield from walk(e, up, coef, hi - b + 1, step)
+            yield from walk(e * down, down * q, coef - step, b - lo, -step)
 
         const = mp.expjpi(-scalar_product(lam0, mu0))
-        terms = []
-        for a, b in pts:
-            lam = a * g1 + b * g2
-            z = lam0 + lam
-            coef = scalar_product(z, eta)
-            if coef == 0:
-                continue
-            modsq = z.real * z.real + z.imag * z.imag
-            phase = mp.expjpi(v * modsq) * mp.expjpi(-2 * scalar_product(lam, mu0))
-            terms.append(coef * phase)
-        total = ordered_sum(terms) * const
+        total = mp.fsum(t for row in rows for t in row_terms(*row)) * const
         return ThetaValue(+total, +tail(R))
 
 
@@ -176,7 +244,14 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
     """Unit-averaged theta: sum over representatives xi of U-orbits of
     (l0 + L) \\ {0} of (eta0 sgn(xi') + eta1 sgn(xi)) e^{2 pi i v |N(xi)|}
     e^{-2 pi i tr(l m0')} e^{-pi i tr(l0 m0')}, l = xi - l0, with exact signs
-    and exact rational character exponents."""
+    and exact rational character exponents.
+
+    The integer rows of coset_slice_rows give xi = (x + y sqrt(D))/den with
+    |N(xi)| = n/den^2; for m0 = (p + q sqrt(D))/md, tr(xi m0') =
+    2(x p - D y q)/(den md), reduced mod den md, and tr(l0 m0') goes into
+    the constant factor.  The rows are folded by norm into integer sign sums
+    per character exponent, so each distinct norm takes one expjpi and each
+    distinct exponent one character."""
     spec.validate()
     with ctx.workprec():
         v = mp.mpc(spec.v)
@@ -205,29 +280,41 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
             if X > 1e7:
                 raise ConvergenceError("Im(v) too small to reach the target")
         X_fr = Fraction(math.ceil(float(X) * 1024), 1024)
-        reps = coset_slice_reps(spec.L, spec.l0, W, X_fr)
-        if len(reps) > ctx.max_terms:
+        den, rows = coset_slice_rows(spec.L, spec.l0, W, X_fr)
+        if len(rows) > ctx.max_terms:
             raise ConvergenceError("term cap exceeded")
 
-        m0c = spec.m0.conjugate()
-        const = mp.expjpi(
-            -mpf_from_fraction(_frac_mod2((spec.l0 * m0c).trace()))
-        )
-        char_cache: dict = {}
+        D, m0 = spec.L.field.D, spec.m0
+        md = math.lcm(m0.x.denominator, m0.y.denominator)
+        p, q = int(m0.x * md), int(m0.y * md)
+        modulus = den * md
+        chars: dict[int, mp.mpc] = {}
+
+        def character(r):
+            """e^{-2 pi i r / modulus}, computed once per exponent."""
+            if r not in chars:
+                chars[r] = mp.expjpi(-2 * (mp.mpf(r) / modulus))
+            return chars[r]
+
         terms = []
-        for xi, a, b, absn in reps:
-            s_conj = xi.conjugate().sign()
-            s_id = xi.sign()
-            coef = eta0 * s_conj + eta1 * s_id
-            if coef == 0:
-                continue
-            n_mp = mpf_from_fraction(absn)
-            tr = _frac_mod1(((xi - spec.l0) * m0c).trace())
-            if tr not in char_cache:
-                char_cache[tr] = mp.expjpi(-2 * mpf_from_fraction(tr))
-            terms.append(coef * mp.expjpi(2 * v * n_mp) * char_cache[tr])
-        total = ordered_sum(terms) * const
-        return ThetaValue(+total, +tail(X))
+        dd = den * den
+        for n, group in groupby(rows, key=itemgetter(0)):
+            # exponent r -> (sum of sgn(xi'), sum of sgn(xi)) over the rows
+            sums: dict[int, list] = {}
+            for _, _, _, x, y in group:
+                s = sums.setdefault(2 * (x * p - D * y * q) % modulus, [0, 0])
+                s[0] += _sign_surd(x, -y, D)
+                s[1] += _sign_surd(x, y, D)
+            weights = ((eta0 * s0 + eta1 * s1, r) for r, (s0, s1) in sums.items())
+            coeff = mp.fsum(w * character(r) for w, r in weights if w != 0)
+            if coeff != 0:
+                terms.append(coeff * mp.expjpi(2 * v * (mp.mpf(n) / dd)))
+        # e^{-2 pi i tr((xi - l0) m0')} e^{-pi i tr(l0 m0')}
+        #   = e^{-2 pi i tr(xi m0')} e^{pi i tr(l0 m0')}
+        const = mp.expjpi(
+            mpf_from_fraction(_frac_mod2((spec.l0 * m0.conjugate()).trace()))
+        )
+        return ThetaValue(+(mp.fsum(terms) * const), +tail(X))
 
 
 def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):

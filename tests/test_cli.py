@@ -53,6 +53,33 @@ def test_theta_check_poisson_ok():
     assert float(rep["residual"]) < 1e-12
 
 
+def test_theta_check_poisson_residual_is_not_zero_by_construction():
+    # with shift (0, 0) and eta = 1 both sides cancel under z -> -z, and the
+    # residual read 0.0 whatever the dual side computed
+    r = run("theta", "check-poisson", "--D", "2", "--t", "0.7")
+    assert r.exit_code == 0, r.output
+    rep = json.loads(r.output)
+    assert rep["shift"] == ["0.3", "-0.2"]
+    assert 0 < float(rep["residual"]) < float(rep["tolerance"])
+
+
+def test_theta_check_poisson_fails_on_a_wrong_dual_side(monkeypatch):
+    import starklab.theta as th
+
+    theta_complex = th.theta_complex
+
+    def skewed(spec, ctx):
+        value = theta_complex(spec, ctx)
+        if mp.mpc(spec.eta).real == 0:  # the dual side, eta -> i conj(eta)
+            return value._replace(value=value.value * (1 + mp.mpf("1e-9")))
+        return value
+
+    monkeypatch.setattr(th, "theta_complex", skewed)
+    r = run("theta", "check-poisson", "--D", "2", "--t", "0.7")
+    assert r.exit_code == 2
+    assert r.stderr.startswith("residual violation:")
+
+
 def test_stark_compute_reference_value():
     r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]',
             "--s", "2", "--prec", "128", "--err", "1e-25")

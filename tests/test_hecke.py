@@ -60,6 +60,23 @@ def test_period_shift_permutes_lattice_points():
                 assert abs(lhs - rhs) < 1e-28
 
 
+def test_embeddings_are_bit_identical_to_the_direct_formula():
+    # e^{+-t/2} are taken once per lattice, at the lattice's precision
+    rng = random.Random(24)
+    for _ in range(10):
+        L = random_pseudolattice(rng)
+        for t in (0, mp.mpf("0.7"), mp.mpf("-1.3"), 3):
+            lat = hecke_lattice(L, t, CTX)
+            for l in (L.l1, L.l2, random_elem(rng, L.field.D)):
+                with CTX.workprec():
+                    tt = mp.mpf(t)
+                    direct = +(l.embed("id", CTX) * mp.exp(tt / 2)
+                               + 1j * l.embed("conj", CTX) * mp.exp(-tt / 2))
+                assert lat.embed_point(l, CTX) == direct
+            assert (lat.gen1, lat.gen2) == (lat.embed_point(L.l1, CTX),
+                                            lat.embed_point(L.l2, CTX))
+
+
 def test_pairing_matches_field_trace_form():
     # (x.y) for embedded points x = image(l), y = image(m) is t-independent
     # and equals the rational number Im_part(l * conj(m)) pairing:

@@ -10,7 +10,6 @@ from starklab.numerics import (
     branch_sqrt_neg_iv,
     e1,
     numeric_derivative,
-    ordered_sum,
     trapezoid,
     upper_gamma,
 )
@@ -63,16 +62,6 @@ def test_numeric_derivative_shares_stencil_points():
 
         d1, d2 = stencil(h), stencil(h / 2)
         assert val == d2 and err == abs(d1 - d2)
-
-
-def test_ordered_sum_deterministic():
-    rng = random.Random(1)
-    with CTX.workprec():
-        terms = [mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-25, 25)
-                 for _ in range(300)]
-        a = ordered_sum(terms)
-        b = ordered_sum(list(terms))
-        assert a == b
 
 
 @given(st.floats(-3, 3), st.floats(0.05, 3).filter(lambda y: y > 0.05))

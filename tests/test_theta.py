@@ -254,3 +254,153 @@ def test_nondegenerate_squared_unit_doubles():
         assert abs(v1.value) > mp.mpf("0.5")
         assert abs(v2.value - 2 * v1.value) < 1e-25 + 10 * (
             v1.tail_bound + v2.tail_bound)
+
+
+# ---------------------------------------------------------------------------
+# the summation schemes: reduced-basis row walks and the by-norm fold
+# ---------------------------------------------------------------------------
+
+
+def _theta_complex_at(lattice, lam0, mu0, eta, v):
+    spec = ComplexThetaSpec(lattice=lattice, lambda0=lam0, mu0=mu0, eta=eta, v=v)
+    return theta_complex(spec, CTX).value
+
+
+@pytest.mark.parametrize("case", ["skew", "hecke_t3"])
+def test_theta_complex_is_basis_independent(case):
+    # a unimodular change of basis enumerates the same points, so the sums
+    # agree to rounding; the t = 3 Hecke lattice is far from reduced
+    with CTX.workprec():
+        if case == "skew":
+            g1, g2 = mp.mpc(1), mp.mpc("0.3", "1")
+        else:
+            F = FieldCtx(5)
+            lat = hecke_lattice(Pseudolattice(F, F.elem(1), F.omega), 3, CTX)
+            g1, g2 = lat.gen1, lat.gen2
+        lam0, mu0 = mp.mpc("0.3", "0.1"), mp.mpc("0.2", "-0.4")
+        eta, v = mp.mpc(1, 2), mp.mpc("0.5", "1")
+        base = _theta_complex_at((g1, g2), lam0, mu0, eta, v)
+        assert abs(base) > mp.mpf("0.01")
+        for basis in ((g2, g1), (g1 + 7 * g2, g2), (g1, g2 - 3 * g1)):
+            assert abs(_theta_complex_at(basis, lam0, mu0, eta, v) - base) < 1e-40
+        if case == "hecke_t3":
+            assert abs(_theta_complex_at(lat, lam0, mu0, eta, v) - base) < 1e-40
+
+
+def test_theta_complex_makes_three_expjpi_calls_per_row(monkeypatch):
+    # one term and two neighbour ratios per row of the reduced basis, plus
+    # q and the constant; walking away from the row's minimiser of |z|,
+    # every factor has modulus at most 1
+    import starklab.theta as th
+
+    rows, moduli = [], []
+    disk_rows, expjpi = th._disk_rows, mp.expjpi
+
+    def recording_rows(*args):
+        out = disk_rows(*args)
+        rows.append(out)
+        return out
+
+    def counting_expjpi(x):
+        value = expjpi(x)
+        moduli.append(abs(value))
+        return value
+
+    monkeypatch.setattr(th, "_disk_rows", recording_rows)
+    monkeypatch.setattr(mp, "expjpi", counting_expjpi)
+    with CTX.workprec():
+        F = FieldCtx(5)
+        lat = hecke_lattice(Pseudolattice(F, F.elem(1), F.omega), mp.mpf("0.7"), CTX)
+        for v in (mp.mpc(0, 1), mp.mpc("0.5", "1"), mp.mpc("-0.25", "2")):
+            rows.clear()
+            moduli.clear()
+            _theta_complex_at(lat, mp.mpc("0.3", "0.1"), mp.mpc("0.2", "-0.4"),
+                              mp.mpc(1, 2), v)
+            (row_list,) = rows
+            points = sum(hi - lo + 1 for _, lo, hi, _ in row_list)
+            assert points > 2 * len(row_list)
+            assert len(moduli) <= 3 * len(row_list) + 2 < 2 * points
+            assert max(moduli) <= 1 + mp.mpf("1e-30")
+
+
+def _rm_spec_with_characters():
+    # l0 = (7 - sqrt 5)/22 lies in p11'/11, so U = <eps == 1 mod p11>
+    # stabilizes l0 + L; m0 = 1/2 + sqrt(5)/10 lies in the dual of L.  Both
+    # have a sqrt(D) part and eta0 != eta1, so a conjugation or a sign swap
+    # changes the value
+    from starklab.quadfield import QuadIdeal, unit_mod_f
+
+    F = FieldCtx(5)
+    eps = unit_mod_f(F, QuadIdeal.from_generators(F, [11, F.omega + 3])).eps_f_plus
+    spec = RMThetaSpec(L=maximal_lattice(5),
+                       l0=QuadElem(5, Fraction(7, 22), Fraction(-1, 22)),
+                       m0=QuadElem(5, Fraction(1, 2), Fraction(1, 10)),
+                       eta=mp.mpc(1, 2), epsU=eps, v=mp.mpc("0.5", "1"))
+    spec.validate()
+    return spec
+
+
+def _reference_theta_rm(spec, max_norm, ctx):
+    """The definition summed representative by representative, in QuadElem
+    and Fraction arithmetic with no reduction of the exponents."""
+    from starklab.pseudolattice import coset_slice_reps
+
+    def mpq(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    with ctx.workprec():
+        v, eta = mp.mpc(spec.v), mp.mpc(spec.eta)
+        m0c = spec.m0.conjugate()
+        total = mp.mpc(0)
+        for xi, _, _, absn in coset_slice_reps(spec.L, spec.l0, spec.epsU ** 2, max_norm):
+            coef = eta.real * xi.conjugate().sign() + eta.imag * xi.sign()
+            tr = ((xi - spec.l0) * m0c).trace()
+            total += coef * mp.expjpi(2 * v * mpq(absn)) * mp.expjpi(-2 * mpq(tr))
+        return total * mp.expjpi(-mpq((spec.l0 * m0c).trace()))
+
+
+def _theta_rm_recording(monkeypatch, spec):
+    """theta_rm(spec) with the max_norm it enumerates to and its expjpi
+    call count."""
+    import starklab.theta as th
+
+    seen, calls = [], []
+    slice_rows, expjpi = th.coset_slice_rows, mp.expjpi
+
+    def recording_rows(L, l0, W, max_norm):
+        seen.append(max_norm)
+        return slice_rows(L, l0, W, max_norm)
+
+    def counting_expjpi(x):
+        calls.append(x)
+        return expjpi(x)
+
+    monkeypatch.setattr(th, "coset_slice_rows", recording_rows)
+    monkeypatch.setattr(mp, "expjpi", counting_expjpi)
+    value = theta_rm(spec, CTX).value
+    (max_norm,) = seen
+    return value, max_norm, len(calls)
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_theta_rm_matches_per_representative_sum(monkeypatch, side):
+    spec = _rm_spec_with_characters()
+    if side == "dual":
+        spec = spec.dual_spec()
+    value, max_norm, _ = _theta_rm_recording(monkeypatch, spec)
+    assert abs(value) > mp.mpf("0.1")
+    assert abs(value - _reference_theta_rm(spec, max_norm, CTX)) < 1e-40
+
+
+def test_theta_rm_one_expjpi_per_norm_and_per_character(monkeypatch):
+    from starklab.pseudolattice import coset_slice_reps
+    from starklab.theta import _frac_mod1
+
+    spec = _rm_spec_with_characters()
+    _, max_norm, calls = _theta_rm_recording(monkeypatch, spec)
+    reps = coset_slice_reps(spec.L, spec.l0, spec.epsU ** 2, max_norm)
+    norms = {absn for _, _, _, absn in reps}
+    m0c = spec.m0.conjugate()
+    characters = {_frac_mod1((xi * m0c).trace()) for xi, _, _, _ in reps}
+    assert len(characters) < len(norms) < len(reps)
+    assert calls <= len(norms) + len(characters) + 1
