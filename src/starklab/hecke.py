@@ -29,19 +29,33 @@ class HeckeLattice:
 
     def embed_point(self, l: QuadElem, ctx: PrecisionCtx = DEFAULT_CTX):
         """l e^{t/2} + i l' e^{-t/2} at working precision."""
+        return self.flow_point(embed_pair(l, ctx), ctx)
+
+    def flow_point(self, pair, ctx: PrecisionCtx = DEFAULT_CTX):
+        """The point of an embedded pair (l, l') from embed_pair:
+        l e^{t/2} + i l' e^{-t/2} at working precision."""
+        x, x_conj = pair
         with ctx.workprec():
-            return +(
-                l.embed("id", ctx) * self.grow
-                + 1j * l.embed("conj", ctx) * self.shrink
-            )
+            return +(x * self.grow + 1j * x_conj * self.shrink)
 
 
-def hecke_lattice(L: Pseudolattice, t, ctx: PrecisionCtx = DEFAULT_CTX) -> HeckeLattice:
+def embed_pair(l: QuadElem, ctx: PrecisionCtx = DEFAULT_CTX):
+    """The real embeddings (l, l') at working precision; they do not depend
+    on the flow time, so a caller at many t embeds once."""
+    return l.embed("id", ctx), l.embed("conj", ctx)
+
+
+def hecke_lattice(L: Pseudolattice, t, ctx: PrecisionCtx = DEFAULT_CTX,
+                  basis=None) -> HeckeLattice:
+    """The lattice of L at flow time t; basis, when given, is
+    (embed_pair(L.l1), embed_pair(L.l2)) at the ctx's precision."""
+    if basis is None:
+        basis = (embed_pair(L.l1, ctx), embed_pair(L.l2, ctx))
     with ctx.workprec():
         t = mp.mpf(t)
         lat = HeckeLattice(base=L, t=t, grow=mp.exp(t / 2), shrink=mp.exp(-t / 2))
-        lat.gen1 = lat.embed_point(L.l1, ctx)
-        lat.gen2 = lat.embed_point(L.l2, ctx)
+        lat.gen1 = lat.flow_point(basis[0], ctx)
+        lat.gen2 = lat.flow_point(basis[1], ctx)
         if lat.gen1.real * lat.gen2.imag - lat.gen2.real * lat.gen1.imag == 0:
             raise ArithmeticError("degenerate lattice generators")
         return lat

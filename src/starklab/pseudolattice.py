@@ -16,8 +16,9 @@ from .quadfield import (
     FieldCtx,
     QuadElem,
     QuadIdeal,
-    cf_expand,
     fundamental_unit,
+    _cf_normalize,
+    _cf_walk,
     _convergent_matrix,
     _float_embed,
     _float_embed_conj,
@@ -262,18 +263,18 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
     Returns (flag, witness) with witness g satisfying g . theta1 = theta2."""
     if L1.field.D != L2.field.D:
         return False, None
+    D = L1.field.D
     th1, th2 = L1.theta(), L2.theta()
-    q1, v1, (s1, p1) = cf_expand(th1)
-    q2, v2, (s2, p2) = cf_expand(th2)
+    q1, keys1, _ = _cf_walk(D, _cf_normalize(th1))
+    q2, keys2, s2 = _cf_walk(D, _cf_normalize(th2))
     # extend the second expansion to two full cycles so both parities of the
     # matching index are observable
-    ext_q2 = q2 + q2[s2 : s2 + p2]
-    ext_v2 = v2 + v2[s2 : s2 + p2]
+    ext_q2 = q2 + q2[s2:]
     index2: dict = {}
-    for j, val in enumerate(ext_v2):
-        index2.setdefault(val, []).append(j)
-    for k, val in enumerate(v1):
-        for j in index2.get(val, ()):
+    for j, key in enumerate(keys2 + keys2[s2:]):
+        index2.setdefault(key, []).append(j)
+    for k, key in enumerate(keys1):
+        for j in index2.get(key, ()):
             if oriented and (k + j) % 2 != 0:
                 continue
             # theta1 = M1 . x, theta2 = M2 . x  =>  g = M2 M1^{-1}

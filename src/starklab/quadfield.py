@@ -6,7 +6,9 @@ conditions on units.
 The ideal layer works on integer omega-coordinates: (u, v) means
 u + v*omega in O_K = Z[omega], an ideal is its HNF triple (a, b, c) on that
 basis, products use omega^2 = t*omega - n (`_omega_mul`) and congruences
-compare canonical residues (`QuadIdeal._residue`).  QuadElems of Fractions
+compare canonical residues (`QuadIdeal._residue`).  Continued fractions
+walk integer states (P + m sqrt(D))/Q and match complete quotients by
+canonical integer keys (`_cf_walk`, `_cf_key`).  QuadElems of Fractions
 appear only at the public edges: generators passed in, elements tested for
 membership, and generators and units handed back."""
 
@@ -263,49 +265,74 @@ class FieldCtx:
 # ---------------------------------------------------------------------------
 
 
-class CFState:
-    """State (P + sqrt(Delta)) / Q of a continued-fraction expansion, with
-    Delta = D * m^2 kept in the form allowing exact value comparison."""
-
-    __slots__ = ("P", "Q", "Delta", "D", "m")
-
-    def __init__(self, P: int, Q: int, D: int, m: int):
-        # value = (P + m*sqrt(D)) / Q, m > 0
-        self.P, self.Q, self.D, self.m = P, Q, D, m
-        self.Delta = D * m * m
-
-    def value(self) -> QuadElem:
-        return QuadElem(self.D, Fraction(self.P, self.Q), Fraction(self.m, self.Q))
-
-    def floor(self) -> int:
-        # floor((P + m*sqrt(D)) / Q); the numerator lies in [P+s, P+s+1)
-        # with s = floor(m*sqrt(D)), and is irrational (never the endpoint).
-        s = math.isqrt(self.Delta)
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        return -((self.P + s) // (-self.Q)) - 1
+def _cf_start(D: int, P: int, m: int, Q: int) -> tuple[int, int, int]:
+    """The state (P, m, Q) of (P + m*sqrt(D))/Q, m != 0, made ready for the
+    integer walk: m > 0, and Q | D*m^2 - P^2 (rescaled by |Q| if needed)."""
+    if m < 0:
+        P, m, Q = -P, -m, -Q
+    if (D * m * m - P * P) % Q:
+        s = abs(Q)
+        P, m, Q = P * s, m * s, Q * s
+    return P, m, Q
 
 
-def _cf_normalize(theta: QuadElem) -> CFState:
-    """Express theta = (P + m sqrt(D)) / Q with Q | (Delta - P^2)."""
+def _cf_normalize(theta: QuadElem) -> tuple[int, int, int]:
+    """The integer state of theta = (P + m sqrt(D)) / Q (see _cf_start)."""
     if theta.y == 0:
         raise ValueError("rational input is degenerate for the CF machine")
-    # common denominator
     den = math.lcm(theta.x.denominator, theta.y.denominator)
-    P = int(theta.x * den)
-    mden = int(theta.y * den)
-    Q = den
-    if mden < 0:
-        P, mden, Q = -P, -mden, -Q
-    D = theta.D
-    Delta = D * mden * mden
-    if (Delta - P * P) % Q != 0:
-        # rescale by |Q| to force the divisibility invariant
-        s = abs(Q)
-        P *= s
-        mden *= s
-        Q *= s
-    return CFState(P, Q, D, mden)
+    return _cf_start(theta.D, int(theta.x * den), int(theta.y * den), den)
+
+
+def _cf_key(P: int, m: int, Q: int) -> tuple[int, int, int]:
+    """Canonical triple of the value (P + m sqrt(D))/Q: (P, m, Q)/g with
+    g = gcd(P, m, Q) signed so that Q > 0.  Two states have the same value
+    iff their triples are proportional, so iff their keys are equal."""
+    g = math.gcd(P, m, Q)
+    if Q < 0:
+        g = -g
+    return P // g, m // g, Q // g
+
+
+def _key_value(D: int, key: tuple[int, int, int]) -> QuadElem:
+    P, m, Q = key
+    return QuadElem(D, Fraction(P, Q), Fraction(m, Q))
+
+
+def _cf_walk(D: int, state: tuple[int, int, int], stop=(), max_steps: int = 10000):
+    """Continued fraction of (P + m sqrt(D))/Q, state = (P, m, Q) from
+    _cf_start, in integers: m stays fixed, and a step with partial quotient
+    a maps (P, Q) to (P1, (D m^2 - P1^2)/Q), P1 = aQ - P.
+
+    Returns (quotients, keys, first): keys[k] is the _cf_key of the k-th
+    complete quotient (keys[0] that of the input) and quotients[k] its
+    floor.  The walk ends at the first repeated key, and first is the index
+    of its first occurrence (the cycle is keys[first:]); or at the first key
+    in stop, which is then keys[-1], without its quotient, and first is None."""
+    P, m, Q = state
+    Delta = D * m * m
+    s = math.isqrt(Delta)
+    quotients: list[int] = []
+    keys: list[tuple[int, int, int]] = []
+    seen: dict = {}
+    for k in range(max_steps):
+        key = _cf_key(P, m, Q)
+        if key in stop:
+            keys.append(key)
+            return quotients, keys, None
+        if key in seen:
+            return quotients, keys, seen[key]
+        seen[key] = k
+        keys.append(key)
+        # floor((P + m sqrt(D)) / Q); the numerator lies in (P+s, P+s+1)
+        # with s = floor(m sqrt(D)), and is irrational (never an endpoint)
+        a = (P + s) // Q if Q > 0 else -((P + s) // -Q) - 1
+        quotients.append(a)
+        P = a * Q - P
+        Q = (Delta - P * P) // Q
+        if Q == 0:
+            raise ArithmeticError("CF state degenerated (rational value?)")
+    raise ArithmeticError("continued fraction did not cycle within max_steps")
 
 
 def cf_expand(theta: QuadElem, max_steps: int = 10000):
@@ -314,26 +341,18 @@ def cf_expand(theta: QuadElem, max_steps: int = 10000):
     Returns (partial_quotients, values, (first_index, cycle_length)) where
     values[k] is the k-th complete quotient as a QuadElem (values[0] = theta);
     stops at the first exact repetition of a complete quotient."""
-    st = _cf_normalize(theta)
-    quotients: list[int] = []
-    values: list[QuadElem] = []
-    # m is fixed along the expansion, so (P, Q) determines the value
-    seen: dict = {}
-    for k in range(max_steps):
-        key = (st.P, st.Q)
-        if key in seen:
-            return quotients, values, (seen[key], k - seen[key])
-        seen[key] = k
-        values.append(st.value())
-        a = st.floor()
-        quotients.append(a)
-        # step: theta_{k+1} = 1 / (theta_k - a)
-        P1 = a * st.Q - st.P
-        Q1 = (st.Delta - P1 * P1) // st.Q
-        if Q1 == 0:
-            raise ArithmeticError("CF state degenerated (rational value?)")
-        st = CFState(P1, Q1, st.D, st.m)
-    raise ArithmeticError("continued fraction did not cycle within max_steps")
+    quotients, keys, start = _cf_walk(theta.D, _cf_normalize(theta),
+                                      max_steps=max_steps)
+    values = [_key_value(theta.D, key) for key in keys]
+    return quotients, values, (start, len(keys) - start)
+
+
+def _theta_state(F: FieldCtx, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The CF state of (b + c*omega)/a, with omega = (1 + sqrt(D))/2 when
+    D == 1 mod 4 and sqrt(D) otherwise."""
+    if F.omega_trace:
+        return _cf_start(F.D, 2 * b + c, c, 2 * a)
+    return _cf_start(F.D, b, c, a)
 
 
 def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
@@ -348,13 +367,14 @@ def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
 @lru_cache(maxsize=None)
 def _omega_cf(D: int):
     """The continued fraction of omega, read once per field: its partial
-    quotients, the index of each complete quotient, and the fundamental
-    unit eps0 > 1 of O_K.  The matrix of one period of quotients fixes the
-    first repeated complete quotient, and its bottom row yields eps0."""
+    quotients, the index of each complete quotient by its _cf_key, and the
+    fundamental unit eps0 > 1 of O_K.  The matrix of one period of quotients
+    fixes the first repeated complete quotient, and its bottom row yields
+    eps0."""
     F = FieldCtx(D)
-    quotients, values, (start, period) = cf_expand(F.omega)
-    _, _, c, d = _convergent_matrix(quotients[start:start + period])
-    eps = QuadElem(D, c) * values[start] + d
+    quotients, keys, start = _cf_walk(D, _theta_state(F, 1, 0, 1))
+    _, _, c, d = _convergent_matrix(quotients[start:])
+    eps = QuadElem(D, c) * _key_value(D, keys[start]) + d
     # normalize to the unit > 1
     if eps.norm() not in (1, -1):
         raise ArithmeticError("CF automorph did not give a unit")
@@ -362,7 +382,7 @@ def _omega_cf(D: int):
     eps = next(e for e in candidates if e.compare(1) > 0)
     if not F.is_integral(eps):
         raise ArithmeticError("unit not integral")
-    index = MappingProxyType({x: j for j, x in enumerate(values)})
+    index = MappingProxyType({key: j for j, key in enumerate(keys)})
     return tuple(quotients), index, eps
 
 
@@ -586,29 +606,50 @@ class QuadIdeal:
         return prod.divide_by_integer(other.norm())
 
     # -- principality -----------------------------------------------------------
-    def principal_generator(self):
-        """alpha with (alpha) = self, or None when self is not principal.
+    def generator_coords(self):
+        """omega-coordinates (u, v) of an alpha = u + v*omega with
+        (alpha) = self, or None when self is not principal.
 
         With self = a(Z + Z theta), theta = (b + c omega)/a, the ideal is
         principal iff theta and omega are GL(2, Z)-equivalent, that is iff
         their continued fractions share a complete quotient x.  Then
         theta = M.x and omega = N.x for convergent matrices M and N, and
-        Z + Z theta = (N21 x + N22)/(M21 x + M22) * (Z + Z omega)."""
+        Z + Z theta = (N21 x + N22)/(M21 x + M22) * (Z + Z omega).  With
+        x = (p + m sqrt(D))/q, alpha = a (A + B sqrt(D))/(C + E sqrt(D)) for
+        A = N21 p + N22 q, B = N21 m, C = M21 p + M22 q, E = M21 m; one
+        product with the conjugate C - E sqrt(D) and an exact division by
+        C^2 - D E^2 give its coordinates."""
         F = self.field
-        q1, v1, _ = cf_expand(F.from_coords(self.b, self.c) / self.a)
-        q2, index2, _ = _omega_cf(F.D)
-        for k, x in enumerate(v1):
-            j = index2.get(x)
-            if j is not None:
-                break
-        else:
+        D, t = F.D, F.omega_trace
+        omega_quotients, index = _omega_cf(D)[:2]
+        quotients, keys, cycled = _cf_walk(
+            D, _theta_state(F, self.a, self.b, self.c), stop=index)
+        if cycled is not None:
             return None
-        _, _, m21, m22 = _convergent_matrix(q1[:k])
-        _, _, n21, n22 = _convergent_matrix(q2[:j])
-        alpha = self.a * (n21 * x + n22) / (m21 * x + m22)
-        if QuadIdeal.principal(F, alpha) != self:
+        x = keys[-1]
+        p, m, q = x
+        _, _, m21, m22 = _convergent_matrix(quotients)
+        _, _, n21, n22 = _convergent_matrix(omega_quotients[:index[x]])
+        A, B = n21 * p + n22 * q, n21 * m
+        C, E = m21 * p + m22 * q, m21 * m
+        X, Y = A * C - D * B * E, B * C - A * E
+        N = C * C - D * E * E
+        # alpha = a (X + Y sqrt(D))/N; its omega-coordinates are
+        # (aX/N, aY/N) when t = 0 and (a(X - Y)/N, 2aY/N) when t = 1
+        u, ru = divmod(self.a * (X - t * Y), N)
+        v, rv = divmod((1 + t) * self.a * Y, N)
+        if ru or rv:
+            raise ArithmeticError("CF generator is not integral")
+        gen = (u, v)
+        if _hnf_2col([gen, _omega_mul(F, gen, (0, 1))]) != self.hnf():
             raise ArithmeticError("CF generator does not generate the ideal")
-        return alpha
+        return gen
+
+    def principal_generator(self):
+        """alpha with (alpha) = self, or None when self is not principal
+        (see generator_coords)."""
+        gen = self.generator_coords()
+        return None if gen is None else self.field.from_coords(*gen)
 
 
 def _float_embed(e: QuadElem) -> float:

@@ -46,7 +46,6 @@ from .quadfield import (
     QuadElem,
     QuadIdeal,
     UnitData,
-    fundamental_unit,
     unit_mod_f,
     _omega_mul,
 )
@@ -421,18 +420,42 @@ class RayClass:
 
 
 @dataclass(frozen=True)
+class RayUnits:
+    """What the ray test reads of the units of O_K modulo f: the least k
+    with eps0^k == +-1 mod f, the omega-coordinates of eps0 and N(eps0),
+    which is the sign of eps0' as eps0 > 0, and the sign pairs realized by
+    the units congruent to 1 mod f."""
+
+    order: int
+    step: tuple
+    eps0_norm: int
+    signs: frozenset
+
+    @classmethod
+    def of(cls, f: QuadIdeal) -> "RayUnits":
+        F = f.field
+        unit = unit_mod_f(F, f)
+        return cls(order=unit.order,
+                   step=tuple(map(int, F.coords(unit.eps0))),
+                   eps0_norm=int(unit.eps0.norm()),
+                   signs=frozenset(_achievable_sign_pairs(unit)))
+
+
+@dataclass(frozen=True)
 class RayClassGroup:
     modulus: QuadIdeal
     variant: str
     classes: tuple
     table: tuple  # table[i][j] = index of class of rep_i * rep_j
+    units: RayUnits
 
     def __len__(self):
         return len(self.classes)
 
     def class_index(self, ideal: QuadIdeal) -> int:
         for k, cl in enumerate(self.classes):
-            if ray_equivalent(ideal, cl.representative, self.modulus, self.variant):
+            if ray_equivalent(ideal, cl.representative, self.modulus,
+                              self.variant, self.units):
                 return k
         raise BoundExceeded("ideal not equivalent to any enumerated class")
 
@@ -452,19 +475,6 @@ def _achievable_sign_pairs(unit: UnitData) -> set:
     return pairs
 
 
-_RAY_UNIT_CACHE: dict = {}
-
-
-def _ray_unit_data(F: FieldCtx, f: QuadIdeal):
-    """(order of eps0 up to sign mod f, achievable sign pairs), cached."""
-    key = (F.D, f.hnf())
-    cached = _RAY_UNIT_CACHE.get(key)
-    if cached is None:
-        unit = unit_mod_f(F, f)
-        cached = _RAY_UNIT_CACHE[key] = (unit.order, _achievable_sign_pairs(unit))
-    return cached
-
-
 def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
     """f (n)_f, with (n)_f the part of (n) supported on the primes of f:
     the limit of T -> gcd(n f, T f) from T = f."""
@@ -477,10 +487,11 @@ def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
 
 
 def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
-                   variant: str = "narrow") -> bool:
+                   variant: str = "narrow", units: RayUnits | None = None) -> bool:
     """Exact test, for A and B coprime to f: A B^{-1} = (alpha) with
     alpha == 1 mod* f (multiplicative congruence), and alpha totally
-    positive in the narrow variant.
+    positive in the narrow variant.  units is RayUnits.of(f), derived here
+    when not given.
 
     With n = N(B), A conj(B) = (n) A B^{-1}, so alpha = gamma/n for a
     generator gamma of A conj(B), and alpha == 1 mod* f iff gamma - n lies
@@ -492,25 +503,26 @@ def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
     sgn gamma' * sgn(eps0')^k)."""
     F = A.field
     n = B.norm()
-    gen = (A * B.conjugate()).principal_generator()
+    gen = (A * B.conjugate()).generator_coords()
     if gen is None:
         return False
-    ordr, signs_ef = _ray_unit_data(F, f)
+    if units is None:
+        units = RayUnits.of(f)
     target = _congruence_ideal(n, f)
-    eps0 = fundamental_unit(F.D)
-    step = tuple(map(int, F.coords(eps0)))
-    r = target._residue(tuple(map(int, F.coords(gen))))
-    sgn, sgn_conj = _sign_pair(gen)
-    sgn_eps_conj = int(eps0.norm())
+    r = target._residue(gen)
+    # gamma = (x + v sqrt(D))/2 when t = 1 and x + v sqrt(D) when t = 0
+    u, v = gen
+    x = 2 * u + v if F.omega_trace else u
+    sgn, sgn_conj = _sign_surd(x, v, F.D), _sign_surd(x, -v, F.D)
     plus, minus = target._residue((n, 0)), target._residue((-n, 0))
-    for _ in range(ordr):
+    for _ in range(units.order):
         for m, res in ((1, plus), (-1, minus)):
             # narrow: alpha must be totally positive after adjusting by a
             # unit congruent to 1 mod f
-            if r == res and (variant == "wide" or (m * sgn, m * sgn_conj) in signs_ef):
+            if r == res and (variant == "wide" or (m * sgn, m * sgn_conj) in units.signs):
                 return True
-        r = target._residue(_omega_mul(F, r, step))
-        sgn_conj *= sgn_eps_conj
+        r = target._residue(_omega_mul(F, r, units.step))
+        sgn_conj *= units.eps0_norm
     return False
 
 
@@ -541,10 +553,15 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow", norm_bound: int = 30,
     The multiplication table is built and verified (closure, identity,
     inverses, associativity)."""
     F = f.field
+    units = RayUnits.of(f)
+
+    def equivalent(I, J):
+        return ray_equivalent(I, J, f, variant, units)
+
     ideals = _enumerate_coprime_ideals(F, f, norm_bound)
     reps: list[QuadIdeal] = []
     for I in ideals:
-        if not any(ray_equivalent(I, R, f, variant) for R in reps):
+        if not any(equivalent(I, R) for R in reps):
             reps.append(I)
             if len(reps) > max_classes:
                 raise BoundExceeded(
@@ -553,24 +570,20 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow", norm_bound: int = 30,
                 )
     # put the principal class first
     unit_ideal = QuadIdeal.unit_ideal(F)
-    reps.sort(key=lambda I: (not ray_equivalent(I, unit_ideal, f, variant), I.norm()))
+    reps.sort(key=lambda I: (not equivalent(I, unit_ideal), I.norm()))
     k = len(reps)
-    table = []
+    # ideal products commute, and rep_i * rep_j and rep_j * rep_i have the
+    # same HNF, so each entry with j >= i is looked up and mirrored
+    table = [[0] * k for _ in range(k)]
     for i in range(k):
-        row = []
-        for j in range(k):
+        for j in range(i, k):
             P = reps[i] * reps[j]
-            idx = None
-            for m in range(k):
-                if ray_equivalent(P, reps[m], f, variant):
-                    idx = m
-                    break
+            idx = next((m for m in range(k) if equivalent(P, reps[m])), None)
             if idx is None:
                 raise BoundExceeded("product of class representatives escapes "
                                     "the enumerated classes")
-            row.append(idx)
-        table.append(tuple(row))
-    table = tuple(table)
+            table[i][j] = table[j][i] = idx
+    table = tuple(map(tuple, table))
     # verify the group axioms on the table
     for i in range(k):
         if table[0][i] != i or table[i][0] != i:
@@ -585,7 +598,8 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow", norm_bound: int = 30,
     classes = tuple(
         RayClass(modulus=f, representative=R, ray_variant=variant) for R in reps
     )
-    return RayClassGroup(modulus=f, variant=variant, classes=classes, table=table)
+    return RayClassGroup(modulus=f, variant=variant, classes=classes, table=table,
+                         units=units)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +690,7 @@ def _second_ideal_in_class(group: RayClassGroup, idx: int,
         if I.hnf() == skip.hnf():
             continue
         if ray_equivalent(I, group.classes[idx].representative,
-                          group.modulus, group.variant):
+                          group.modulus, group.variant, group.units):
             return I
     return None
 

@@ -31,7 +31,7 @@ from .numerics import (
     mpf_from_fraction,
     trapezoid,
 )
-from .hecke import HeckeLattice, hecke_lattice, scalar_product
+from .hecke import HeckeLattice, embed_pair, hecke_lattice, scalar_product
 from .pseudolattice import (
     Pseudolattice,
     _sign_surd,
@@ -324,13 +324,16 @@ def hecke_average_check(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
     with ctx.workprec():
         lhs = theta_rm(spec, ctx).value
         loge = mp.log(spec.epsU.embed("id", ctx))
+        # only e^{+-t/2} change along the flow: embed the field elements once
+        l1, l2, l0, m0 = (embed_pair(e, ctx)
+                          for e in (spec.L.l1, spec.L.l2, spec.l0, spec.m0))
 
         def integrand(t):
-            lat = hecke_lattice(spec.L, t, ctx)
+            lat = hecke_lattice(spec.L, t, ctx, basis=(l1, l2))
             cs = ComplexThetaSpec(
                 lattice=lat,
-                lambda0=lat.embed_point(spec.l0, ctx),
-                mu0=lat.embed_point(spec.m0, ctx),
+                lambda0=lat.flow_point(l0, ctx),
+                mu0=lat.flow_point(m0, ctx),
                 eta=spec.eta,
                 v=spec.v,
             )

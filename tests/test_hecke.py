@@ -4,6 +4,7 @@ import mpmath as mp
 
 from starklab.hecke import (
     covolume,
+    embed_pair,
     geodesic_period,
     hecke_lattice,
     scalar_product,
@@ -61,10 +62,12 @@ def test_period_shift_permutes_lattice_points():
 
 
 def test_embeddings_are_bit_identical_to_the_direct_formula():
-    # e^{+-t/2} are taken once per lattice, at the lattice's precision
+    # e^{+-t/2} are taken once per lattice, at the lattice's precision, and
+    # the embeddings (l, l') once per caller, for every t
     rng = random.Random(24)
     for _ in range(10):
         L = random_pseudolattice(rng)
+        basis = (embed_pair(L.l1, CTX), embed_pair(L.l2, CTX))
         for t in (0, mp.mpf("0.7"), mp.mpf("-1.3"), 3):
             lat = hecke_lattice(L, t, CTX)
             for l in (L.l1, L.l2, random_elem(rng, L.field.D)):
@@ -73,8 +76,11 @@ def test_embeddings_are_bit_identical_to_the_direct_formula():
                     direct = +(l.embed("id", CTX) * mp.exp(tt / 2)
                                + 1j * l.embed("conj", CTX) * mp.exp(-tt / 2))
                 assert lat.embed_point(l, CTX) == direct
+                assert lat.flow_point(embed_pair(l, CTX), CTX) == direct
             assert (lat.gen1, lat.gen2) == (lat.embed_point(L.l1, CTX),
                                             lat.embed_point(L.l2, CTX))
+            pre = hecke_lattice(L, t, CTX, basis=basis)
+            assert (pre.gen1, pre.gen2) == (lat.gen1, lat.gen2)
 
 
 def test_pairing_matches_field_trace_form():

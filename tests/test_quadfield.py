@@ -13,6 +13,7 @@ from starklab.quadfield import (
     FieldCtx,
     QuadElem,
     QuadIdeal,
+    _cf_key,
     _hnf_2col,
     cf_expand,
     fundamental_unit,
@@ -200,6 +201,97 @@ def test_principal_generator_roundtrip():
     h = P2.principal_generator()
     assert h is not None and abs(h.norm()) == 2
     assert QuadIdeal.principal(F, h) == P2
+
+
+def _reference_cf(theta):
+    """Complete quotients by QuadElem steps v -> 1/(v - floor v), up to the
+    first repeat: (partial quotients, values)."""
+    quotients, values = [], {}
+    v = theta
+    while v not in values:
+        values[v] = len(values)
+        a = v.floor()
+        quotients.append(a)
+        v = (v - a).inverse()
+    return quotients, values
+
+
+def _bottom_row(quotients):
+    q, q_ = 0, 1
+    for a in quotients:
+        q, q_ = a * q + q_, q
+    return q, q_
+
+
+def _reference_principal_generator(I, omega_cf):
+    """The principal test on Fraction coordinates: theta = (b + c omega)/a
+    and omega share a complete quotient x iff I is principal, and then
+    a (N21 x + N22)/(M21 x + M22) generates I."""
+    F = I.field
+    q1, values1 = _reference_cf(F.from_coords(I.b, I.c) / I.a)
+    q2, values2 = omega_cf
+    x = next((x for x in values1 if x in values2), None)
+    if x is None:
+        return None
+    m21, m22 = _bottom_row(q1[:values1[x]])
+    n21, n22 = _bottom_row(q2[:values2[x]])
+    alpha = I.a * (n21 * x + n22) / (m21 * x + m22)
+    assert QuadIdeal.principal(F, alpha) == I
+    return alpha
+
+
+def test_principal_generator_matches_fraction_reference():
+    # every ideal of norm <= 60 in 13 fields: 70 non-principal ones in
+    # D = 79 (h = 3), and units up to ~5e39 (D = 1726, with its prime
+    # above 2)
+    n_ideals = n_principal = 0
+    for D in (2, 3, 5, 6, 7, 13, 29, 41, 46, 61, 79, 94, 1726):
+        F = FieldCtx(D)
+        omega_cf = _reference_cf(F.omega)
+        ideals = _enumerate_coprime_ideals(F, QuadIdeal.unit_ideal(F), 60)
+        if D == 1726:
+            assert QuadIdeal.from_generators(F, [2, F.omega]) in ideals
+        for I in ideals:
+            want = _reference_principal_generator(I, omega_cf)
+            got = I.principal_generator()
+            assert got == want, I
+            n_ideals += 1
+            n_principal += want is not None
+    assert (n_ideals, n_principal) == (865, 795)
+
+
+def test_cf_keys_are_canonical():
+    # proportional states have one key, with Q > 0; others differ
+    for P, m, Q in ((3, 1, 2), (-3, 1, -2), (0, 1, 1), (5, -2, 7)):
+        for k in (1, -1, 2, -6):
+            key = _cf_key(k * P, k * m, k * Q)
+            assert key == _cf_key(P, m, Q) and key[2] > 0
+            assert math.gcd(*key) == 1
+    assert _cf_key(3, 1, 2) != _cf_key(3, 2, 2)
+
+
+def test_principal_generator_hnf_gate_fires(monkeypatch):
+    # a wrong convergent matrix gives an alpha that is not integral or does
+    # not generate the ideal: the round trip must refuse it
+    import starklab.quadfield as qf
+
+    F = FieldCtx(5)
+    I = QuadIdeal.from_generators(F, [11, F.omega + 3])
+    assert I.principal_generator() is not None
+    real = qf._convergent_matrix
+    monkeypatch.setattr(qf, "_convergent_matrix",
+                        lambda qs: (lambda p, p_, q, q_: (p, p_, q + 1, q_))(*real(qs)))
+    with pytest.raises(ArithmeticError):
+        I.principal_generator()
+
+
+def test_ideal_product_commutes():
+    # ray_classes looks up rep_i * rep_j for j >= i only
+    rng = random.Random(8)
+    for _ in range(40):
+        F = FieldCtx(rng.choice([2, 3, 5, 13, 46]))
+        A, B = _rand_ideal(rng, F), _rand_ideal(rng, F)
+        assert (A * B).hnf() == (B * A).hnf()
 
 
 def test_unit_mod_f_known_cases(F5, p11):

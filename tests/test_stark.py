@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -304,6 +306,34 @@ def test_ray_equivalence_is_an_equivalence_relation():
                 ab = ray_equivalent(a, b, f, variant)
                 ba = ray_equivalent(b, a, f, variant)
                 assert ab == ba
+
+
+# the moduli of the benchmark's classes workload: (name, D, HNF, norm bound)
+BENCH_MODULI = (
+    ("D5_p11", 5, (11, 3, 1), 30),
+    ("D13_p3", 13, (3, 0, 1), 30),
+    ("D29_p5", 29, (5, 1, 1), 30),
+    ("D41_p2", 41, (2, 0, 1), 30),
+    ("D61_p3", 61, (3, 0, 1), 30),
+    ("D46_p5", 46, (5, 1, 1), 30),
+    ("D3_5", 3, (5, 0, 5), 60),
+)
+
+
+@pytest.mark.parametrize("variant", ["narrow", "wide"])
+def test_ray_classes_match_the_benchmark_references(variant):
+    refs = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                       / "bench" / "refs.json").read_text())["classes"]
+    for name, D, (a, b, c), norm_bound in BENCH_MODULI:
+        F = FieldCtx(D)
+        f = QuadIdeal.from_generators(F, [a, F.from_coords(b, c)])
+        group = ray_classes(f, variant, norm_bound=norm_bound)
+        ref = refs["%s/%s" % (name, variant)]
+        assert len(group) == ref["count"], name
+        assert [list(row) for row in group.table] == ref["table"], name
+        # class_index reads the group's unit data and finds each class
+        for k, cl in enumerate(group.classes):
+            assert group.class_index(cl.representative) == k
 
 
 @pytest.mark.parametrize("D, h, h_plus", [
