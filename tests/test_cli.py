@@ -260,6 +260,20 @@ def test_exit_2_on_residual_violation():
     assert json.loads(r.stdout)["pass"] is False  # the report is still written
 
 
+def test_exit_2_on_route_disagreement(monkeypatch):
+    # the two zeta'(0) routes of stark compute disagree when the continued
+    # zeta is off by 1e-20 s
+    import starklab.stark as stark_mod
+
+    continued = stark_mod.partial_zeta_continued
+    monkeypatch.setattr(stark_mod, "partial_zeta_continued",
+                        lambda inp, s, ctx: continued(inp, s, ctx)
+                        + mp.mpf("1e-20") * s)
+    r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]')
+    assert r.exit_code == 2
+    assert r.stderr.startswith("residual violation: zeta'(0) routes differ")
+
+
 def test_exit_3_on_convergence_failure(monkeypatch):
     def boom(*a, **k):
         raise ConvergenceError("synthetic non-convergence")
@@ -310,13 +324,36 @@ def test_exit_4_on_usage_errors(tmp_path, monkeypatch):
     assert target.read_text() == "kept"
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN_README = pathlib.Path(__file__).resolve().parent / "golden" / "readme.txt"
+
+
+def readme_transcript():
+    """Each command line of the README's usage blocks, as "$ <line>",
+    followed by the stdout it prints; asserts that every command exits 0.
+    The commands run at mpmath's default precision, where the console
+    script starts: the theta checks form their printed tolerance at the
+    caller's precision, and other test modules raise it."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("starklab ")]
+    assert len(lines) >= 9
+    out = []
+    with mp.workprec(53):
+        for line in lines:
+            r = run(*shlex.split(line)[1:])
+            assert r.exit_code == 0, (line, r.output, r.stderr)
+            out.append("$ %s\n%s" % (line, r.stdout))
+    return "".join(out)
+
+
 def test_readme_examples_run():
-    # every command of the README's usage block runs and exits 0
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
-    commands = [shlex.split(line) for block in blocks
-                for line in block.splitlines() if line.startswith("starklab ")]
-    assert len(commands) >= 9
-    for argv in commands:
-        r = run(*argv[1:])
-        assert r.exit_code == 0, (argv, r.output, r.stderr)
+    # every command of the README's usage block runs, exits 0 and prints
+    # the committed bytes; after a deliberate change of output, rewrite
+    # the file with `PYTHONPATH=src python tests/test_cli.py`
+    assert readme_transcript() == GOLDEN_README.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_README.parent.mkdir(exist_ok=True)
+    GOLDEN_README.write_text(readme_transcript())

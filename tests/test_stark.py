@@ -6,13 +6,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import PrecisionCtx, mpf_from_fraction
+from starklab.numerics import PrecisionCtx, mpf_from_fraction, numeric_derivative
 from starklab.pseudolattice import coset_slice_reps, dual
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
 import starklab.stark as stark_mod
 from starklab.stark import (
     ConditionFailed,
     ContinuationData,
+    RouteDisagreement,
     StarkInput,
     StarkResult,
     conjecture_check,
@@ -228,8 +229,8 @@ def test_continuation_data_matches_reference_fold():
 
 
 def test_stark_number_builds_continuation_data_once(monkeypatch):
-    # one enumeration and fold serves the regularized route, the six
-    # stencil points of the numeric derivative and the value at 0
+    # one enumeration and fold serves the regularized route, the two
+    # complex steps ih and ih/2 and the value at 0
     builds, evals = [], []
     build, continued = ContinuationData.build, stark_mod.partial_zeta_continued
 
@@ -248,7 +249,33 @@ def test_stark_number_builds_continuation_data_once(monkeypatch):
     r = stark_number(inp, CTX)
     assert r.route_gap < 1e-20
     assert len(builds) == 1
-    assert len(evals) == 7 and len(set(evals)) == 7
+    assert len(evals) == 3 and len(set(evals)) == 3
+
+
+def test_complex_step_matches_the_five_point_stencil():
+    # the 5-point central difference of the real continued zeta at
+    # h = 10^-max(4, dps/5), halved once, is the reference derivative
+    for inp in suite_pairs():
+        with CTX.workprec():
+            value, change = stark_mod._zeta_prime_0_complex_step(inp, CTX)
+            h = mp.mpf(10) ** (-max(4, CTX.dps // 5))
+            ref, ref_err, stable = numeric_derivative(
+                lambda t: partial_zeta_continued(inp, t, CTX).real,
+                mp.mpf(0), h, CTX)
+            assert stable and ref_err < 1e-28
+            assert abs(value - ref) < 1e-28, (inp.L.hnf(), value - ref)
+            assert change < 1e-28
+
+
+def test_route_disagreement_fires_on_a_skewed_continuation(monkeypatch):
+    # a continued zeta off by 1e-20 s moves the complex-step zeta'(0) by
+    # 1e-20, far above what the two routes may differ by at 128 bits
+    continued = stark_mod.partial_zeta_continued
+    monkeypatch.setattr(stark_mod, "partial_zeta_continued",
+                        lambda inp, s, ctx: continued(inp, s, ctx)
+                        + mp.mpf("1e-20") * s)
+    with pytest.raises(RouteDisagreement, match="routes differ"):
+        stark_number(suite_pairs()[2], CTX)
 
 
 def test_stark_number_class_invariance_small():
