@@ -9,7 +9,6 @@ from .pseudolattice import (
     IntMat2,
     Pseudolattice,
     automorphism_group,
-    coset_slice_reps,
     delta,
     dual,
     endomorphism_ring,

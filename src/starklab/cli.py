@@ -379,7 +379,8 @@ def theta_check_fe(ctx, D, v_text, ideal_text):
     spec = _default_theta_spec(D, ideal_text, v)
     lhs = theta_rm(spec, ctx)
     resid = functional_equation_Theta(spec, ctx)
-    tol = mp.mpf(ctx.target_abs_err) * 100 + 4 * lhs.tail_bound
+    with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err) * 100 + 4 * lhs.tail_bound
     return _theta_report("theta-functional-equation", D, v, resid, tol, ctx,
                          lhs=_numstr_c(lhs.value, ctx))
 
@@ -390,7 +391,8 @@ def theta_check_average(ctx, D, v_text, ideal_text):
     v = _parse_upper_half_plane(v_text)
     spec = _default_theta_spec(D, ideal_text, v)
     resid = hecke_average_check(spec, ctx)
-    tol = mp.mpf(ctx.target_abs_err) * 1000
+    with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err) * 1000
     return _theta_report("theta-geodesic-average", D, v, resid, tol, ctx)
 
 
@@ -408,7 +410,8 @@ def theta_check_poisson(ctx, D, v_text, t_val, ideal_text):
     I = _theta_ideal(D, ideal_text)
     lat = hecke_lattice(ideal_to_pseudolattice(I), mp.mpf(t_val), ctx)
     resid = poisson_check(lat, v, mp.mpc(1), POISSON_SHIFT, ctx)
-    tol = mp.mpf(ctx.target_abs_err) * 100
+    with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err) * 100
     return _theta_report("poisson-summation", D, v, resid, tol, ctx, t="%r" % t_val,
                          shift=list(POISSON_SHIFT))
 

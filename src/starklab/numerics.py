@@ -99,31 +99,6 @@ def trapezoid(f, a, b, ctx: PrecisionCtx = DEFAULT_CTX):
         return prev, err, False
 
 
-def numeric_derivative(f, s0, h, ctx: PrecisionCtx = DEFAULT_CTX):
-    """5-point central difference f'(s0); error estimated by halving h.
-    The two stencils share the points s0 +- h, so f is evaluated six times.
-    Returns (value, err_estimate, stable)."""
-    with ctx.workprec():
-        s0, h = mp.mpf(s0), mp.mpf(h)
-        values = {}
-
-        def fv(t):
-            if t not in values:
-                values[t] = f(t)
-            return values[t]
-
-        def stencil(hh):
-            return (
-                -fv(s0 + 2 * hh) + 8 * fv(s0 + hh) - 8 * fv(s0 - hh) + fv(s0 - 2 * hh)
-            ) / (12 * hh)
-
-        d1 = stencil(h)
-        d2 = stencil(h / 2)
-        err = abs(d1 - d2)
-        stable = err <= 10 * ctx.target_abs_err or err <= abs(d2) * 1e-6
-        return d2, err, stable
-
-
 # Guard bits of the fixed-point kernel beyond the working precision.
 _GUARD_BITS = 24
 

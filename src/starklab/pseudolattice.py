@@ -395,33 +395,11 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
 
 def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     """The representatives of coset_slice_rows as a list of
-    (xi: QuadElem, a: int, b: int, absN: Fraction), in the same order."""
+    (xi: QuadElem, a: int, b: int, absN: Fraction), in the same order.
+    No package code calls it; the tests use it as a reference."""
     den, rows = coset_slice_rows(L, l0, W, max_norm)
     D, dd = L.field.D, den * den
     # converted in place, so the integer rows and the output never coexist
     for i, (n, a, b, x, y) in enumerate(rows):
         rows[i] = (QuadElem(D, Fraction(x, den), Fraction(y, den)), a, b, Fraction(n, dd))
     return rows
-
-
-def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:
-    """Independent representative normalizer: multiply xi by powers of the
-    unit u (with W = u/u') until tau^2 = (xi/xi')^2 lands in (1/W, W]."""
-    def too_high(z):
-        return (W * (z.conjugate() ** 2) - z * z).sign() < 0
-
-    def too_low(z):
-        return (W * z * z - z.conjugate() ** 2).sign() <= 0
-
-    guard = 0
-    while too_high(xi):
-        xi = xi / u
-        guard += 1
-        if guard > 10000:
-            raise ArithmeticError("slice normalization did not terminate")
-    while too_low(xi):
-        xi = xi * u
-        guard += 1
-        if guard > 10000:
-            raise ArithmeticError("slice normalization did not terminate")
-    return xi

@@ -130,9 +130,6 @@ class QuadElem:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def sign(self) -> int:
         """Exact sign of x + y*sqrt(D), by integer comparison of x^2 vs D y^2."""
         x, y = self.x, self.y
@@ -389,35 +386,6 @@ def _omega_cf(D: int):
 def fundamental_unit(D: int) -> QuadElem:
     """Fundamental unit eps0 > 1 of O_K, |N(eps0)| = 1."""
     return _omega_cf(D)[2]
-
-
-def pell_fundamental_unit(D: int, bound: int = 4000) -> QuadElem | None:
-    """Brute-force oracle: the smallest unit > 1 of O_K found by scanning
-    omega-coordinates 1 <= v <= bound (ascending) and solving the norm
-    equation for the rational coordinate.  The scan stops once no unit
-    smaller than the best candidate can appear at larger v."""
-    F = FieldCtx(D)
-    t, n = F.omega_trace, F.omega_norm
-    best: QuadElem | None = None
-    for v in range(1, bound + 1):
-        if best is not None:
-            # any unit e > 1 has v-coordinate > (e - 1)/sqrt(D)
-            if v * v * D > (1 + _float_embed(best)) ** 2:
-                break
-        for target in (1, -1):
-            # N(u + v*omega) = u^2 + t v u + n v^2 = target
-            disc = t * t * v * v - 4 * (n * v * v - target)
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for num in (-t * v + r, -t * v - r):
-                if num % 2 == 0:
-                    e = F.from_coords(num // 2, v)
-                    if e.compare(1) > 0 and (best is None or e.compare(best) < 0):
-                        best = e
-    return best
 
 
 # ---------------------------------------------------------------------------

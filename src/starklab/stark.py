@@ -60,7 +60,7 @@ from .quadfield import (
 from .pseudolattice import (
     Pseudolattice,
     _sign_surd,
-    coset_slice_reps,
+    coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
     dual,
     ideal_to_pseudolattice,
@@ -100,7 +100,11 @@ class StarkInput:
     a0: QuadIdeal
     f: QuadIdeal
     unit: UnitData
-    _rep_cache: dict = field(default_factory=dict, repr=False)
+    # the reduced pair, when it is not this pair itself
+    _reduced: StarkInput | None = field(default=None, repr=False, compare=False)
+    # the last ContinuationData built, under its key (max_norm, work_bits)
+    _continuation: tuple[tuple[Fraction, int], ContinuationData] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def field(self) -> FieldCtx:
@@ -114,7 +118,7 @@ class StarkInput:
     def sign_l0_conj(self) -> int:
         return self.l0.conjugate().sign()
 
-    def reduced(self) -> "StarkInput":
+    def reduced(self) -> StarkInput:
         """Equivalent pair with any common rational-integer factor removed.
 
         For a positive integer d with L/d integral and l0/d integral,
@@ -122,32 +126,20 @@ class StarkInput:
         = N((d)), which the N(b)^s prefactor absorbs, and the conjugate
         signs are unchanged.  Working with the reduced pair keeps the
         primal/dual norm scales balanced in the continuation."""
-        cached = self._rep_cache.get("reduced")
-        if cached is not None:
-            return cached
+        if self._reduced is not None:
+            return self._reduced
         a, bh, ch = self.L.hnf()
         p, q = self.field.coords(self.l0)
         d = math.gcd(math.gcd(a, bh), math.gcd(ch, math.gcd(int(p), int(q))))
         if d <= 1:
             # not cached: a reference to itself would put the input and its
-            # enumeration caches on a cycle that only the garbage collector
+            # continuation data on a cycle that only the garbage collector
             # frees, so they would outlive the caller's last reference
             return self
-        out = validate_pair(
+        self._reduced = validate_pair(
             self.L.divide_by_integer(d), self.l0 / self.field.elem(d)
         )
-        self._rep_cache["reduced"] = out
-        return out
-
-    def slice_reps(self, lat: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
-        """Orbit representatives, memoized on exact keys."""
-        key = (
-            lat.l1.x, lat.l1.y, lat.l2.x, lat.l2.y,
-            l0.x, l0.y, W.x, W.y, Fraction(max_norm),
-        )
-        if key not in self._rep_cache:
-            self._rep_cache[key] = coset_slice_reps(lat, l0, W, max_norm)
-        return self._rep_cache[key]
+        return self._reduced
 
 
 def validate_pair(L: QuadIdeal, l0: QuadElem) -> StarkInput:
@@ -190,15 +182,20 @@ def _smooth_weight(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX,
-                        max_norm: int = 300_000):
+# |N| at which the smooth weight of the direct sum reaches 0
+_DIRECT_MAX_NORM = 300_000
+
+
+def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     """Smoothly truncated direct sum of the partial zeta series.
 
     Valid for Re s > 1.5 (raises otherwise).  One representative per orbit
-    of the unit group {eps == 1 mod f} is selected by an exact ratio-slice;
-    the smooth cutoff makes the truncation error decay faster than any
-    power of the cutoff.  Float64 accumulation: accurate to about 1e-13
-    relative, independent of ctx."""
+    of the unit group {eps == 1 mod f} is an integer row of coset_slice_rows
+    up to |N| = 300,000, xi = (x + y sqrt(D))/den with sgn(xi') = sgn(x -
+    y sqrt(D)) and |N(xi)| = n/den^2 (a correctly rounded float); the smooth
+    cutoff makes the truncation error decay faster than any power of it.
+    Float64 accumulation: accurate to about 1e-13 relative, independent of
+    ctx."""
     inp = inp.reduced()
     s = complex(s)
     if s.real <= 1.5:
@@ -207,12 +204,11 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX,
         )
     g = inp.unit.eps_f
     W = g * g  # ratio-slice step for the <eps_f>-orbits
-    reps = inp.slice_reps(inp.lattice, inp.l0, W, max_norm)
-    if not reps:
-        return mp.mpc(0)
-    signs = np.array([xi.conjugate().sign() for xi, _, _, _ in reps], dtype=np.float64)
-    norms = np.array([float(n) for _, _, _, n in reps], dtype=np.float64)
-    w = _smooth_weight(norms / max_norm)
+    den, rows = coset_slice_rows(inp.lattice, inp.l0, W, _DIRECT_MAX_NORM)
+    D, dd = inp.field.D, den * den
+    signs = np.array([_sign_surd(x, -y, D) for _, _, _, x, y in rows], dtype=np.float64)
+    norms = np.array([n / dd for n, _, _, _, _ in rows], dtype=np.float64)
+    w = _smooth_weight(norms / _DIRECT_MAX_NORM)
     terms = signs * w * norms ** (-s)
     total = complex(math.fsum(terms.real), math.fsum(terms.imag))
     with ctx.workprec():
@@ -305,7 +301,8 @@ class ContinuationData:
 def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
                        s_scale: float = 1.0) -> ContinuationData:
     """The ContinuationData of a reduced input whose cutoff meets ctx's
-    error target for |s| <= s_scale, built once per (max_norm, work_bits)."""
+    error target for |s| <= s_scale.  The input keeps the last one built,
+    and builds anew when (max_norm, work_bits) changes."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
         U = inp.unit.eps_f_plus
@@ -319,11 +316,10 @@ def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
             float(-mp.log(tol)) + math.log(20.0 * rho) + 6.0,
         )
     max_norm = Fraction(math.ceil(x_min / (2 * math.pi))) + 2
-    key = ("continuation", max_norm, ctx.work_bits)
-    data = inp._rep_cache.get(key)
-    if data is None:
-        data = inp._rep_cache[key] = ContinuationData.build(inp, ctx, max_norm)
-    return data
+    key = (max_norm, ctx.work_bits)
+    if inp._continuation is None or inp._continuation[0] != key:
+        inp._continuation = key, ContinuationData.build(inp, ctx, max_norm)
+    return inp._continuation[1]
 
 
 def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):

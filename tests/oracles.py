@@ -1,0 +1,123 @@
+"""Test oracles: slow, independent versions of what the package computes,
+for the tests to compare against.  The package itself calls none of them.
+
+- numeric_derivative: the 5-point central difference, with its error
+  estimated by halving the step.
+- pell_fundamental_unit: the fundamental unit by a scan of the norm
+  equation.
+- canonicalize_into_slice: an orbit representative by repeated unit steps.
+- partial_zeta_direct_reference: the direct partial zeta sum over QuadElem
+  representatives with Fraction norms.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+
+from starklab.numerics import DEFAULT_CTX, ConvergenceError, PrecisionCtx
+from starklab.pseudolattice import coset_slice_reps
+from starklab.quadfield import FieldCtx, QuadElem, _float_embed
+from starklab.stark import StarkInput, _smooth_weight
+
+
+def numeric_derivative(f, s0, h, ctx: PrecisionCtx = DEFAULT_CTX):
+    """5-point central difference f'(s0); error estimated by halving h.
+    The two stencils share the points s0 +- h, so f is evaluated six times.
+    Returns (value, err_estimate, stable)."""
+    with ctx.workprec():
+        s0, h = mp.mpf(s0), mp.mpf(h)
+        values = {}
+
+        def fv(t):
+            if t not in values:
+                values[t] = f(t)
+            return values[t]
+
+        def stencil(hh):
+            return (
+                -fv(s0 + 2 * hh) + 8 * fv(s0 + hh) - 8 * fv(s0 - hh) + fv(s0 - 2 * hh)
+            ) / (12 * hh)
+
+        d1 = stencil(h)
+        d2 = stencil(h / 2)
+        err = abs(d1 - d2)
+        stable = err <= 10 * ctx.target_abs_err or err <= abs(d2) * 1e-6
+        return d2, err, stable
+
+
+def pell_fundamental_unit(D: int, bound: int = 4000) -> QuadElem | None:
+    """Brute-force oracle: the smallest unit > 1 of O_K found by scanning
+    omega-coordinates 1 <= v <= bound (ascending) and solving the norm
+    equation for the rational coordinate.  The scan stops once no unit
+    smaller than the best candidate can appear at larger v."""
+    F = FieldCtx(D)
+    t, n = F.omega_trace, F.omega_norm
+    best: QuadElem | None = None
+    for v in range(1, bound + 1):
+        if best is not None:
+            # any unit e > 1 has v-coordinate > (e - 1)/sqrt(D)
+            if v * v * D > (1 + _float_embed(best)) ** 2:
+                break
+        for target in (1, -1):
+            # N(u + v*omega) = u^2 + t v u + n v^2 = target
+            disc = t * t * v * v - 4 * (n * v * v - target)
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for num in (-t * v + r, -t * v - r):
+                if num % 2 == 0:
+                    e = F.from_coords(num // 2, v)
+                    if e.compare(1) > 0 and (best is None or e.compare(best) < 0):
+                        best = e
+    return best
+
+
+def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:
+    """Independent representative normalizer: multiply xi by powers of the
+    unit u (with W = u/u') until tau^2 = (xi/xi')^2 lands in (1/W, W]."""
+    def too_high(z):
+        return (W * (z.conjugate() ** 2) - z * z).sign() < 0
+
+    def too_low(z):
+        return (W * z * z - z.conjugate() ** 2).sign() <= 0
+
+    guard = 0
+    while too_high(xi):
+        xi = xi / u
+        guard += 1
+        if guard > 10000:
+            raise ArithmeticError("slice normalization did not terminate")
+    while too_low(xi):
+        xi = xi * u
+        guard += 1
+        if guard > 10000:
+            raise ArithmeticError("slice normalization did not terminate")
+    return xi
+
+
+def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_norm):
+    """The direct sum of stark.partial_zeta_direct with cutoff max_norm,
+    over the representatives of coset_slice_reps: sgn(xi') from the
+    QuadElem conjugate and |N(xi)| as float(Fraction)."""
+    inp = inp.reduced()
+    s = complex(s)
+    if s.real <= 1.5:
+        raise ConvergenceError(
+            "direct summation requires Re(s) > 1.5, got %s" % s.real
+        )
+    g = inp.unit.eps_f
+    W = g * g
+    reps = coset_slice_reps(inp.lattice, inp.l0, W, max_norm)
+    if not reps:
+        return mp.mpc(0)
+    signs = np.array([xi.conjugate().sign() for xi, _, _, _ in reps], dtype=np.float64)
+    norms = np.array([float(n) for _, _, _, n in reps], dtype=np.float64)
+    w = _smooth_weight(norms / max_norm)
+    terms = signs * w * norms ** (-s)
+    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    with ctx.workprec():
+        pref = inp.sign_l0_conj * mp.power(inp.b.norm(), s)
+        return mp.mpc(pref * total)

@@ -89,6 +89,25 @@ def test_stark_compute_reference_value():
     assert rep["evaluations"][0]["s"]["re"].startswith("2")
 
 
+def test_stark_compute_builds_continuation_data_once(monkeypatch):
+    # the README command: S0, its cross-check, zeta(0) and zeta(2) all read
+    # the one ContinuationData its input keeps
+    from starklab.stark import ContinuationData
+
+    builds = []
+    build = ContinuationData.build
+
+    def counting_build(cls, *args):
+        builds.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(ContinuationData, "build", classmethod(counting_build))
+    r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]',
+            "--s", "2", "--prec", "128")
+    assert r.exit_code == 0, r.output
+    assert len(builds) == 1
+
+
 def test_stark_compute_prints_the_computed_digits(monkeypatch):
     # the report carries S0 and zeta'(0) at the working precision, not
     # rounded through a 53-bit float
@@ -330,21 +349,34 @@ GOLDEN_README = pathlib.Path(__file__).resolve().parent / "golden" / "readme.txt
 
 def readme_transcript():
     """Each command line of the README's usage blocks, as "$ <line>",
-    followed by the stdout it prints; asserts that every command exits 0.
-    The commands run at mpmath's default precision, where the console
-    script starts: the theta checks form their printed tolerance at the
-    caller's precision, and other test modules raise it."""
+    followed by the stdout it prints; asserts that every command exits 0."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     lines = [line for block in blocks for line in block.splitlines()
              if line.startswith("starklab ")]
     assert len(lines) >= 9
     out = []
-    with mp.workprec(53):
-        for line in lines:
-            r = run(*shlex.split(line)[1:])
-            assert r.exit_code == 0, (line, r.output, r.stderr)
-            out.append("$ %s\n%s" % (line, r.stdout))
+    for line in lines:
+        r = run(*shlex.split(line)[1:])
+        assert r.exit_code == 0, (line, r.output, r.stderr)
+        out.append("$ %s\n%s" % (line, r.stdout))
     return "".join(out)
+
+
+@pytest.mark.parametrize("args", [
+    ("theta", "check-fe", "--D", "5", "--v", "i", "--prec", "128"),
+    ("theta", "check-average", "--D", "5", "--v", "i"),
+    ("theta", "check-poisson", "--D", "5", "--t", "0.7"),
+])
+def test_theta_reports_ignore_the_callers_precision(args):
+    # the console script starts at mpmath's 15 digits, while a library
+    # caller may have raised them; the report depends on --prec/--err only
+    printed = []
+    for dps in (15, 50):
+        with mp.workdps(dps):
+            r = run(*args)
+        assert r.exit_code == 0, r.output
+        printed.append(r.stdout_bytes)
+    assert printed[0] == printed[1]
 
 
 def test_readme_examples_run():

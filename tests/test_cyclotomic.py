@@ -14,7 +14,8 @@ from starklab.cyclotomic import (
     zeta_mn,
     zeta_mn_prime0,
 )
-from starklab.numerics import PrecisionCtx, numeric_derivative
+from starklab.numerics import PrecisionCtx
+from oracles import numeric_derivative
 
 mp.mp.dps = 50
 

@@ -9,10 +9,10 @@ from starklab.numerics import (
     PrecisionCtx,
     branch_sqrt_neg_iv,
     e1,
-    numeric_derivative,
     trapezoid,
     upper_gamma,
 )
+from oracles import numeric_derivative
 
 mp.mp.dps = 50
 

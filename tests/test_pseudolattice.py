@@ -11,7 +11,6 @@ from starklab.pseudolattice import (
     Pseudolattice,
     apply_morphism,
     automorphism_group,
-    canonicalize_into_slice,
     coset_slice_reps,
     delta,
     dual,
@@ -23,6 +22,7 @@ from starklab.pseudolattice import (
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
 
 from conftest import SQUAREFREE_50, random_elem, random_pseudolattice
+from oracles import canonicalize_into_slice
 
 mp.mp.dps = 50
 

@@ -17,11 +17,11 @@ from starklab.quadfield import (
     _hnf_2col,
     cf_expand,
     fundamental_unit,
-    pell_fundamental_unit,
     unit_mod_f,
 )
 from starklab.stark import _enumerate_coprime_ideals
 from conftest import SQUAREFREE_50, random_elem
+from oracles import pell_fundamental_unit
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 ds = st.sampled_from(SQUAREFREE_50)

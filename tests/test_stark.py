@@ -1,12 +1,14 @@
+import gc
 import json
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from starklab.numerics import PrecisionCtx, mpf_from_fraction, numeric_derivative
+from starklab.numerics import PrecisionCtx, mpf_from_fraction
 from starklab.pseudolattice import coset_slice_reps, dual
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
 import starklab.stark as stark_mod
@@ -26,6 +28,7 @@ from starklab.stark import (
     stark_number,
     validate_pair,
 )
+from oracles import numeric_derivative, partial_zeta_direct_reference
 
 mp.mp.dps = 50
 
@@ -97,16 +100,28 @@ def test_validate_pair_rejects_bad_inputs():
         validate_pair(L * L, F.elem(11))
 
 
-def test_reduced_pair_is_equivalent():
+def _scaled_pair():
+    """D=5 p11 with l0 = 1, both scaled by d = 6."""
     F = FieldCtx(5)
     L = QuadIdeal.from_generators(F, [11, F.omega + 3])
-    scaled = validate_pair(QuadIdeal.principal(F, F.elem(6)) * L, F.elem(6))
+    return validate_pair(QuadIdeal.principal(F, F.elem(6)) * L, F.elem(6))
+
+
+def test_reduced_pair_is_equivalent():
+    scaled = _scaled_pair()
     red = scaled.reduced()
-    assert red.L.hnf() == L.hnf()
+    assert red.L.hnf() == (11, 3, 1)
     with CTX.workprec():
         a = partial_zeta_direct(scaled, mp.mpf(2), CTX)
         b = partial_zeta_direct(red, mp.mpf(2), CTX)
         assert abs(a - b) < 1e-11
+
+
+def test_reduced_is_cached_for_a_scaled_pair():
+    scaled = _scaled_pair()
+    assert scaled.reduced() is scaled.reduced()
+    assert scaled.reduced() is not scaled
+    assert scaled.reduced().reduced() is scaled.reduced()
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +147,17 @@ def test_route_agreement_complex_s():
         direct = partial_zeta_direct(inp, s, CTX)
         cont = partial_zeta_continued(inp, s, CTX)
         assert abs(direct - cont) / abs(cont) < 1e-11
+
+
+def test_direct_sum_rows_equal_the_quadelem_reference(monkeypatch):
+    # signs by _sign_surd and norms by integer division give the same
+    # floats as QuadElem conjugates and float(Fraction), so the same sum
+    monkeypatch.setattr(stark_mod, "_DIRECT_MAX_NORM", 20_000)
+    for inp in suite_pairs():
+        for s in (mp.mpf("1.6"), mp.mpf(2), mp.mpf(3), mp.mpc(2, 1)):
+            got = partial_zeta_direct(inp, s, CTX)
+            ref = partial_zeta_direct_reference(inp, s, CTX, 20_000)
+            assert got == ref, (inp.L.hnf(), s, got - ref)
 
 
 def test_zeta_vanishes_at_0():
@@ -250,6 +276,25 @@ def test_stark_number_builds_continuation_data_once(monkeypatch):
     assert r.route_gap < 1e-20
     assert len(builds) == 1
     assert len(evals) == 3 and len(set(evals)) == 3
+
+
+def test_inputs_are_freed_without_the_garbage_collector():
+    # neither an input nor its reduced pair holds a reference back to
+    # itself, so reference counting alone frees them and their data
+    F = FieldCtx(2)
+    made = (lambda: validate_pair(QuadIdeal.from_generators(F, [7, F.omega + 3]),
+                                  F.elem(1)),
+            _scaled_pair)
+    gc.disable()
+    try:
+        for make in made:
+            inp = make()
+            stark_number(inp, CTX)
+            refs = [weakref.ref(inp), weakref.ref(inp.reduced())]
+            del inp
+            assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_complex_step_matches_the_five_point_stencil():
