@@ -22,6 +22,7 @@ Input literals (rationals as strings, element [x, y] means x + y*sqrt(D)):
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import json
@@ -150,6 +151,8 @@ def parse_complex(text: str):
         z = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise InputError("bad complex literal %r: %s" % (text, exc))
+    if not cmath.isfinite(z):
+        raise InputError("complex literal %r is not finite" % text)
     return mp.mpc(z)
 
 
@@ -429,11 +432,12 @@ def stark_compute(ctx, ideal_text, l0_text, s_values):
     """Stark number S0 = exp(zeta'(0)) for a validated pair (L, l0)."""
     L = parse_ideal_literal(ideal_text)
     l0 = parse_elem(L.field, l0_text)
+    points = [parse_complex(s) for s in s_values]
     inp = validate_pair(L, l0)
     res = stark_number(inp, ctx)
     evals = [{"s": _numstr_c(s, ctx),
               "zeta": _numstr_c(partial_zeta_continued(inp, s, ctx), ctx)}
-             for s in map(parse_complex, s_values)]
+             for s in points]
     report = {
         "check": "stark-number",
         "D": L.field.D,

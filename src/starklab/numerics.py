@@ -11,6 +11,7 @@ parts.  Only the prefactor x^a e^{-x} and the final assembly are in mpf."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,31 +21,21 @@ from mpmath.libmp import to_fixed
 
 @dataclass(frozen=True)
 class PrecisionCtx:
-    """Working precision (mantissa bits), absolute error target, term cap."""
+    """Working precision (mantissa bits) and absolute error target."""
 
     work_bits: int = 128
     target_abs_err: float = 1e-30
-    max_terms: int = 50_000_000
 
     def __post_init__(self):
         if self.work_bits < 64:
             raise ValueError("work_bits must be >= 64")
-        if not self.target_abs_err > 0:
-            raise ValueError("target_abs_err must be positive")
-        if self.max_terms <= 0:
-            raise ValueError("max_terms must be positive")
+        # an infinite target would pass every gate that scales with it
+        if not 0 < self.target_abs_err < math.inf:
+            raise ValueError("target_abs_err must be positive and finite")
 
     @property
     def dps(self) -> int:
         return int(self.work_bits * 0.30103) + 2
-
-    def refined(self, factor: float = 2.0) -> "PrecisionCtx":
-        """Same target expressed at a larger working precision."""
-        return PrecisionCtx(
-            work_bits=int(self.work_bits * factor),
-            target_abs_err=self.target_abs_err,
-            max_terms=self.max_terms,
-        )
 
     def workprec(self):
         return mp.workprec(self.work_bits + 20)
@@ -244,15 +235,6 @@ def upper_gamma(a, x, ctx: PrecisionCtx = DEFAULT_CTX):
             b -= 1
             g = (g - _power_exp(b, x)) / b
         return +g
-
-
-def e1(x, ctx: PrecisionCtx = DEFAULT_CTX):
-    """Exponential integral E1(x) = Gamma(0, x), x > 0."""
-    with ctx.workprec():
-        x = mp.mpf(x)
-        if x >= 1.5:
-            return +_upper_gamma_cf(mp.mpf(0), x)
-        return +_e1_series(x)
 
 
 def mpf_from_fraction(q: Fraction):

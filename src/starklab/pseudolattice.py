@@ -1,14 +1,19 @@
 """Pseudolattices L = Z*l1 + Z*l2 inside a real quadratic field: orientation,
 endomorphism rings and conductors, trace-duals, the discriminant-area
-Delta(L), GL(2,Z)/SL(2,Z) equivalence by continued-fraction tails, and exact
-enumeration of unit-orbit representatives on shifted pseudolattices."""
+Delta(L), GL(2,Z)/SL(2,Z) equivalence by continued-fraction tails, exact
+enumeration of unit-orbit representatives on shifted pseudolattices, and
+their fold by norm into sign sums per trace character."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
+import mpmath as mp
 import numpy as np
 
 from .numerics import DEFAULT_CTX, BoundExceeded, PrecisionCtx
@@ -144,8 +149,6 @@ def ideal_to_pseudolattice(I: QuadIdeal, orientation: int = 1) -> Pseudolattice:
 def delta(L: Pseudolattice, ctx: PrecisionCtx = DEFAULT_CTX):
     """Delta(L) embedded at working precision."""
     q = L.delta_exact()
-    import mpmath as mp
-
     with ctx.workprec():
         return +(mp.mpf(q.numerator) / q.denominator * mp.sqrt(L.field.D))
 
@@ -391,6 +394,34 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
     kept.sort()
     return den, kept
+
+
+def fold_by_norm(D: int, den: int, rows, m: QuadElem):
+    """Fold the rows of coset_slice_rows (common denominator den) by norm
+    under the trace character of m = (p + q sqrt(D))/md: tr(xi m') =
+    2(x p - D y q)/(den md) for xi = (x + y sqrt(D))/den.
+
+    Returns (modulus, folds) with modulus = den md and folds a list of
+    (n, {r: [sum sgn(xi'), sum sgn(xi)]}) in ascending n, over the rows of
+    |N(xi)| = n/den^2 with tr(xi m') = r/modulus mod 1."""
+    md = math.lcm(m.x.denominator, m.y.denominator)
+    p, q = int(m.x * md), int(m.y * md)
+    modulus = den * md
+    folds = []
+    for n, group in groupby(rows, key=itemgetter(0)):
+        sums: dict[int, list] = {}
+        for _, _, _, x, y in group:
+            s = sums.setdefault(2 * (x * p - D * y * q) % modulus, [0, 0])
+            s[0] += _sign_surd(x, -y, D)
+            s[1] += _sign_surd(x, y, D)
+        folds.append((n, sums))
+    return modulus, folds
+
+
+def _characters(modulus: int, sign: int):
+    """r -> e^{sign 2 pi i r / modulus} at the caller's precision, computed
+    once per exponent for the life of the returned function."""
+    return functools.cache(lambda r: mp.expjpi(sign * 2 * (mp.mpf(r) / modulus)))
 
 
 def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):

@@ -296,7 +296,11 @@ def _key_value(D: int, key: tuple[int, int, int]) -> QuadElem:
     return QuadElem(D, Fraction(P, Q), Fraction(m, Q))
 
 
-def _cf_walk(D: int, state: tuple[int, int, int], stop=(), max_steps: int = 10000):
+# Steps a continued-fraction walk may take before it gives up.
+_CF_MAX_STEPS = 10000
+
+
+def _cf_walk(D: int, state: tuple[int, int, int], stop=()):
     """Continued fraction of (P + m sqrt(D))/Q, state = (P, m, Q) from
     _cf_start, in integers: m stays fixed, and a step with partial quotient
     a maps (P, Q) to (P1, (D m^2 - P1^2)/Q), P1 = aQ - P.
@@ -312,7 +316,7 @@ def _cf_walk(D: int, state: tuple[int, int, int], stop=(), max_steps: int = 1000
     quotients: list[int] = []
     keys: list[tuple[int, int, int]] = []
     seen: dict = {}
-    for k in range(max_steps):
+    for k in range(_CF_MAX_STEPS):
         key = _cf_key(P, m, Q)
         if key in stop:
             keys.append(key)
@@ -332,14 +336,13 @@ def _cf_walk(D: int, state: tuple[int, int, int], stop=(), max_steps: int = 1000
     raise ArithmeticError("continued fraction did not cycle within max_steps")
 
 
-def cf_expand(theta: QuadElem, max_steps: int = 10000):
+def cf_expand(theta: QuadElem):
     """Exact continued fraction of a quadratic irrational.
 
     Returns (partial_quotients, values, (first_index, cycle_length)) where
     values[k] is the k-th complete quotient as a QuadElem (values[0] = theta);
     stops at the first exact repetition of a complete quotient."""
-    quotients, keys, start = _cf_walk(theta.D, _cf_normalize(theta),
-                                      max_steps=max_steps)
+    quotients, keys, start = _cf_walk(theta.D, _cf_normalize(theta))
     values = [_key_value(theta.D, key) for key in keys]
     return quotients, values, (start, len(keys) - start)
 
@@ -455,10 +458,10 @@ class QuadIdeal:
 
     __slots__ = ("field", "a", "b", "c")
 
-    def __init__(self, field: FieldCtx, a: int, b: int, c: int, check: bool = True):
+    def __init__(self, field: FieldCtx, a: int, b: int, c: int):
         self.field = field
         self.a, self.b, self.c = a, b, c
-        if check and not self._closed_under_omega():
+        if not self._closed_under_omega():
             raise ValueError("module is not an O_K ideal (not omega-stable)")
 
     # -- construction -----------------------------------------------------
@@ -659,17 +662,21 @@ class UnitData:
     minus_one_in_ef: bool
 
 
-def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
+# Powers of eps0 that unit_mod_f tries before it gives up.
+_UNIT_MAX_POWER = 200
+
+
+def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
     """Generator data for the congruence unit group {eps == 1 mod f}.
 
-    Raises BoundExceeded when no eps0^k with k <= max_power is == +-1 mod f."""
+    Raises BoundExceeded when no eps0^k with k <= 200 is == +-1 mod f."""
     eps0 = fundamental_unit(F.D)
     eps_plus = eps0 if eps0.is_totally_positive() else eps0 * eps0
     one, minus = f._residue((1, 0)), f._residue((-1, 0))
     minus_one = one == minus  # -1 == 1 mod f
     step = tuple(map(int, F.coords(eps0)))
     r = (1, 0)
-    for k_found in range(1, max_power + 1):
+    for k_found in range(1, _UNIT_MAX_POWER + 1):
         r = f._residue(_omega_mul(F, r, step))  # eps0^k mod f
         if r == one:
             g = eps0 ** k_found
@@ -678,7 +685,7 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal, max_power: int = 200) -> UnitData:
             g = -(eps0 ** k_found)
             break
     else:
-        raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % max_power)
+        raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % _UNIT_MAX_POWER)
     # least totally positive unit == 1 mod f (of the form +-g^j)
     if g.is_totally_positive():
         g_plus = g

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 import mpmath as mp
 import numpy as np
@@ -45,7 +43,6 @@ from .numerics import (
     ConvergenceError,
     PrecisionCtx,
     DEFAULT_CTX,
-    e1,
     mpf_from_fraction,
     upper_gamma,
 )
@@ -59,10 +56,13 @@ from .quadfield import (
 )
 from .pseudolattice import (
     Pseudolattice,
+    _characters,
     _sign_surd,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
+    delta,
     dual,
+    fold_by_norm,
     ideal_to_pseudolattice,
 )
 
@@ -238,53 +238,32 @@ class ContinuationData:
     @classmethod
     def build(cls, inp: StarkInput, ctx: PrecisionCtx, max_norm: Fraction):
         """Enumerate both lattices inside the totally-positive unit slice up
-        to max_norm and fold their integer rows by exact norm, at ctx's
-        working precision.  A row (n, a, b, x, y) is xi = (x + y sqrt(D))/den
-        with |N(xi)| = n/den^2; for l0 = (p + q sqrt(D))/ld,
-        tr(xi l0') = 2(x p - D y q)/(den ld)."""
+        to max_norm and fold their integer rows by exact norm (fold_by_norm,
+        the dual side under the character of l0), at ctx's working
+        precision."""
         with ctx.workprec():
-            U = inp.unit.eps_f_plus
-            W = U * U
+            W = inp.unit.eps_f_plus ** 2
             lat = inp.lattice
-            D = lat.field.D
-            den1, rows1 = coset_slice_rows(lat, inp.l0, W, max_norm)
-            den2, rows2 = coset_slice_rows(dual(lat), lat.field.elem(0), W, max_norm)
+            F = lat.field
             two_pi = 2 * mp.pi
+            den, rows = coset_slice_rows(lat, inp.l0, W, max_norm)
+            # under m = 0 every row has the exponent r = 0
+            _, folds = fold_by_norm(F.D, den, rows, F.elem(0))
+            dd = den * den
+            primal = tuple((two_pi * (mp.mpf(n) / dd), sums[0][0])
+                           for n, sums in folds if sums[0][0] != 0)
 
-            mults: dict[int, int] = {}
-            for n, _, _, x, y in rows1:
-                mults[n] = mults.get(n, 0) + _sign_surd(x, -y, D)
-            dd = den1 * den1
-            primal = tuple(
-                (two_pi * (mp.mpf(n) / dd), m)
-                for n, m in sorted(mults.items()) if m != 0
-            )
-
-            ld = math.lcm(inp.l0.x.denominator, inp.l0.y.denominator)
-            p, q = int(inp.l0.x * ld), int(inp.l0.y * ld)
-            modulus = den2 * ld
-            chars: dict[int, mp.mpc] = {}
-
-            def character(r):
-                """e^{2 pi i r / modulus}, computed once per exponent."""
-                if r not in chars:
-                    chars[r] = mp.expjpi(2 * mpf_from_fraction(Fraction(r, modulus)))
-                return chars[r]
-
+            den, rows = coset_slice_rows(dual(lat), F.elem(0), W, max_norm)
+            modulus, folds = fold_by_norm(F.D, den, rows, inp.l0)
+            character = _characters(modulus, 1)
             dual_pairs = []
-            dd = den2 * den2
-            for n, group in groupby(rows2, key=itemgetter(0)):
-                # exponent r -> sum of sgn(xi) over the rows of norm n; the
-                # products count * character are exact and fdot rounds once
-                counts: dict[int, int] = {}
-                for _, _, _, x, y in group:
-                    r = 2 * (x * p - D * y * q) % modulus  # tr(xi l0') mod 1, scaled
-                    counts[r] = counts.get(r, 0) + _sign_surd(x, y, D)
-                coeff = mp.fdot((c, character(r)) for r, c in counts.items() if c)
+            dd = den * den
+            for n, sums in folds:
+                # the products count * character are exact and fdot rounds once
+                coeff = mp.fdot((c, character(r)) for r, (_, c) in sums.items() if c)
                 if coeff != 0:
                     dual_pairs.append((two_pi * (mp.mpf(n) / dd), coeff))
-            delta = mpf_from_fraction(lat.delta_exact()) * mp.sqrt(D)
-            return cls(primal=primal, dual=tuple(dual_pairs), delta=delta)
+            return cls(primal=primal, dual=tuple(dual_pairs), delta=delta(lat, ctx))
 
     def split_sum(self, primal_term, dual_term):
         """sum_primal primal_term(m, x) + (1/(i delta)) sum_dual
@@ -374,7 +353,7 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx):
     inp = inp.reduced()
     data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        total = data.split_sum(lambda m, x: m * e1(x, ctx),
+        total = data.split_sum(lambda m, x: m * upper_gamma(0, x, ctx),
                                lambda c, x: c * mp.exp(-x) / x)
         val = total * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
@@ -566,8 +545,12 @@ def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int):
     return out
 
 
-def ray_classes(f: QuadIdeal, variant: str = "narrow", norm_bound: int = 30,
-                max_classes: int = 64) -> RayClassGroup:
+# Classes ray_classes enumerates before it gives up.
+_MAX_RAY_CLASSES = 64
+
+
+def ray_classes(f: QuadIdeal, variant: str = "narrow",
+                norm_bound: int = 30) -> RayClassGroup:
     """Enumerate the ray class group modulo f (narrow by default): ideals
     coprime to f up to the norm bound, quotiented by principality with a
     generator congruent to 1 mod f (totally positive in the narrow case).
@@ -584,10 +567,10 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow", norm_bound: int = 30,
     for I in ideals:
         if not any(equivalent(I, R) for R in reps):
             reps.append(I)
-            if len(reps) > max_classes:
+            if len(reps) > _MAX_RAY_CLASSES:
                 raise BoundExceeded(
                     "more than %d ray classes at norm bound %d"
-                    % (max_classes, norm_bound)
+                    % (_MAX_RAY_CLASSES, norm_bound)
                 )
     # put the principal class first
     unit_ideal = QuadIdeal.unit_ideal(F)

@@ -8,17 +8,15 @@ average and the Fourier transform, use the trapezoid rule.
 Both sums make their transcendental calls per row or per norm, not per
 point: the complex theta walks the rows of a Lagrange-Gauss reduced basis
 by recurrence (as Deconinck et al., Math. Comp. 73, 2004, reduce first),
-and the real-multiplication theta folds the integer rows of
-coset_slice_rows by norm.  mp.fsum adds mantissas exactly, so neither
-sorts its terms."""
+and the real-multiplication theta reads the by-norm fold of the integer
+rows of coset_slice_rows (fold_by_norm).  mp.fsum adds mantissas exactly,
+so neither sorts its terms."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 import mpmath as mp
@@ -34,13 +32,18 @@ from .numerics import (
 from .hecke import HeckeLattice, embed_pair, hecke_lattice, scalar_product
 from .pseudolattice import (
     Pseudolattice,
-    _sign_surd,
+    _characters,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
     delta,
     dual,
+    fold_by_norm,
 )
 from .quadfield import QuadElem
+
+
+# Lattice points either theta sum may take before it gives up.
+_MAX_TERMS = 50_000_000
 
 
 class ThetaValue(NamedTuple):
@@ -208,7 +211,7 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
         # makes them long and few
         h2, h1 = _gauss_reduce(g1, g2)
         rows = _disk_rows(h1, h2, lam0, R)
-        if sum(hi - lo + 1 for _, lo, hi, _ in rows) > ctx.max_terms:
+        if sum(hi - lo + 1 for _, lo, hi, _ in rows) > _MAX_TERMS:
             raise ConvergenceError("term cap exceeded")
 
         n2 = h2.real * h2.real + h2.imag * h2.imag
@@ -246,12 +249,10 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
     e^{-2 pi i tr(l m0')} e^{-pi i tr(l0 m0')}, l = xi - l0, with exact signs
     and exact rational character exponents.
 
-    The integer rows of coset_slice_rows give xi = (x + y sqrt(D))/den with
-    |N(xi)| = n/den^2; for m0 = (p + q sqrt(D))/md, tr(xi m0') =
-    2(x p - D y q)/(den md), reduced mod den md, and tr(l0 m0') goes into
-    the constant factor.  The rows are folded by norm into integer sign sums
-    per character exponent, so each distinct norm takes one expjpi and each
-    distinct exponent one character."""
+    fold_by_norm folds the integer rows of coset_slice_rows by norm into
+    integer sign sums per exponent of tr(xi m0') mod 1, so each distinct
+    norm takes one expjpi and each distinct exponent one character;
+    tr(l0 m0') goes into the constant factor."""
     spec.validate()
     with ctx.workprec():
         v = mp.mpc(spec.v)
@@ -281,30 +282,14 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
                 raise ConvergenceError("Im(v) too small to reach the target")
         X_fr = Fraction(math.ceil(float(X) * 1024), 1024)
         den, rows = coset_slice_rows(spec.L, spec.l0, W, X_fr)
-        if len(rows) > ctx.max_terms:
+        if len(rows) > _MAX_TERMS:
             raise ConvergenceError("term cap exceeded")
 
-        D, m0 = spec.L.field.D, spec.m0
-        md = math.lcm(m0.x.denominator, m0.y.denominator)
-        p, q = int(m0.x * md), int(m0.y * md)
-        modulus = den * md
-        chars: dict[int, mp.mpc] = {}
-
-        def character(r):
-            """e^{-2 pi i r / modulus}, computed once per exponent."""
-            if r not in chars:
-                chars[r] = mp.expjpi(-2 * (mp.mpf(r) / modulus))
-            return chars[r]
-
+        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0)
+        character = _characters(modulus, -1)
         terms = []
         dd = den * den
-        for n, group in groupby(rows, key=itemgetter(0)):
-            # exponent r -> (sum of sgn(xi'), sum of sgn(xi)) over the rows
-            sums: dict[int, list] = {}
-            for _, _, _, x, y in group:
-                s = sums.setdefault(2 * (x * p - D * y * q) % modulus, [0, 0])
-                s[0] += _sign_surd(x, -y, D)
-                s[1] += _sign_surd(x, y, D)
+        for n, sums in folds:
             weights = ((eta0 * s0 + eta1 * s1, r) for r, (s0, s1) in sums.items())
             coeff = mp.fsum(w * character(r) for w, r in weights if w != 0)
             if coeff != 0:
@@ -312,7 +297,7 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
         # e^{-2 pi i tr((xi - l0) m0')} e^{-pi i tr(l0 m0')}
         #   = e^{-2 pi i tr(xi m0')} e^{pi i tr(l0 m0')}
         const = mp.expjpi(
-            mpf_from_fraction(_frac_mod2((spec.l0 * m0.conjugate()).trace()))
+            mpf_from_fraction(_frac_mod2((spec.l0 * spec.m0.conjugate()).trace()))
         )
         return ThetaValue(+(mp.fsum(terms) * const), +tail(X))
 

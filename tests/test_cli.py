@@ -269,6 +269,22 @@ def test_exit_4_on_malformed_literals():
             == cli_mod.parse_ideal_literal(P11))
 
 
+@pytest.mark.parametrize("args", [
+    ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--s", "1e400"),
+    ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--s", "nan"),
+    ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--err", "inf"),
+    ("theta", "check-fe", "--D", "5", "--v", "0.5+1i", "--ideal", P11,
+     "--prec", "64", "--err", "inf"),
+])
+def test_exit_4_on_non_finite_numbers(args):
+    # an overflowing or NaN s, or an infinite error target that would turn
+    # every gate off, is invalid input rather than a traceback or a pass
+    r = run(*args)
+    assert r.exit_code == 4, (r.output, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr.startswith("invalid input:") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_exit_2_on_residual_violation():
     # an unreachable tolerance turns the identity check into a reported
     # residual violation

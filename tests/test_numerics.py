@@ -8,7 +8,6 @@ from starklab.numerics import (
     ConvergenceError,
     PrecisionCtx,
     branch_sqrt_neg_iv,
-    e1,
     trapezoid,
     upper_gamma,
 )
@@ -95,7 +94,7 @@ def test_upper_gamma_against_oracle(a, x):
 def test_e1_against_oracle():
     with mp.workprec(200):
         for x in (0.01, 0.3, 1.0, 2.0, 10.0, 60.0):
-            assert abs(e1(mp.mpf(x), CTX) - mp.e1(mp.mpf(x))) < mp.mpf(10) ** -32
+            assert abs(upper_gamma(0, mp.mpf(x), CTX) - mp.e1(mp.mpf(x))) < mp.mpf(10) ** -32
 
 
 def test_upper_gamma_recurrence_property():
@@ -112,13 +111,20 @@ def test_upper_gamma_recurrence_property():
 
 def test_precision_refinement_self_consistency():
     coarse = PrecisionCtx(96, 1e-20)
-    fine = coarse.refined()
+    fine = PrecisionCtx(192, 1e-20)
     with mp.workprec(220):
         x = mp.mpf("0.77")
         a = mp.mpf("-1.0")
         va = upper_gamma(a, x, coarse)
         vb = upper_gamma(a, x, fine)
         assert abs(va - vb) < 1e-20
+
+
+@pytest.mark.parametrize("err", [0.0, float("inf"), float("nan")])
+def test_precision_ctx_requires_a_positive_finite_target(err):
+    # an infinite target would pass every gate that scales with it
+    with pytest.raises(ValueError, match="positive and finite"):
+        PrecisionCtx(128, err)
 
 
 def test_trapezoid_reports_nonconvergence():
