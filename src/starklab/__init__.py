@@ -21,7 +21,6 @@ from .theta import (
     RMThetaSpec,
     ThetaValue,
     functional_equation_Theta,
-    functional_equation_theta,
     hecke_average_check,
     poisson_check,
     theta_complex,

@@ -333,18 +333,12 @@ def _theta_ideal(D: int, ideal_text: str | None) -> QuadIdeal:
 def _default_theta_spec(D: int, ideal_text: str | None, v):
     I = _theta_ideal(D, ideal_text)
     F = I.field
-    lat = ideal_to_pseudolattice(I)
-    l0 = F.elem(1)
-    ud = unit_mod_f(F, I)
-    eps = ud.eps_f_plus
-    for _ in range(25):
-        spec = RMThetaSpec(L=lat, l0=l0, m0=F.elem(0), eta=1, epsU=eps, v=v)
-        try:
-            spec.validate()
-            return spec
-        except (ValueError, ArithmeticError):
-            eps = eps * ud.eps_f_plus
-    raise InputError("no valid totally positive unit found for this lattice")
+    # eps_f_plus is totally positive, > 1 and == 1 mod I, so it stabilizes
+    # I and 1 + I, and m0 = 0 makes the character trivial: the spec is valid
+    spec = RMThetaSpec(L=ideal_to_pseudolattice(I), l0=F.elem(1), m0=F.elem(0),
+                       eta=1, epsU=unit_mod_f(F, I).eps_f_plus, v=v)
+    spec.validate()
+    return spec
 
 
 def _theta_check(name: str, *extra):
@@ -462,8 +456,7 @@ def stark_compute(ctx, ideal_text, l0_text, s_values):
 def stark_conjecture(ctx, mod_text, variant, height):
     """Class-invariance and algebraicity experiment over the ray classes."""
     f = parse_ideal_literal(mod_text)
-    rep = conjecture_check(f.field, f, ctx, variant=variant,
-                           recognition_height=height)
+    rep = conjecture_check(f, ctx, variant=variant, recognition_height=height)
     classes = [
         {
             "index": c.index,

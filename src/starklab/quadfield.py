@@ -646,9 +646,12 @@ class UnitData:
         returned element may be negative; |eps_f| > 1).
     eps_f_plus: least totally positive unit > 1 that is == 1 mod f.
     order: least k >= 1 with eps0^k == +-1 mod f, so eps_f = +-eps0^order.
+    step: the omega-coordinates of eps0, as integers.
+    eps0_norm: N(eps0), which is the sign of eps0' as eps0 > 0.
     kappa: index [E_f : <eps_f_plus>] counting orbit splitting, in {1, 2, 4}.
-    sign_condition: True iff every unit == 1 mod f has positive conjugate
-        (equivalently: -1 is not == 1 mod f and eps_f' > 0).
+    signs: the sign pairs (sgn, sgn') realized by the units == 1 mod f: the
+        group generated by the pair of eps_f, and by (-1, -1) when
+        -1 == 1 mod f (each pair is its own inverse).
     minus_one_in_ef: True iff -1 == 1 mod f.
     """
 
@@ -657,9 +660,17 @@ class UnitData:
     eps_f: QuadElem
     eps_f_plus: QuadElem
     order: int
+    step: tuple[int, int]
+    eps0_norm: int
     kappa: int
-    sign_condition: bool
+    signs: frozenset
     minus_one_in_ef: bool
+
+    @property
+    def sign_condition(self) -> bool:
+        """True iff every unit == 1 mod f has positive conjugate
+        (equivalently: -1 is not == 1 mod f and eps_f' > 0)."""
+        return all(s_conj > 0 for _, s_conj in self.signs)
 
 
 # Powers of eps0 that unit_mod_f tries before it gives up.
@@ -697,14 +708,19 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
         g_plus = g * g
         ratio = 2
     kappa = ratio * (2 if minus_one else 1)
-    sign_condition = (not minus_one) and g.conjugate().sign() > 0
+    s, s_conj = g.sign(), g.conjugate().sign()
+    signs = {(1, 1), (s, s_conj)}
+    if minus_one:
+        signs |= {(-1, -1), (-s, -s_conj)}
     return UnitData(
         eps0=eps0,
         eps_plus=eps_plus,
         eps_f=g,
         eps_f_plus=g_plus,
         order=k_found,
+        step=step,
+        eps0_norm=int(eps0.norm()),
         kappa=kappa,
-        sign_condition=sign_condition,
+        signs=frozenset(signs),
         minus_one_in_ef=minus_one,
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
@@ -413,66 +414,30 @@ def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResul
 
 
 @dataclass(frozen=True)
-class RayClass:
-    modulus: QuadIdeal
-    representative: QuadIdeal
-    ray_variant: str  # "wide" | "narrow"
-
-
-@dataclass(frozen=True)
-class RayUnits:
-    """What the ray test reads of the units of O_K modulo f: the least k
-    with eps0^k == +-1 mod f, the omega-coordinates of eps0 and N(eps0),
-    which is the sign of eps0' as eps0 > 0, and the sign pairs realized by
-    the units congruent to 1 mod f."""
-
-    order: int
-    step: tuple
-    eps0_norm: int
-    signs: frozenset
-
-    @classmethod
-    def of(cls, f: QuadIdeal) -> "RayUnits":
-        F = f.field
-        unit = unit_mod_f(F, f)
-        return cls(order=unit.order,
-                   step=tuple(map(int, F.coords(unit.eps0))),
-                   eps0_norm=int(unit.eps0.norm()),
-                   signs=frozenset(_achievable_sign_pairs(unit)))
-
-
-@dataclass(frozen=True)
 class RayClassGroup:
+    """The ray class group modulo f: members[k] lists the enumerated ideals
+    of class k in enumeration order, the first being the class's
+    representative; table[i][j] is the class of rep_i * rep_j; units is
+    unit_mod_f(f)."""
+
     modulus: QuadIdeal
     variant: str
-    classes: tuple
-    table: tuple  # table[i][j] = index of class of rep_i * rep_j
-    units: RayUnits
+    members: tuple
+    table: tuple
+    units: UnitData
 
     def __len__(self):
-        return len(self.classes)
+        return len(self.members)
+
+    @property
+    def reps(self) -> tuple:
+        return tuple(m[0] for m in self.members)
 
     def class_index(self, ideal: QuadIdeal) -> int:
-        for k, cl in enumerate(self.classes):
-            if ray_equivalent(ideal, cl.representative, self.modulus,
-                              self.variant, self.units):
-                return k
-        raise BoundExceeded("ideal not equivalent to any enumerated class")
-
-
-def _sign_pair(e: QuadElem) -> tuple[int, int]:
-    return (e.sign(), e.conjugate().sign())
-
-
-def _achievable_sign_pairs(unit: UnitData) -> set:
-    """Sign patterns (sgn, sgn') realized by the units congruent to 1 mod f:
-    the group generated by the pattern of eps_f, and by (-1, -1) when
-    -1 == 1 mod f (each pattern is its own inverse)."""
-    s, s_conj = _sign_pair(unit.eps_f)
-    pairs = {(1, 1), (s, s_conj)}
-    if unit.minus_one_in_ef:
-        pairs |= {(-1, -1), (-s, -s_conj)}
-    return pairs
+        k = _class_of(ideal, self.reps, self.modulus, self.variant, self.units)
+        if k is None:
+            raise BoundExceeded("ideal not equivalent to any enumerated class")
+        return k
 
 
 def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
@@ -487,10 +452,10 @@ def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
 
 
 def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
-                   variant: str = "narrow", units: RayUnits | None = None) -> bool:
+                   variant: str = "narrow", units: UnitData | None = None) -> bool:
     """Exact test, for A and B coprime to f: A B^{-1} = (alpha) with
     alpha == 1 mod* f (multiplicative congruence), and alpha totally
-    positive in the narrow variant.  units is RayUnits.of(f), derived here
+    positive in the narrow variant.  units is unit_mod_f(f), derived here
     when not given.
 
     With n = N(B), A conj(B) = (n) A B^{-1}, so alpha = gamma/n for a
@@ -507,7 +472,7 @@ def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
     if gen is None:
         return False
     if units is None:
-        units = RayUnits.of(f)
+        units = unit_mod_f(F, f)
     target = _congruence_ideal(n, f)
     r = target._residue(gen)
     # gamma = (x + v sqrt(D))/2 when t = 1 and x + v sqrt(D) when t = 0
@@ -545,8 +510,17 @@ def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int):
     return out
 
 
+def _class_of(I: QuadIdeal, reps, f: QuadIdeal, variant: str,
+              units: UnitData) -> int | None:
+    """The index of the first rep ray-equivalent to I, or None."""
+    return next((k for k, R in enumerate(reps)
+                 if ray_equivalent(I, R, f, variant, units)), None)
+
+
 # Classes ray_classes enumerates before it gives up.
 _MAX_RAY_CLASSES = 64
+# Norm bound past which ray_classes stops doubling its bound.
+_MAX_NORM_BOUND = 960
 
 
 def ray_classes(f: QuadIdeal, variant: str = "narrow",
@@ -554,39 +528,45 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
     """Enumerate the ray class group modulo f (narrow by default): ideals
     coprime to f up to the norm bound, quotiented by principality with a
     generator congruent to 1 mod f (totally positive in the narrow case).
-    The multiplication table is built and verified (closure, identity,
-    inverses, associativity)."""
+    norm_bound is the starting bound: while a product of representatives
+    escapes the enumerated classes, the enumeration is repeated at twice
+    the bound, and past _MAX_NORM_BOUND it raises BoundExceeded.  The
+    multiplication table is verified (closure, identity, inverses,
+    associativity)."""
     F = f.field
-    units = RayUnits.of(f)
-
-    def equivalent(I, J):
-        return ray_equivalent(I, J, f, variant, units)
-
-    ideals = _enumerate_coprime_ideals(F, f, norm_bound)
-    reps: list[QuadIdeal] = []
-    for I in ideals:
-        if not any(equivalent(I, R) for R in reps):
+    units = unit_mod_f(F, f)
+    while True:
+        reps: list[QuadIdeal] = []
+        members: list[list[QuadIdeal]] = []
+        # (1) comes first, so class 0 is the principal class
+        for I in _enumerate_coprime_ideals(F, f, norm_bound):
+            idx = _class_of(I, reps, f, variant, units)
+            if idx is not None:
+                members[idx].append(I)
+                continue
             reps.append(I)
+            members.append([I])
             if len(reps) > _MAX_RAY_CLASSES:
                 raise BoundExceeded(
                     "more than %d ray classes at norm bound %d"
                     % (_MAX_RAY_CLASSES, norm_bound)
                 )
-    # put the principal class first
-    unit_ideal = QuadIdeal.unit_ideal(F)
-    reps.sort(key=lambda I: (not equivalent(I, unit_ideal), I.norm()))
-    k = len(reps)
-    # ideal products commute, and rep_i * rep_j and rep_j * rep_i have the
-    # same HNF, so each entry with j >= i is looked up and mirrored
-    table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            P = reps[i] * reps[j]
-            idx = next((m for m in range(k) if equivalent(P, reps[m])), None)
+        k = len(reps)
+        # ideal products commute, and rep_i * rep_j and rep_j * rep_i have
+        # the same HNF, so each entry with j >= i is looked up and mirrored
+        table = [[0] * k for _ in range(k)]
+        for i, j in combinations_with_replacement(range(k), 2):
+            idx = _class_of(reps[i] * reps[j], reps, f, variant, units)
             if idx is None:
-                raise BoundExceeded("product of class representatives escapes "
-                                    "the enumerated classes")
+                break
             table[i][j] = table[j][i] = idx
+        else:
+            break
+        norm_bound *= 2
+        if norm_bound > _MAX_NORM_BOUND:
+            raise BoundExceeded("product of class representatives escapes the "
+                                "enumerated classes up to norm bound %d"
+                                % _MAX_NORM_BOUND)
     table = tuple(map(tuple, table))
     # verify the group axioms on the table
     for i in range(k):
@@ -599,10 +579,8 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
             for m in range(k):
                 if table[table[i][j]][m] != table[i][table[j][m]]:
                     raise ArithmeticError("associativity fails in ray class table")
-    classes = tuple(
-        RayClass(modulus=f, representative=R, ray_variant=variant) for R in reps
-    )
-    return RayClassGroup(modulus=f, variant=variant, classes=classes, table=table,
+    return RayClassGroup(modulus=f, variant=variant,
+                         members=tuple(map(tuple, members)), table=table,
                          units=units)
 
 
@@ -652,12 +630,10 @@ def recognize_quadratic(x, D: int, max_height: int = 1000, tol: float = 1e-6,
         return None
 
 
-def pair_for_class(F: FieldCtx, f: QuadIdeal, a: QuadIdeal) -> StarkInput:
+def pair_for_class(f: QuadIdeal, a: QuadIdeal) -> StarkInput:
     """The canonical validated pair attached to an ideal a coprime to f:
     L = f conj(a), l0 = N(a).  Its a0-class is the class of a."""
-    L = f * a.conjugate()
-    l0 = F.elem(a.norm())
-    return validate_pair(L, l0)
+    return validate_pair(f * a.conjugate(), f.field.elem(a.norm()))
 
 
 @dataclass(frozen=True)
@@ -688,37 +664,25 @@ class ConjectureReport:
     recognition_failures: tuple
 
 
-def _second_ideal_in_class(group: RayClassGroup, idx: int,
-                           pool: list, skip: QuadIdeal):
-    for I in pool:
-        if I.hnf() == skip.hnf():
-            continue
-        if ray_equivalent(I, group.classes[idx].representative,
-                          group.modulus, group.variant, group.units):
-            return I
-    return None
-
-
-def conjecture_check(F: FieldCtx, f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX,
-                     variant: str = "narrow", norm_bound: int = 30,
+def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX,
+                     variant: str = "narrow",
                      recognition_height: int = 1000) -> ConjectureReport:
     """Numerical experiment: compute S0 for one pair per ray class mod f,
     verify class-invariance on a second pair in each class, form
     P(X) = prod (X - S0(class)) and attempt to recognize its coefficients
     as elements a + b sqrt(D) of bounded height, to within ctx's error
     target relative to the coefficient's size."""
-    group = ray_classes(f, variant=variant, norm_bound=norm_bound)
-    pool = _enumerate_coprime_ideals(F, f, norm_bound)
+    F = f.field
+    group = ray_classes(f, variant=variant)
     entries = []
     s0_values = []
     with ctx.workprec():
-        for k, cl in enumerate(group.classes):
-            a = cl.representative
-            res = stark_number(pair_for_class(F, f, a), ctx)
-            second = _second_ideal_in_class(group, k, pool, a)
+        for k, members in enumerate(group.members):
+            a = members[0]
+            res = stark_number(pair_for_class(f, a), ctx)
             inv_resid = None
-            if second is not None:
-                res2 = stark_number(pair_for_class(F, f, second), ctx)
+            if len(members) > 1:
+                res2 = stark_number(pair_for_class(f, members[1]), ctx)
                 inv_resid = abs(res.s0 - res2.s0)
             entries.append(
                 ClassEntry(

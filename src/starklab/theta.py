@@ -412,28 +412,6 @@ def poisson_check(lattice, v, eta, shift=(0, 0), ctx: PrecisionCtx = DEFAULT_CTX
         return +abs(lhs - rhs)
 
 
-def functional_equation_theta(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
-    """Residual of the inversion identity for the complex theta: requires a
-    Hecke lattice so the base pseudolattice provides Delta(L) and the dual."""
-    if not isinstance(spec.lattice, HeckeLattice):
-        raise ValueError("functional equation needs a Hecke lattice input")
-    with ctx.workprec():
-        v = mp.mpc(spec.v)
-        lhs = theta_complex(spec, ctx).value
-        L = spec.lattice.base
-        dlat = hecke_lattice(dual(L), spec.lattice.t, ctx)
-        dspec = ComplexThetaSpec(
-            lattice=dlat,
-            lambda0=mp.mpc(spec.mu0),
-            mu0=-mp.mpc(spec.lambda0),
-            eta=1j * mp.conj(mp.mpc(spec.eta)),
-            v=-1 / v,
-        )
-        dl = delta(L, ctx)
-        rhs = (1j / (dl * v * v)) * theta_complex(dspec, ctx).value
-        return +abs(lhs - rhs)
-
-
 def functional_equation_Theta(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX):
     """Residual of the unit-averaged functional equation
     Theta_{L}[l0; m0](v) = (1/(Delta(L) v)) Theta_{L^?}[m0; -l0](-1/v)

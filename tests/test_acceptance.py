@@ -172,7 +172,7 @@ def test_criterion_5_zeta_routes():
 def test_criterion_6_class_invariance_and_recognition():
     F = FieldCtx(5)
     f = QuadIdeal.from_generators(F, [11, F.omega + 3])
-    rep = conjecture_check(F, f, CTX, variant="narrow", recognition_height=12)
+    rep = conjecture_check(f, CTX, variant="narrow", recognition_height=12)
     worst_inv = mp.mpf(0)
     for c in rep.classes:
         if c.invariance_residual is not None:

@@ -1,14 +1,17 @@
-"""Import hygiene: every name a starklab module imports is used in it.
+"""Import and definition hygiene: every name a starklab module imports is
+used in it, and every top-level name it defines is used somewhere.
 
-The package's __init__ re-exports what it imports, so it is not checked.  An
-import line marked `noqa` is kept on purpose and skipped."""
+The package's __init__ re-exports what it imports, so its imports are not
+checked.  An import line marked `noqa` is kept on purpose and skipped."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "starklab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "starklab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +45,49 @@ def test_an_unused_import_is_found():
     source = "from itertools import groupby, chain  # noqa\nimport math\nx = 1\n"
     assert unused_imports(source) == ["math (line 2)"]
     assert unused_imports("import math\nx = math.pi\n") == []
+
+
+def dead_definitions(module: str, other_sources: list[str]) -> list[str]:
+    """The top-level functions, classes and constants of module whose name
+    appears nowhere in module outside their own definition, nor in
+    other_sources.  Dunder names are skipped."""
+    tree = ast.parse(module)
+    lines = module.splitlines()
+    dead = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        start = min([node.lineno] + [d.lineno for d in
+                                     getattr(node, "decorator_list", [])])
+        rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+        for name in names:
+            if name.startswith("__"):
+                continue
+            word = re.compile(r"\b%s\b" % re.escape(name))
+            if not any(word.search(text) for text in [rest] + other_sources):
+                dead.append("%s (line %d)" % (name, node.lineno))
+    return dead
+
+
+def test_no_dead_definitions():
+    sources = {path: path.read_text() for folder in ("src", "tests", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    dead = {}
+    for path in sorted(SRC.glob("*.py")):
+        others = [text for other, text in sources.items() if other != path]
+        found = dead_definitions(sources[path], others)
+        if found:
+            dead[path.name] = found
+    assert dead == {}
+
+
+def test_a_dead_definition_is_found():
+    module = ("LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+              "def unused(n):\n    return unused(n - 1) if n else used()\n")
+    assert dead_definitions(module, ["used()"]) == ["unused (line 8)"]
+    assert dead_definitions(module, ["used(); unused(2)"]) == []

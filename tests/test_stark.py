@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import PrecisionCtx, mpf_from_fraction
+from starklab.numerics import BoundExceeded, PrecisionCtx, mpf_from_fraction
 from starklab.pseudolattice import coset_slice_reps, dual
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
 import starklab.stark as stark_mod
@@ -328,16 +328,15 @@ def test_stark_number_class_invariance_small():
     F = FieldCtx(5)
     f = QuadIdeal.from_generators(F, [11, F.omega + 3])
     group = ray_classes(f, variant="narrow", norm_bound=25)
-    for cl in group.classes:
-        a = cl.representative
+    for a in group.reps:
         others = [
             i for i in _coprime_pool(F, f, 25)
             if ray_equivalent(i, a, f, "narrow") and i.hnf() != a.hnf()
         ]
         if not others:
             continue
-        s_a = stark_number(pair_for_class(F, f, a), CTX).s0
-        s_b = stark_number(pair_for_class(F, f, others[0]), CTX).s0
+        s_a = stark_number(pair_for_class(f, a), CTX).s0
+        s_b = stark_number(pair_for_class(f, others[0]), CTX).s0
         assert abs(s_a - s_b) < 1e-8
         break
 
@@ -403,9 +402,34 @@ def test_ray_classes_match_the_benchmark_references(variant):
         ref = refs["%s/%s" % (name, variant)]
         assert len(group) == ref["count"], name
         assert [list(row) for row in group.table] == ref["table"], name
-        # class_index reads the group's unit data and finds each class
-        for k, cl in enumerate(group.classes):
-            assert group.class_index(cl.representative) == k
+        # the members partition the coprime ideals up to the bound, each
+        # found in its class by class_index, which reads the group's units
+        members = [I for m in group.members for I in m]
+        assert sorted(I.hnf() for I in members) == sorted(
+            I.hnf() for I in _coprime_pool(F, f, norm_bound)), name
+        for k, m in enumerate(group.members):
+            for I in m:
+                assert group.class_index(I) == k
+
+
+def test_ray_classes_double_the_bound_until_the_group_closes():
+    # D=3 (5) narrow escapes its classes at the default bound of 30 and
+    # closes at 60 with the benchmark's 16-class table
+    refs = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                       / "bench" / "refs.json").read_text())["classes"]
+    F = FieldCtx(3)
+    f = QuadIdeal(F, 5, 0, 5)
+    group = ray_classes(f, "narrow")
+    assert len(group) == refs["D3_5/narrow"]["count"] == 16
+    assert [list(row) for row in group.table] == refs["D3_5/narrow"]["table"]
+    assert group.members == ray_classes(f, "narrow", norm_bound=60).members
+
+
+def test_ray_classes_raise_past_the_bound_cap(monkeypatch):
+    monkeypatch.setattr(stark_mod, "_MAX_NORM_BOUND", 30)
+    F = FieldCtx(3)
+    with pytest.raises(BoundExceeded, match="escapes the enumerated classes"):
+        ray_classes(QuadIdeal(F, 5, 0, 5), "narrow")
 
 
 @pytest.mark.parametrize("D, h, h_plus", [
@@ -474,5 +498,5 @@ def test_conjecture_check_rejects_random_coefficients(monkeypatch):
     for x in xs:
         monkeypatch.setattr(stark_mod, "stark_number",
                             lambda inp, ctx: StarkResult(x, x, mp.mpf(0), mp.mpf(0)))
-        rep = conjecture_check(F, QuadIdeal(F, 1, 0, 1), CTX)
+        rep = conjecture_check(QuadIdeal(F, 1, 0, 1), CTX)
         assert rep.recognition_failures == (0,)
