@@ -450,51 +450,33 @@ def stark_compute(ctx, ideal_text, l0_text, s_values):
     "stark conjecture",
     click.option("--modulus", "mod_text", type=str, required=True,
                  help='conductor ideal literal {"D":..,"ideal":[a,b,c]}'),
-    click.option("--variant", type=click.Choice(["narrow", "wide"]), default="narrow"),
-    click.option("--height", type=int, default=1000, help="recognition height bound"),
 )
-def stark_conjecture(ctx, mod_text, variant, height):
-    """Class-invariance and algebraicity experiment over the ray classes."""
+def stark_conjecture(ctx, mod_text):
+    """Stark's conjecture on Cl_{f oo2}: class invariance, S0(C R2) = 1/S0(C)
+    and algebraic-integer coefficients of the Stark polynomial."""
     f = parse_ideal_literal(mod_text)
-    rep = conjecture_check(f, ctx, variant=variant, recognition_height=height)
-    classes = [
-        {
-            "index": c.index,
-            "representative": list(c.representative_hnf),
-            "zeta_prime_0": _numstr(c.zeta_prime_0, ctx),
-            "s0": _numstr(c.s0, ctx),
-            "invariance_residual": (
-                _numstr(c.invariance_residual, ctx)
-                if c.invariance_residual is not None else None
-            ),
-        }
-        for c in rep.classes
-    ]
-    coeffs = [
-        {
-            "degree": ce.degree,
-            "value": _numstr(ce.value, ctx),
-            "recognized": (
-                [_fracstr(ce.recognized[0]), _fracstr(ce.recognized[1])]
-                if ce.recognized is not None else None
-            ),
-            "residual": ("%.6e" % ce.residual
-                         if ce.residual is not None else None),
-        }
-        for ce in rep.coefficients
-    ]
+    rep = conjecture_check(f, ctx)
+
+    def num(x):
+        return None if x is None else _numstr(x, ctx)
+
+    classes = [{"index": c.index, "representative": list(c.representative_hnf),
+                "zeta_prime_0": num(c.zeta_prime_0), "s0": num(c.s0),
+                "invariance_residual": num(c.invariance_residual)}
+               for c in rep.classes]
+    coeffs = [{"degree": ce.degree, "value": num(ce.value),
+               "recognized": ce.recognized and [_fracstr(q) for q in ce.recognized]}
+              for ce in rep.coefficients]
     report = {
         "check": "conjecture",
-        "D": rep.D,
-        "modulus": list(rep.modulus_hnf),
-        "variant": rep.variant,
+        "D": f.field.D,
+        "modulus": list(f.hnf()),
         "classes": classes,
         "polynomial_coefficients": coeffs,
-        "constant_term_norm": (
-            _numstr(rep.constant_term_norm, ctx)
-            if rep.constant_term_norm is not None else None
-        ),
         "recognition_failures": list(rep.recognition_failures),
+        "inversion_residual": num(rep.inversion_residual),
+        "tolerance": num(rep.tolerance),
+        "pass": rep.passed,
     }
     return report, ["class", "representative", "s0", "invariance_residual"], [
         [c["index"], "%s" % c["representative"], c["s0"], c["invariance_residual"]]

@@ -1,7 +1,6 @@
 """Precision-tracked arithmetic kernel: precision contexts, the √(-iv) branch,
-the trapezoid rule with nested halving and error control, numeric
-differentiation, and the upper incomplete gamma function used by the zeta
-continuation.
+the trapezoid rule with nested halving and error control, and the upper
+incomplete gamma function used by the zeta continuation.
 
 The incomplete gamma's three loops (the modified-Lentz continued fraction,
 the lower power series and the E1 series) run on Gaussian fixed-point
@@ -11,7 +10,6 @@ parts.  Only the prefactor x^a e^{-x} and the final assembly are in mpf."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,9 +27,9 @@ class PrecisionCtx:
     def __post_init__(self):
         if self.work_bits < 64:
             raise ValueError("work_bits must be >= 64")
-        # an infinite target would pass every gate that scales with it
-        if not 0 < self.target_abs_err < math.inf:
-            raise ValueError("target_abs_err must be positive and finite")
+        # a target of 1 or more would pass every gate that scales with it
+        if not 0 < self.target_abs_err < 1:
+            raise ValueError("target_abs_err must be positive and finite, and below 1")
 
     @property
     def dps(self) -> int:

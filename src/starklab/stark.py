@@ -1,6 +1,7 @@
 """Partial zeta functions of real quadratic pairs, their analytic
-continuation, Stark numbers, ray class groups, and the class-invariance /
-algebraicity experiment.
+continuation, Stark numbers, ray class groups, and Stark's rank-one
+conjecture on Cl_{f oo2}: class invariance, S0(C R2) = 1/S0(C), and the
+coefficients of prod (X - S0) as algebraic integers of bounded conjugate.
 
 A pair (L, l0) of an integral ideal L and an integral element l0 determines
 the partial zeta function
@@ -585,17 +586,15 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
 
 
 # ---------------------------------------------------------------------------
-# algebraic recognition and the class-invariance experiment
+# algebraic recognition and Stark's conjecture on Cl_{f oo2}
 # ---------------------------------------------------------------------------
 
 
-def recognize_quadratic(x, D: int, max_height: int = 1000, tol: float = 1e-6,
+def recognize_quadratic(x, D: int, max_height: int = 12, tol: float = 1e-6,
                         ctx: PrecisionCtx = DEFAULT_CTX):
     """Try to recognize a real number as a + b sqrt(D) with rational a, b of
-    bounded height.  Returns (a, b, residual) as Fractions or None.
-
-    Small heights are searched exhaustively; larger heights fall back to an
-    integer-relation (PSLQ) search on (x, 1, sqrt(D))."""
+    height at most max_height (capped at 12), by exhaustive search.  Returns
+    (a, b, residual), a and b as Fractions, or None."""
     with ctx.workprec():
         x = mp.mpf(x)
         sq = mp.sqrt(D)
@@ -619,15 +618,39 @@ def recognize_quadratic(x, D: int, max_height: int = 1000, tol: float = 1e-6,
                         best = cand
         if best is not None:
             return (best[2], best[3], best[1])
-        if max_height > H:
-            rel = mp.pslq([x, mp.mpf(1), sq], maxcoeff=max_height, maxsteps=10000)
-            if rel is not None and rel[0] != 0:
-                a = Fraction(-rel[1], rel[0])
-                b = Fraction(-rel[2], rel[0])
-                resid = abs(x - (mpf_from_fraction(a) + mpf_from_fraction(b) * sq))
-                if resid <= tol:
-                    return (a, b, float(resid))
         return None
+
+
+# Candidates recognize_integer examines before it gives up.
+_MAX_RECOGNITION_WINDOW = 100_000
+
+
+def recognize_integer(c, F: FieldCtx, bound: int, tol, ctx: PrecisionCtx = DEFAULT_CTX):
+    """The algebraic integer alpha = u + v omega of F with |alpha - c| <= tol
+    and |alpha'| <= bound (decided exactly), or None.  As alpha - alpha' =
+    v (omega - omega'), v lies within (tol + bound)/(omega - omega') of
+    c/(omega - omega').  Raises ConvergenceError when two alpha qualify, and
+    BoundExceeded past _MAX_RECOGNITION_WINDOW candidates."""
+    t = F.omega_trace
+    with ctx.workprec():
+        c, tol, sq = mp.mpf(c), mp.mpf(tol), mp.sqrt(F.D)
+        omega, gap = (t + sq) / (1 + t), 2 * sq / (1 + t)
+        vs = range(int(mp.ceil((c - tol - bound) / gap)),
+                   int(mp.floor((c + tol + bound) / gap)) + 1)
+        if len(vs) * (int(2 * tol) + 1) > _MAX_RECOGNITION_WINDOW:
+            raise BoundExceeded("more than %d candidates within %s of %s" % (
+                _MAX_RECOGNITION_WINDOW, mp.nstr(tol, 3), mp.nstr(c, 8)))
+        # alpha' = ((1 + t) u + t v - v sqrt(D)) / (1 + t)
+        hits = [F.from_coords(u, v) for v in vs
+                for u in range(int(mp.ceil(c - v * omega - tol)),
+                               int(mp.floor(c - v * omega + tol)) + 1)
+                if _sign_surd((1 + t) * (u - bound) + t * v, -v, F.D) <= 0
+                <= _sign_surd((1 + t) * (u + bound) + t * v, -v, F.D)]
+        if len(hits) > 1:
+            raise ConvergenceError("%d algebraic integers lie within %s of %s: the "
+                                   "error target does not separate them"
+                                   % (len(hits), mp.nstr(tol, 3), mp.nstr(c, 8)))
+        return hits[0] if hits else None
 
 
 def pair_for_class(f: QuadIdeal, a: QuadIdeal) -> StarkInput:
@@ -642,95 +665,90 @@ class ClassEntry:
     representative_hnf: tuple
     zeta_prime_0: mp.mpf
     s0: mp.mpf
-    invariance_residual: mp.mpf | None
+    invariance_residual: mp.mpf | None  # None where S0 was set as 1/S0(C)
 
 
 @dataclass(frozen=True)
 class CoefficientEntry:
     degree: int
     value: mp.mpf
-    recognized: tuple | None  # (a: Fraction, b: Fraction) or None
-    residual: float | None
+    recognized: tuple | None  # (a: Fraction, b: Fraction), a + b sqrt(D), or None
 
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    D: int
-    modulus_hnf: tuple
-    variant: str
-    classes: tuple  # of ClassEntry
+    classes: tuple  # of ClassEntry, one per class of Cl_{f oo2}
     coefficients: tuple  # of CoefficientEntry
-    constant_term_norm: mp.mpf | None
     recognition_failures: tuple
+    inversion_residual: mp.mpf
+    tolerance: mp.mpf
+    passed: bool
 
 
-def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX,
-                     variant: str = "narrow",
-                     recognition_height: int = 1000) -> ConjectureReport:
-    """Numerical experiment: compute S0 for one pair per ray class mod f,
-    verify class-invariance on a second pair in each class, form
-    P(X) = prod (X - S0(class)) and attempt to recognize its coefficients
-    as elements a + b sqrt(D) of bounded height, to within ctx's error
-    target relative to the coefficient's size."""
+def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> ConjectureReport:
+    """Stark's rank-one conjecture on G = Cl_{f oo2}, the narrow ray classes
+    mod f modulo R1, the class of delta1 = 1 - N(f) sqrt(D) (== 1 mod f,
+    delta1 < 0 < delta1').  S0 is constant on R1-cosets and S0(C R2) =
+    1/S0(C), R2 the class of delta2 = 1 + N(f) sqrt(D): each <R1, R2>-orbit
+    needs one Stark number, and one more in C R1 (in C if R1 is trivial)
+    gates the invariance; one in R2 gates the inversion.  A gating pair's
+    reduced lattice is not that of a pair it is compared with, nor for the
+    inversion a conjugate, on which it would pass by construction.  The
+    relative residuals |S0(C R1)/S0(C) - 1| and |S0(R2) S0(1) - 1| pass
+    within 100 times the error target.  Each coefficient c_k of
+    Q = prod_G (X - S0(C)) must be one algebraic integer alpha within the
+    error target of c_k (relative past 1) with |alpha'| <= binomial(|G|, k):
+    the Stark unit has absolute value 1 above oo2.  Pairs are pair_for_class
+    of members coprime to conj(f) (condition (i)), else BoundExceeded."""
     F = f.field
-    group = ray_classes(f, variant=variant)
-    entries = []
-    s0_values = []
+    group = ray_classes(f)
+    table, conj_f, n = group.table, f.conjugate(), f.norm()
+    R1, R2 = (group.class_index(QuadIdeal.principal(F, F.elem(1, y))) for y in (-n, n))
+
+    def pair_in(k: int, avoid=()) -> StarkInput:
+        for a in group.members[k]:
+            if a.coprime(conj_f) and (inp := pair_for_class(f, a)).reduced().L not in avoid:
+                return inp
+        raise BoundExceeded("ray class %d has no member for a pair off %d lattices"
+                            % (k, len(avoid)))
+
     with ctx.workprec():
-        for k, members in enumerate(group.members):
-            a = members[0]
-            res = stark_number(pair_for_class(f, a), ctx)
-            inv_resid = None
-            if len(members) > 1:
-                res2 = stark_number(pair_for_class(f, members[1]), ctx)
-                inv_resid = abs(res.s0 - res2.s0)
-            entries.append(
-                ClassEntry(
-                    index=k,
-                    representative_hnf=a.hnf(),
-                    zeta_prime_0=res.zeta_prime_0,
-                    s0=res.s0,
-                    invariance_residual=inv_resid,
-                )
-            )
-            s0_values.append(res.s0)
-        # expand P(X) = prod (X - s0)
-        coeffs = [mp.mpf(1)]
-        for v in s0_values:
-            new = [mp.mpf(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i] += c * (-v)
-                new[i + 1] += c
-            coeffs = new
-        coeff_entries = []
-        failures = []
-        for deg, c in enumerate(coeffs):
-            tol = ctx.target_abs_err * max(1, abs(c))
-            rec = recognize_quadratic(c, F.D, max_height=recognition_height,
-                                      tol=tol, ctx=ctx)
-            if rec is None:
-                failures.append(deg)
-                coeff_entries.append(
-                    CoefficientEntry(degree=deg, value=c, recognized=None,
-                                     residual=None)
-                )
-            else:
-                a_r, b_r, resid = rec
-                coeff_entries.append(
-                    CoefficientEntry(degree=deg, value=c,
-                                     recognized=(a_r, b_r), residual=resid)
-                )
-        const = coeff_entries[0]
-        const_norm = None
-        if const.recognized is not None:
-            a_r, b_r = const.recognized
-            const_norm = mp.mpf(float(a_r * a_r)) - F.D * mp.mpf(float(b_r * b_r))
+        tol = 100 * mp.mpf(ctx.target_abs_err)
+        s0, entries = {}, []  # s0: narrow class -> S0
+        for k in range(len(group)):
+            if k in s0:
+                continue
+            first = pair_in(k)
+            partner = pair_in(table[k][R1], avoid={first.reduced().L})
+            res = stark_number(first, ctx)
+            resid = abs(stark_number(partner, ctx).s0 / res.s0 - 1)
+            if k == 0:
+                gated = {M for inp in (first, partner)
+                         for M in (inp.reduced().L, inp.reduced().L.conjugate())}
+            for c, zp, value, r in ((k, res.zeta_prime_0, res.s0, resid),
+                                    (table[k][R2], -res.zeta_prime_0, 1 / res.s0, None)):
+                if c not in s0:  # else R2 lies in <R1>
+                    s0[c] = s0[table[c][R1]] = value
+                    i = min(c, table[c][R1])
+                    entries.append(ClassEntry(i, group.reps[i].hnf(), zp, value, r))
+        entries.sort(key=lambda e: e.index)
+        inversion = abs(stark_number(pair_in(R2, avoid=gated), ctx).s0 * s0[0] - 1)
+        coeffs = [mp.mpf(1)]  # of X^0, X^1, ...
+        for e in entries:
+            coeffs = [a - e.s0 * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        recognized = [recognize_integer(c, F, math.comb(len(entries), k),
+                                        ctx.target_abs_err * max(1, abs(c)), ctx)
+                      for k, c in enumerate(coeffs)]
+        worst = max([inversion] + [e.invariance_residual for e in entries
+                                   if e.invariance_residual is not None])
+    failures = tuple(k for k, alpha in enumerate(recognized) if alpha is None)
     return ConjectureReport(
-        D=F.D,
-        modulus_hnf=f.hnf(),
-        variant=variant,
         classes=tuple(entries),
-        coefficients=tuple(coeff_entries),
-        constant_term_norm=const_norm,
-        recognition_failures=tuple(failures),
+        coefficients=tuple(
+            CoefficientEntry(k, c, None if alpha is None else (alpha.x, alpha.y))
+            for k, (c, alpha) in enumerate(zip(coeffs, recognized))),
+        recognition_failures=failures,
+        inversion_residual=inversion,
+        tolerance=tol,
+        passed=not failures and worst <= tol,
     )

@@ -172,12 +172,12 @@ def test_criterion_5_zeta_routes():
 def test_criterion_6_class_invariance_and_recognition():
     F = FieldCtx(5)
     f = QuadIdeal.from_generators(F, [11, F.omega + 3])
-    rep = conjecture_check(f, CTX, variant="narrow", recognition_height=12)
+    rep = conjecture_check(f, CTX)
     worst_inv = mp.mpf(0)
     for c in rep.classes:
         if c.invariance_residual is not None:
             worst_inv = max(worst_inv, mp.mpf(c.invariance_residual))
-    ok_inv = worst_inv < mp.mpf("1e-8") and len(rep.classes) >= 2
+    ok_inv = worst_inv < mp.mpf("1e-8") and len(rep.classes) >= 2 and rep.passed
 
     rng = random.Random(61)
     hits = 0

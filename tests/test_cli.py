@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import pathlib
@@ -275,10 +276,13 @@ def test_exit_4_on_malformed_literals():
     ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--err", "inf"),
     ("theta", "check-fe", "--D", "5", "--v", "0.5+1i", "--ideal", P11,
      "--prec", "64", "--err", "inf"),
+    ("theta", "check-fe", "--D", "5", "--v", "0.5+1i", "--ideal", P11,
+     "--prec", "64", "--err", "1e300"),
+    ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--err", "1"),
 ])
 def test_exit_4_on_non_finite_numbers(args):
-    # an overflowing or NaN s, or an infinite error target that would turn
-    # every gate off, is invalid input rather than a traceback or a pass
+    # an overflowing or NaN s, or an error target of 1 or more that would
+    # turn every gate off, is invalid input rather than a traceback or a pass
     r = run(*args)
     assert r.exit_code == 4, (r.output, r.stderr)
     assert r.stdout == ""
@@ -307,6 +311,74 @@ def test_exit_2_on_route_disagreement(monkeypatch):
     r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]')
     assert r.exit_code == 2
     assert r.stderr.startswith("residual violation: zeta'(0) routes differ")
+
+
+@pytest.fixture(scope="module")
+def p11_stark_numbers():
+    """The Stark numbers `stark conjecture` computes on P11 at its default
+    128 bits, in call order: class 0, its invariance partner, and the
+    direct S0(R2) of the inversion gate."""
+    import starklab.stark as stark_mod
+
+    computed = []
+    stark_number = stark_mod.stark_number
+
+    def keep(inp, ctx):
+        computed.append(stark_number(inp, ctx))
+        return computed[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stark_mod, "stark_number", keep)
+        r = run("stark", "conjecture", "--modulus", P11)
+    assert r.exit_code == 0, r.stderr
+    assert json.loads(r.stdout)["pass"] is True
+    assert len(computed) == 3
+    return computed
+
+
+def _conjecture_replaying(monkeypatch, results):
+    """stark conjecture on P11 with its Stark numbers replaced, in call
+    order, by the given results."""
+    import starklab.stark as stark_mod
+
+    replay = iter(results)
+    monkeypatch.setattr(stark_mod, "stark_number", lambda inp, ctx: next(replay))
+    return run("stark", "conjecture", "--modulus", P11)
+
+
+@pytest.mark.parametrize("perturbed", [0, 1, 2])
+def test_exit_2_on_a_perturbed_stark_number(monkeypatch, p11_stark_numbers, perturbed):
+    # each directly computed S0 is gated: 1e-20 on any one of them fails the
+    # invariance or the inversion gate at 128 bits
+    results = list(p11_stark_numbers)
+    res = results[perturbed]
+    results[perturbed] = dataclasses.replace(
+        res, s0=mp.fadd(res.s0, mp.mpf("1e-20"), exact=True))
+    r = _conjecture_replaying(monkeypatch, results)
+    assert r.exit_code == 2
+    assert r.stderr.startswith("residual violation: conjecture exceeds its tolerance")
+    assert json.loads(r.stdout)["pass"] is False
+
+
+def test_exit_2_when_the_inversion_fails(monkeypatch, p11_stark_numbers):
+    # the direct S0(C R2) forced to equal S0(C) instead of 1/S0(C)
+    first, partner, _ = p11_stark_numbers
+    r = _conjecture_replaying(monkeypatch, [first, partner, first])
+    assert r.exit_code == 2
+    rep = json.loads(r.stdout)
+    assert rep["pass"] is False
+    assert float(rep["inversion_residual"]) > 1
+
+
+def test_stark_conjecture_skips_members_that_fail_condition_i():
+    # (7, 4, 1) = conj(p7) is an enumerated member of class 1, and its pair
+    # fails condition (i); the classes take their pairs from other members
+    r = run("stark", "conjecture", "--modulus", '{"D": 2, "ideal": [7, 3, 1]}',
+            "--prec", "64", "--err", "1e-12")
+    assert r.exit_code == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["pass"] is True
+    assert rep["polynomial_coefficients"][1]["recognized"] == ["-1", "-1"]
 
 
 def test_exit_3_on_convergence_failure(monkeypatch):

@@ -120,9 +120,9 @@ def test_precision_refinement_self_consistency():
         assert abs(va - vb) < 1e-20
 
 
-@pytest.mark.parametrize("err", [0.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("err", [0.0, float("inf"), float("nan"), 1.0, 1e300])
 def test_precision_ctx_requires_a_positive_finite_target(err):
-    # an infinite target would pass every gate that scales with it
+    # a target of 1 or more would pass every gate that scales with it
     with pytest.raises(ValueError, match="positive and finite"):
         PrecisionCtx(128, err)
 

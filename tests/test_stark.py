@@ -24,6 +24,7 @@ from starklab.stark import (
     partial_zeta_direct,
     ray_classes,
     ray_equivalent,
+    recognize_integer,
     recognize_quadratic,
     stark_number,
     validate_pair,
@@ -500,3 +501,44 @@ def test_conjecture_check_rejects_random_coefficients(monkeypatch):
                             lambda inp, ctx: StarkResult(x, x, mp.mpf(0), mp.mpf(0)))
         rep = conjecture_check(QuadIdeal(F, 1, 0, 1), CTX)
         assert rep.recognition_failures == (0,)
+
+
+def test_recognize_integer_by_the_conjugate_bound():
+    F = FieldCtx(5)
+    with CTX.workprec():
+        x = 1 + mp.sqrt(5)
+        assert recognize_integer(x, F, 2, mp.mpf("1e-25"), CTX) == F.from_coords(0, 2)
+        # its conjugate 1 - sqrt(5) exceeds the bound 1
+        assert recognize_integer(x, F, 1, mp.mpf("1e-25"), CTX) is None
+        # 0 and 1 both lie within 0.6 of 1/2 with conjugates of size <= 1
+        with pytest.raises(ArithmeticError, match="2 algebraic integers"):
+            recognize_integer(mp.mpf("0.5"), F, 1, mp.mpf("0.6"), CTX)
+        with pytest.raises(BoundExceeded):
+            recognize_integer(mp.mpf(0), F, 10 ** 6, mp.mpf("1e-25"), CTX)
+
+
+def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
+    # 16 narrow classes, R1 and R2 distinct and nontrivial: |G| = 8 and four
+    # <R1, R2>-orbits, each with one Stark number and one invariance
+    # partner, plus the direct S0(R2) of the inversion gate
+    calls = []
+    stark_number = stark_mod.stark_number
+
+    def counting(inp, ctx):
+        calls.append(inp)
+        return stark_number(inp, ctx)
+
+    monkeypatch.setattr(stark_mod, "stark_number", counting)
+    F = FieldCtx(3)
+    rep = conjecture_check(QuadIdeal.principal(F, F.elem(5)), PrecisionCtx(64, 1e-12))
+    assert len(calls) == 9
+    assert rep.passed and rep.recognition_failures == ()
+    # Q = X^8 - (8+5r3)X^7 + (53+30r3)X^6 - (156+90r3)X^5 + (225+130r3)X^4 - ... + 1
+    half = [(1, 0), (-8, -5), (53, 30), (-156, -90)]
+    assert [ce.recognized for ce in rep.coefficients] == half + [(225, 130)] + half[::-1]
+    residuals = [c.invariance_residual for c in rep.classes
+                 if c.invariance_residual is not None]
+    assert len(rep.classes) == 8 and len(residuals) == 4
+    assert all(r > 0 for r in residuals)
+    # the direct S0(R2) is not the conjugate of a partner's computation
+    assert rep.inversion_residual > 0 and rep.inversion_residual not in residuals
