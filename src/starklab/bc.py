@@ -135,74 +135,47 @@ def check_relations(rep: TruncatedRep, sample, ctx: PrecisionCtx = DEFAULT_CTX):
     (3) mu_m mu_n = mu_n mu_m for coprime m, n (checked with adjoints
     interleaved: mu_m mu_n* = mu_n* mu_m for gcd(m,n)=1);
     (4) e(a)e(b) = e(a+b); (5) e(gamma) mu_n = mu_n e(n gamma);
-    (6) mu_n e(gamma) mu_n* = (1/n) sum_{n delta = gamma} e(delta)."""
+    (6) mu_n e(gamma) mu_n* = (1/n) sum_{n delta = gamma} e(delta).
+
+    Each instance is (reach, lhs, rhs), each side a list of (coefficient,
+    word); it is skipped for a sample index k <= N with k * reach > N,
+    where its words may leave the truncation."""
     gammas = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5),
               Fraction(3, 7)]
     pairs = [(2, 3), (3, 4), (2, 5)]
     report = {}
     with ctx.workprec():
-        def dev(word_a, word_b, k, scale_b=1):
-            va = apply_word(word_a, k, rep, ctx)
-            vb = apply_word(word_b, k, rep, ctx)
-            if scale_b != 1:
-                vb = {i: scale_b * a for i, a in vb.items()}
-            return _vec_norm(_vec_sub(va, vb))
+        families = {
+            "mu_star_mu_identity": [(n, [(1, [mu_star(n), mu(n)])], [(1, [])])
+                                    for n in (2, 3, 5, 6)],
+            "mu_multiplicative": [(m * n, [(1, [mu(m * n)])], [(1, [mu(m), mu(n)])])
+                                  for m, n in pairs],
+            "coprime_commutation": [(m, [(1, [mu(m), mu_star(n)])],
+                                     [(1, [mu_star(n), mu(m)])])
+                                    for m, n in pairs if math.gcd(m, n) == 1],
+            "e_group_law": [(1, [(1, [e(a), e(b)])], [(1, [e(a + b)])])
+                            for a in gammas for b in gammas],
+            "e_mu_twist": [(n, [(1, [e(g), mu(n)])], [(1, [mu(n), e(n * g)])])
+                           for n in (2, 3) for g in gammas],
+            "averaging": [(n, [(1, [mu(n), e(g), mu_star(n)])],
+                           [(mp.mpf(1) / n, [e((g + j) / n)]) for j in range(n)])
+                          for n in (2, 3) for g in gammas],
+        }
 
-        worst = mp.mpf(0)
-        for k in sample:
-            for n in (2, 3, 5, 6):
-                worst = max(worst, dev([mu_star(n), mu(n)], [], k))
-        report["mu_star_mu_identity"] = worst
+        def side(terms, k):
+            total: dict = {}
+            for c, word in terms:
+                total = _vec_add_scaled(total, apply_word(word, k, rep, ctx), c)
+            return total
 
-        worst = mp.mpf(0)
-        for k in sample:
-            for m, n in pairs:
-                if k * m * n <= rep.N:
-                    worst = max(worst, dev([mu(m * n)], [mu(m), mu(n)], k))
-        report["mu_multiplicative"] = worst
-
-        worst = mp.mpf(0)
-        for k in sample:
-            for m, n in pairs:
-                if math.gcd(m, n) == 1 and k * m <= rep.N:
-                    worst = max(
-                        worst, dev([mu(m), mu_star(n)], [mu_star(n), mu(m)], k)
-                    )
-        report["coprime_commutation"] = worst
-
-        worst = mp.mpf(0)
-        for k in sample:
-            for a in gammas:
-                for b in gammas:
-                    worst = max(worst, dev([e(a), e(b)], [e(a + b)], k))
-        report["e_group_law"] = worst
-
-        worst = mp.mpf(0)
-        for k in sample:
-            for n in (2, 3):
-                for g in gammas:
-                    if k * n <= rep.N:
-                        worst = max(
-                            worst, dev([e(g), mu(n)], [mu(n), e(n * g)], k)
-                        )
-        report["e_mu_twist"] = worst
-
-        worst = mp.mpf(0)
-        for k in sample:
-            for n in (2, 3):
-                for g in gammas:
-                    if k * n <= rep.N:
-                        lhs = apply_word([mu(n), e(g), mu_star(n)], k, rep, ctx)
-                        rhs: dict = {}
-                        for j in range(n):
-                            delta = Fraction(g.numerator + j * g.denominator,
-                                             n * g.denominator)
-                            rhs = _vec_add_scaled(
-                                rhs, apply_word([e(delta)], k, rep, ctx),
-                                mp.mpf(1) / n,
-                            )
-                        worst = max(worst, _vec_norm(_vec_sub(lhs, rhs)))
-        report["averaging"] = worst
+        for name, instances in families.items():
+            worst = mp.mpf(0)
+            for k in sample:
+                for reach, lhs, rhs in instances:
+                    if k <= rep.N < k * reach:
+                        continue
+                    worst = max(worst, _vec_norm(_vec_sub(side(lhs, k), side(rhs, k))))
+            report[name] = worst
     return report
 
 

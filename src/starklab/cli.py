@@ -542,12 +542,11 @@ def lattice_dual(ctx, lat_text):
 @report_command(
     "cyclotomic table",
     click.option("--max-n", "max_n", type=int, default=20),
-    click.option("--tol", type=str, default="1e-20",
-                 help="pass threshold for |lhs - rhs|"),
 )
-def cyclotomic_table(ctx, max_n, tol):
+def cyclotomic_table(ctx, max_n):
     """Table of exp(-2 zeta'_(m,n)(0)) against 4 sin^2(m pi/n)."""
-    tolv = mp.mpf(tol)
+    with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err) * 100
     data = []
     worst = mp.mpf(0)
     for n in range(2, max_n + 1):
@@ -566,8 +565,8 @@ def cyclotomic_table(ctx, max_n, tol):
         "max_n": max_n,
         "rows": data,
         "max_abs_err": "%.6e" % float(worst),
-        "tolerance": tol,
-        "pass": bool(worst <= tolv),
+        "tolerance": _numstr(tol, ctx),
+        "pass": bool(worst <= tol),
     }
     return report, ["m", "n", "lhs", "rhs", "abs_err"], [
         [r["m"], r["n"], r["lhs"], r["rhs"], r["abs_err"]] for r in data]

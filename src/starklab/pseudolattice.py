@@ -418,10 +418,10 @@ def fold_by_norm(D: int, den: int, rows, m: QuadElem):
     return modulus, folds
 
 
-def _characters(modulus: int, sign: int):
-    """r -> e^{sign 2 pi i r / modulus} at the caller's precision, computed
-    once per exponent for the life of the returned function."""
-    return functools.cache(lambda r: mp.expjpi(sign * 2 * (mp.mpf(r) / modulus)))
+def _characters(modulus: int):
+    """r -> e^{-2 pi i r / modulus} at the caller's precision, computed once
+    per exponent for the life of the returned function."""
+    return functools.cache(lambda r: mp.expjpi(2 * (mp.mpf(-r % modulus) / modulus)))
 
 
 def coset_slice_reps(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):

@@ -638,10 +638,8 @@ def _float_embed_conj(e: QuadElem) -> float:
 
 @dataclass(frozen=True)
 class UnitData:
-    """Units of O_K relative to a modulus f.
+    """Units of O_K relative to a modulus f, eps0 the fundamental unit > 1.
 
-    eps0: fundamental unit > 1.
-    eps_plus: least totally positive unit > 1 (eps0 or eps0^2).
     eps_f: generator g of {units == 1 mod f} with |g| minimal > 1 (the
         returned element may be negative; |eps_f| > 1).
     eps_f_plus: least totally positive unit > 1 that is == 1 mod f.
@@ -655,8 +653,6 @@ class UnitData:
     minus_one_in_ef: True iff -1 == 1 mod f.
     """
 
-    eps0: QuadElem
-    eps_plus: QuadElem
     eps_f: QuadElem
     eps_f_plus: QuadElem
     order: int
@@ -682,7 +678,6 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
 
     Raises BoundExceeded when no eps0^k with k <= 200 is == +-1 mod f."""
     eps0 = fundamental_unit(F.D)
-    eps_plus = eps0 if eps0.is_totally_positive() else eps0 * eps0
     one, minus = f._residue((1, 0)), f._residue((-1, 0))
     minus_one = one == minus  # -1 == 1 mod f
     step = tuple(map(int, F.coords(eps0)))
@@ -713,8 +708,6 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
     if minus_one:
         signs |= {(-1, -1), (-s, -s_conj)}
     return UnitData(
-        eps0=eps0,
-        eps_plus=eps_plus,
         eps_f=g,
         eps_f_plus=g_plus,
         order=k_found,

@@ -15,9 +15,10 @@ provided: a direct smoothly-truncated sum (valid for Re s > 1) and an
 incomplete-gamma split of the associated theta integral which continues the
 function to the whole plane.  The Stark number is S0 = exp(zeta'(0)).
 
-The split route enumerates the primal coset and the dual lattice once per
-(reduced input, cutoff, working precision) into a ContinuationData: norms
-with signed multiplicities and character-sum coefficients, and the
+The split route reads the theta layer once per (reduced input, cutoff,
+working precision) into a ContinuationData: theta.norm_coefficients of the
+two sides of the theta functional equation at its fixed point v = i, the
+spec (L, l0, m0 = 0, eta = 1, U = eps_f_plus) and its dual_spec, and the
 covolume.  Its two consumers are partial_zeta_continued (incomplete gamma
 at any s) and the regularized zeta'(0) (E1 and exponentials at s = 0), so
 stark_number's cross-check of the two shares one enumeration.
@@ -58,15 +59,13 @@ from .quadfield import (
 )
 from .pseudolattice import (
     Pseudolattice,
-    _characters,
     _sign_surd,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
     delta,
-    dual,
-    fold_by_norm,
     ideal_to_pseudolattice,
 )
+from .theta import RMThetaSpec, norm_coefficients
 
 
 class ConditionFailed(ValueError):
@@ -227,11 +226,10 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
 class ContinuationData:
     """Lattice data of the split evaluation at one cutoff and precision.
 
-    primal: (x, m) in ascending |N|, x = 2 pi |N| and m the signed
-    multiplicity sum sgn(xi') over the primal coset representatives of that
-    norm; dual: (x, c) in ascending |N|, c = sum sgn(xi) e^{2 pi i tr(xi l0')}
-    over the dual lattice representatives of that norm; delta: the
-    covolume.  Zero multiplicities and zero coefficients are dropped."""
+    primal: (x, m) in ascending |N|, x = 2 pi |N| and m (an exact mpc) the
+    sum of sgn(xi') over the primal coset representatives of that norm;
+    dual: (x, c), c = sum sgn(xi) e^{2 pi i tr(xi l0')} over the dual lattice
+    representatives of that norm; delta: the covolume.  Zeros are dropped."""
 
     primal: tuple
     dual: tuple
@@ -239,33 +237,20 @@ class ContinuationData:
 
     @classmethod
     def build(cls, inp: StarkInput, ctx: PrecisionCtx, max_norm: Fraction):
-        """Enumerate both lattices inside the totally-positive unit slice up
-        to max_norm and fold their integer rows by exact norm (fold_by_norm,
-        the dual side under the character of l0), at ctx's working
-        precision."""
+        """norm_coefficients up to max_norm of both sides of the theta
+        functional equation at v = i, at ctx's working precision."""
         with ctx.workprec():
-            W = inp.unit.eps_f_plus ** 2
             lat = inp.lattice
-            F = lat.field
+            spec = RMThetaSpec(L=lat, l0=inp.l0, m0=lat.field.elem(0), eta=1,
+                               epsU=inp.unit.eps_f_plus, v=1j)
             two_pi = 2 * mp.pi
-            den, rows = coset_slice_rows(lat, inp.l0, W, max_norm)
-            # under m = 0 every row has the exponent r = 0
-            _, folds = fold_by_norm(F.D, den, rows, F.elem(0))
-            dd = den * den
-            primal = tuple((two_pi * (mp.mpf(n) / dd), sums[0][0])
-                           for n, sums in folds if sums[0][0] != 0)
 
-            den, rows = coset_slice_rows(dual(lat), F.elem(0), W, max_norm)
-            modulus, folds = fold_by_norm(F.D, den, rows, inp.l0)
-            character = _characters(modulus, 1)
-            dual_pairs = []
-            dd = den * den
-            for n, sums in folds:
-                # the products count * character are exact and fdot rounds once
-                coeff = mp.fdot((c, character(r)) for r, (_, c) in sums.items() if c)
-                if coeff != 0:
-                    dual_pairs.append((two_pi * (mp.mpf(n) / dd), coeff))
-            return cls(primal=primal, dual=tuple(dual_pairs), delta=delta(lat, ctx))
+            def pairs(side):
+                dd, coeffs = norm_coefficients(side, max_norm, ctx)
+                return tuple((two_pi * (mp.mpf(n) / dd), c) for n, c in coeffs)
+
+            return cls(primal=pairs(spec), dual=pairs(spec.dual_spec()),
+                       delta=delta(lat, ctx))
 
     def split_sum(self, primal_term, dual_term):
         """sum_primal primal_term(m, x) + (1/(i delta)) sum_dual

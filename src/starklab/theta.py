@@ -8,9 +8,10 @@ average and the Fourier transform, use the trapezoid rule.
 Both sums make their transcendental calls per row or per norm, not per
 point: the complex theta walks the rows of a Lagrange-Gauss reduced basis
 by recurrence (as Deconinck et al., Math. Comp. 73, 2004, reduce first),
-and the real-multiplication theta reads the by-norm fold of the integer
-rows of coset_slice_rows (fold_by_norm).  mp.fsum adds mantissas exactly,
-so neither sorts its terms."""
+and the real-multiplication theta reads norm_coefficients, one exact
+coefficient per norm of fold_by_norm, as does the zeta continuation in
+stark (a spec at v = i and its dual_spec).  mp.fsum adds mantissas
+exactly, so neither sorts its terms."""
 
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .pseudolattice import (
 from .quadfield import QuadElem
 
 
-# Lattice points either theta sum may take before it gives up.
+# Lattice points norm_coefficients or theta_complex may take before giving up.
 _MAX_TERMS = 50_000_000
 
 
@@ -243,28 +244,54 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
         return ThetaValue(+total, +tail(R))
 
 
+def norm_coefficients(spec: RMThetaSpec, max_norm, ctx: PrecisionCtx = DEFAULT_CTX):
+    """The unit-averaged theta of spec folded by norm: (den^2, [(n, c_n)]) in
+    ascending n over the U-orbit representatives xi of (l0 + L) \\ {0} with
+    |N(xi)| = n/den^2 <= max_norm, where
+
+        c_n = sum (eta0 sgn(xi') + eta1 sgn(xi)) e^{-2 pi i tr(xi m0')}.
+
+    fold_by_norm gives integer sign sums per exponent r of tr(xi m0') mod 1,
+    so each exponent takes one character and each nonzero part of eta one
+    exact dot product, rounded once.  Zero coefficients are dropped."""
+    spec.validate()
+    with ctx.workprec():
+        eta = mp.mpc(spec.eta)
+        if eta == 0:
+            return 1, []
+        den, rows = coset_slice_rows(spec.L, spec.l0, spec.epsU * spec.epsU, max_norm)
+        if len(rows) > _MAX_TERMS:
+            raise ConvergenceError("term cap exceeded")
+        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0)
+        character = _characters(modulus)
+        parts = [(k, e) for k, e in enumerate((eta.real, eta.imag)) if e != 0]
+        coeffs = []
+        for n, sums in folds:
+            c = sum(e * mp.fdot((s[k], character(r)) for r, s in sums.items() if s[k])
+                    for k, e in parts)
+            if c != 0:
+                coeffs.append((n, c))
+        return den * den, coeffs
+
+
 def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
     """Unit-averaged theta: sum over representatives xi of U-orbits of
     (l0 + L) \\ {0} of (eta0 sgn(xi') + eta1 sgn(xi)) e^{2 pi i v |N(xi)|}
     e^{-2 pi i tr(l m0')} e^{-pi i tr(l0 m0')}, l = xi - l0, with exact signs
     and exact rational character exponents.
 
-    fold_by_norm folds the integer rows of coset_slice_rows by norm into
-    integer sign sums per exponent of tr(xi m0') mod 1, so each distinct
-    norm takes one expjpi and each distinct exponent one character;
-    tr(l0 m0') goes into the constant factor."""
-    spec.validate()
+    norm_coefficients up to the tail's cutoff gives one coefficient per
+    norm, so each distinct norm takes one expjpi; tr(l0 m0') goes into the
+    constant factor."""
     with ctx.workprec():
         v = mp.mpc(spec.v)
         eta = mp.mpc(spec.eta)
-        if eta == 0:
-            return ThetaValue(mp.mpc(0), mp.mpf(0))
-        eta0, eta1 = eta.real, eta.imag
         sigma = v.imag
-        W = spec.epsU * spec.epsU
+        if not sigma > 0:  # the cutoff below divides by it
+            raise ValueError("v must lie in the upper half plane")
         covol = float(delta(spec.L, ctx))
         logw = math.log(float(spec.epsU.embed("id", ctx)))
-        coefmax = float(abs(eta0) + abs(eta1))
+        coefmax = float(abs(eta.real) + abs(eta.imag))
 
         def tail(X):
             # rep density 4 log(w) / Delta per unit of |N|
@@ -280,20 +307,8 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
             X += 1
             if X > 1e7:
                 raise ConvergenceError("Im(v) too small to reach the target")
-        X_fr = Fraction(math.ceil(float(X) * 1024), 1024)
-        den, rows = coset_slice_rows(spec.L, spec.l0, W, X_fr)
-        if len(rows) > _MAX_TERMS:
-            raise ConvergenceError("term cap exceeded")
-
-        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0)
-        character = _characters(modulus, -1)
-        terms = []
-        dd = den * den
-        for n, sums in folds:
-            weights = ((eta0 * s0 + eta1 * s1, r) for r, (s0, s1) in sums.items())
-            coeff = mp.fsum(w * character(r) for w, r in weights if w != 0)
-            if coeff != 0:
-                terms.append(coeff * mp.expjpi(2 * v * (mp.mpf(n) / dd)))
+        dd, coeffs = norm_coefficients(spec, Fraction(math.ceil(float(X) * 1024), 1024), ctx)
+        terms = [c * mp.expjpi(2 * v * (mp.mpf(n) / dd)) for n, c in coeffs]
         # e^{-2 pi i tr((xi - l0) m0')} e^{-pi i tr(l0 m0')}
         #   = e^{-2 pi i tr(xi m0')} e^{pi i tr(l0 m0')}
         const = mp.expjpi(
@@ -416,7 +431,6 @@ def functional_equation_Theta(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX
     """Residual of the unit-averaged functional equation
     Theta_{L}[l0; m0](v) = (1/(Delta(L) v)) Theta_{L^?}[m0; -l0](-1/v)
     with eta -> i*conj(eta) on the right."""
-    spec.validate()
     with ctx.workprec():
         v = mp.mpc(spec.v)
         lhs = theta_rm(spec, ctx).value

@@ -85,6 +85,19 @@ def test_relations_within_8_ulp():
         assert worst <= 8 * ULP128, (name, worst)
 
 
+def test_relations_skip_words_that_leave_a_small_truncation():
+    # 12 * 2 > 20: every family skips the instances whose words would leave
+    # the truncation, and still reports on the rest
+    report = check_relations(TruncatedRep(N=20), [1, 2, 3, 5, 7, 12], CTX)
+    assert len(report) == 6
+    for name, worst in report.items():
+        assert worst <= 8 * ULP128, (name, worst)
+    # a sample index outside [1, N] is an error, not a skip
+    for k in (0, 21):
+        with pytest.raises(TruncationOverflow):
+            check_relations(TruncatedRep(N=20), [k], CTX)
+
+
 # ---------------------------------------------------------------------------
 # KMS values
 # ---------------------------------------------------------------------------

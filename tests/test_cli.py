@@ -290,10 +290,9 @@ def test_exit_4_on_non_finite_numbers(args):
 
 
 def test_exit_2_on_residual_violation():
-    # an unreachable tolerance turns the identity check into a reported
-    # residual violation
-    r = run("cyclotomic", "table", "--max-n", "6", "--tol", "1e-60",
-            "--prec", "128", "--err", "1e-30")
+    # at 128 bits the table cannot meet the tolerance 100 * 1e-60 derived
+    # from --err, so the identity check reports a residual violation
+    r = run("cyclotomic", "table", "--max-n", "6", "--prec", "128", "--err", "1e-60")
     assert r.exit_code == 2
     assert r.stderr.startswith("residual violation:")
     assert json.loads(r.stdout)["pass"] is False  # the report is still written

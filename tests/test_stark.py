@@ -324,6 +324,36 @@ def test_route_disagreement_fires_on_a_skewed_continuation(monkeypatch):
         stark_number(suite_pairs()[2], CTX)
 
 
+def test_conjugated_dual_character_fails_the_fe_and_the_direct_sum(monkeypatch):
+    # the continuation's dual side is RMThetaSpec.dual_spec, so a character
+    # conjugated there (m0 = +l0 instead of -l0) breaks both the theta
+    # functional equation and the agreement of the continued zeta with the
+    # direct sum
+    from starklab.pseudolattice import Pseudolattice
+    from starklab.quadfield import unit_mod_f
+    from starklab.theta import RMThetaSpec, functional_equation_Theta
+
+    dual_spec = RMThetaSpec.dual_spec
+
+    def conjugated(spec):
+        other = dual_spec(spec)
+        other.m0 = spec.l0
+        return other
+
+    monkeypatch.setattr(RMThetaSpec, "dual_spec", conjugated)
+    # the nondegenerate spec of the benchmark's checks: D = 5, l0 = 1/11,
+    # U generated by the least totally positive unit == 1 mod p11
+    F = FieldCtx(5)
+    p11 = QuadIdeal.from_generators(F, [11, F.omega + 3])
+    spec = RMThetaSpec(L=Pseudolattice(F, F.elem(1), F.omega), l0=F.elem(1) / F.elem(11),
+                       m0=F.elem(0), eta=1, epsU=unit_mod_f(F, p11).eps_f_plus,
+                       v=mp.mpc("0.5", "1"))
+    assert functional_equation_Theta(spec, CTX) > 1e-10
+    inp = validate_pair(p11, F.elem(1))
+    direct = partial_zeta_direct(inp, 2, CTX)
+    assert abs(partial_zeta_continued(inp, 2, CTX) - direct) > 1e-6 * abs(direct)
+
+
 def test_stark_number_class_invariance_small():
     # two ideals in the same narrow ray class mod p11 share S0
     F = FieldCtx(5)

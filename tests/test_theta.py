@@ -193,17 +193,25 @@ def test_spec_validation_rejects_bad_data():
     L = maximal_lattice(5)
     F = L.field
     good = standard_spec(5, 1j)
-    with pytest.raises(ValueError):
+    bad = [
         RMThetaSpec(L=L, l0=F.elem(1), m0=F.elem(0), eta=1,
-                    epsU=good.epsU, v=mp.mpc(0, -1)).validate()
-    with pytest.raises(ValueError):
+                    epsU=good.epsU, v=mp.mpc(0, -1)),
+        RMThetaSpec(L=L, l0=F.elem(1), m0=F.elem(0), eta=1,
+                    epsU=good.epsU, v=mp.mpc(1, 0)),
         # norm -1 unit
         RMThetaSpec(L=L, l0=F.elem(1), m0=F.elem(0), eta=1,
-                    epsU=fundamental_unit(5), v=mp.mpc(0, 1)).validate()
-    with pytest.raises(ValueError):
+                    epsU=fundamental_unit(5), v=mp.mpc(0, 1)),
         # coset not stabilized: l0 with denominator 3, eps - 1 not in 3*L
         RMThetaSpec(L=L, l0=QuadElem(5, Fraction(1, 3)),
-                    m0=F.elem(0), eta=1, epsU=good.epsU, v=mp.mpc(0, 1)).validate()
+                    m0=F.elem(0), eta=1, epsU=good.epsU, v=mp.mpc(0, 1)),
+    ]
+    for spec in bad:
+        with pytest.raises(ValueError):
+            spec.validate()
+        # theta_rm rejects it too (its cutoff needs Im v > 0, and
+        # norm_coefficients validates)
+        with pytest.raises(ValueError):
+            theta_rm(spec, CTX)
 
 
 # ---------------------------------------------------------------------------
