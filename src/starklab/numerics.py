@@ -220,18 +220,22 @@ def upper_gamma(a, x, ctx: PrecisionCtx = DEFAULT_CTX):
         if x >= 1.5 and x >= re_a + 1:
             return +_upper_gamma_cf(a, x)
         is_nonpos_int = a == mp.floor(mp.re(a)) and mp.im(mp.mpc(a)) == 0 and a <= 0
-        if is_nonpos_int:
-            base_a = mp.mpf(0)
-            g = _e1_series(x)
-        else:
-            steps = int(mp.ceil(0.25 - re_a))
-            steps = max(steps, 0)
-            base_a = a + steps
-            g = mp.gamma(base_a) - _lower_series(base_a, x)
-        b = base_a
-        while abs(b - a) > 0.5:
-            b -= 1
-            g = (g - _power_exp(b, x)) / b
+        steps = 0 if is_nonpos_int else max(int(mp.ceil(0.25 - re_a)), 0)
+        # each step of the recurrence divides a difference by b, which loses
+        # log2(1/|b|) bits when b is small (a = ih at a complex step): they
+        # are carried as extra precision
+        nearest = min((abs(a + k) for k in range(steps)), default=1)
+        with mp.extraprec(max(0, -mp.mag(nearest))):
+            if is_nonpos_int:
+                base_a = mp.mpf(0)
+                g = _e1_series(x)
+            else:
+                base_a = a + steps
+                g = mp.gamma(base_a) - _lower_series(base_a, x)
+            b = base_a
+            while abs(b - a) > 0.5:
+                b -= 1
+                g = (g - _power_exp(b, x)) / b
         return +g
 
 

@@ -15,13 +15,16 @@ provided: a direct smoothly-truncated sum (valid for Re s > 1) and an
 incomplete-gamma split of the associated theta integral which continues the
 function to the whole plane.  The Stark number is S0 = exp(zeta'(0)).
 
-The split route reads the theta layer once per (reduced input, cutoff,
-working precision) into a ContinuationData: theta.norm_coefficients of the
-two sides of the theta functional equation at its fixed point v = i, the
-spec (L, l0, m0 = 0, eta = 1, U = eps_f_plus) and its dual_spec, and the
-covolume.  Its two consumers are partial_zeta_continued (incomplete gamma
-at any s) and the regularized zeta'(0) (E1 and exponentials at s = 0), so
-stark_number's cross-check of the two shares one enumeration.
+The split route reads the theta layer once per (reduced input, split
+points, cutoffs, working precision) into a ContinuationData:
+theta.norm_coefficients of the two sides of the theta functional equation
+split at v = i t, the spec (L, l0, m0 = 0, eta = 1, U = eps_f_plus, v = i t)
+and its dual_spec at v = i/t, and the covolume.  The split point t is free;
+it is the power of two at which the two sides hold about as many norms, and
+each side has its own cutoff.  Its two consumers are partial_zeta_continued
+(incomplete gamma at any s) and the regularized zeta'(0) (E1 and
+exponentials at s = 0), so stark_number's cross-check of the two shares one
+enumeration, as does its second gate, the regularized zeta'(0) at t/2.
 
 The cross-check differentiates the continued zeta by a complex step,
 zeta'(0) ~ Im zeta(ih)/h, which needs two evaluations where a real stencil
@@ -34,6 +37,7 @@ through that real part, and Im zeta(ih)/h reads the bracket's real part.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -126,7 +130,7 @@ class StarkInput:
         zeta(L, l0, s) = zeta(L/d, l0/d, s) identically: norms scale by d^2
         = N((d)), which the N(b)^s prefactor absorbs, and the conjugate
         signs are unchanged.  Working with the reduced pair keeps the
-        primal/dual norm scales balanced in the continuation."""
+        continuation's lattices, and so its enumerations, small."""
         if self._reduced is not None:
             return self._reduced
         a, bh, ch = self.L.hnf()
@@ -222,84 +226,134 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
 # ---------------------------------------------------------------------------
 
 
+def _split_spec(inp: StarkInput, t: Fraction) -> RMThetaSpec:
+    """The primal side of the theta functional equation split at v = i t:
+    (L, l0, m0 = 0, eta = 1, U = eps_f_plus).  Its dual_spec is the dual
+    side at v = i/t."""
+    lat = inp.lattice
+    return RMThetaSpec(L=lat, l0=inp.l0, m0=lat.field.elem(0), eta=1,
+                       epsU=inp.unit.eps_f_plus, v=mp.mpc(0, mpf_from_fraction(t)))
+
+
+def _densities(inp: StarkInput) -> tuple[float, float]:
+    """Crude densities of slice representatives per unit of |N| on the two
+    sides of the split at v = i: 4 log W / Delta, W = eps_f_plus^2 the slice
+    ratio and Delta the side's covolume.  At v = i t they are rho / t and
+    rho' t per unit of |N| t and |N| / t, the arguments of the terms."""
+    spec = _split_spec(inp, Fraction(1))
+    four_log_w = 8.0 * math.log(float(spec.epsU.embed("id")))
+    root_d = math.sqrt(spec.L.field.D)
+    return tuple(four_log_w / (float(side.L.delta_exact()) * root_d)
+                 for side in (spec, spec.dual_spec()))
+
+
+def _max_norm(rho: float, scale: Fraction, tol: float, s_scale: float) -> Fraction:
+    """The cutoff in |N| of a side of density rho at v = i whose terms
+    decay like e^{-2 pi |N| scale}: the cutoff at v = i for the density
+    rho / scale per unit of |N| scale, divided by scale."""
+    rho = max(1.0, rho / float(scale))
+    x_min = max(10.0 + 3.0 * s_scale, -math.log(tol) + math.log(20.0 * rho) + 6.0)
+    return (Fraction(math.ceil(x_min / (2 * math.pi))) + 2) / scale
+
+
 @dataclass(frozen=True)
 class ContinuationData:
-    """Lattice data of the split evaluation at one cutoff and precision.
+    """Lattice data of the split evaluation at its split points and one
+    precision.
 
     primal: (x, m) in ascending |N|, x = 2 pi |N| and m (an exact mpc) the
     sum of sgn(xi') over the primal coset representatives of that norm;
     dual: (x, c), c = sum sgn(xi) e^{2 pi i tr(xi l0')} over the dual lattice
-    representatives of that norm; delta: the covolume.  Zeros are dropped."""
+    representatives of that norm; delta: the covolume.  Zeros are dropped.
+    splits: per split point, the first the main one, (t, 1/t, kp, kd): Im v
+    of the primal spec and of its dual_spec, and the number of primal and
+    dual rows within that split's cutoffs."""
 
     primal: tuple
     dual: tuple
     delta: mp.mpf
+    splits: tuple
 
     @classmethod
-    def build(cls, inp: StarkInput, ctx: PrecisionCtx, max_norm: Fraction):
-        """norm_coefficients up to max_norm of both sides of the theta
-        functional equation at v = i, at ctx's working precision."""
+    def build(cls, inp: StarkInput, ctx: PrecisionCtx, cutoffs):
+        """norm_coefficients of both sides of the theta functional equation,
+        at ctx's working precision.  cutoffs: (t, primal max_norm, dual
+        max_norm) per split point v = i t, the main one first; each side is
+        enumerated once, to the largest of its cutoffs."""
         with ctx.workprec():
-            lat = inp.lattice
-            spec = RMThetaSpec(L=lat, l0=inp.l0, m0=lat.field.elem(0), eta=1,
-                               epsU=inp.unit.eps_f_plus, v=1j)
+            specs = [_split_spec(inp, t) for t, _, _ in cutoffs]
+            duals = [spec.dual_spec() for spec in specs]
             two_pi = 2 * mp.pi
 
-            def pairs(side):
-                dd, coeffs = norm_coefficients(side, max_norm, ctx)
-                return tuple((two_pi * (mp.mpf(n) / dd), c) for n, c in coeffs)
+            def side(spec, max_norms):
+                dd, coeffs = norm_coefficients(spec, max(max_norms), ctx)
+                norms = [n for n, _ in coeffs]
+                rows = tuple((two_pi * (mp.mpf(n) / dd), c) for n, c in coeffs)
+                return rows, [bisect_right(norms, m * dd) for m in max_norms]
 
-            return cls(primal=pairs(spec), dual=pairs(spec.dual_spec()),
-                       delta=delta(lat, ctx))
+            primal, kp = side(specs[0], [p for _, p, _ in cutoffs])
+            dual, kd = side(duals[0], [d for _, _, d in cutoffs])
+            splits = tuple((mp.im(s.v), mp.im(d.v), p, q)
+                           for s, d, p, q in zip(specs, duals, kp, kd))
+            return cls(primal=primal, dual=dual, delta=delta(inp.lattice, ctx),
+                       splits=splits)
 
-    def split_sum(self, primal_term, dual_term):
-        """sum_primal primal_term(m, x) + (1/(i delta)) sum_dual
-        dual_term(c, x), each side accumulated in ascending |N|."""
+    def split_sum(self, primal_term, dual_term, split: int = 0):
+        """sum_primal primal_term(m, x, x t) + (1/(i delta)) sum_dual
+        dual_term(c, x, x/t) at split point v = i t, over the rows within
+        its cutoffs, each side accumulated in ascending |N|."""
+        t, t_dual, kp, kd = self.splits[split]
         part1 = mp.mpc(0)
-        for x, mult in self.primal:
-            part1 += primal_term(mult, x)
+        for x, mult in self.primal[:kp]:
+            part1 += primal_term(mult, x, x * t)
         part2 = mp.mpc(0)
-        for x, coeff in self.dual:
-            part2 += dual_term(coeff, x)
+        for x, coeff in self.dual[:kd]:
+            part2 += dual_term(coeff, x, x * t_dual)
         return part1 + part2 / (mp.mpc(0, 1) * self.delta)
+
+
+# The dual side's slice points share a norm about 9 times as often as the
+# primal side's (D=5 p11 at t = 1/8: 4.5 rows per primal norm, 38 per dual
+# norm), so the norm counts balance where rho / t = 9 rho' t.
+_NORM_SHARING = 9.0
+# stark_number's second split point, as a multiple of the first: it widens
+# only the primal side, whose points are the sparse ones
+_GATE_SPLIT = Fraction(1, 2)
 
 
 def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
                        s_scale: float = 1.0) -> ContinuationData:
-    """The ContinuationData of a reduced input whose cutoff meets ctx's
-    error target for |s| <= s_scale.  The input keeps the last one built,
-    and builds anew when (max_norm, work_bits) changes."""
-    with ctx.workprec():
-        tol = mp.mpf(ctx.target_abs_err)
-        U = inp.unit.eps_f_plus
-        W = U * U
-        lat = inp.lattice
-        delta_f = float(lat.delta_exact()) * math.sqrt(lat.field.D)
-        # crude density of slice representatives per unit of |N|
-        rho = max(1.0, 4.0 * math.log(float(W.embed("id", ctx))) / delta_f)
-        x_min = max(
-            10.0 + 3.0 * s_scale,
-            float(-mp.log(tol)) + math.log(20.0 * rho) + 6.0,
-        )
-    max_norm = Fraction(math.ceil(x_min / (2 * math.pi))) + 2
-    key = (max_norm, ctx.work_bits)
+    """The ContinuationData of a reduced input at its balanced split point t
+    and at t * _GATE_SPLIT, each side's cutoff meeting ctx's error target
+    for |s| <= s_scale.  t is the power of two at which the two sides hold
+    about as many norms: t^2 = _NORM_SHARING rho / rho' for the densities
+    of _densities.  The input keeps the last one built, and builds anew
+    when a split point, a cutoff or work_bits changes."""
+    rho, rho_dual = _densities(inp)
+    t = Fraction(2) ** round(math.log2(_NORM_SHARING * rho / rho_dual) / 2)
+    tol = ctx.target_abs_err
+    cutoffs = tuple((tau, _max_norm(rho, tau, tol, s_scale),
+                     _max_norm(rho_dual, 1 / tau, tol, s_scale))
+                    for tau in (t, t * _GATE_SPLIT))
+    key = (cutoffs, ctx.work_bits)
     if inp._continuation is None or inp._continuation[0] != key:
-        inp._continuation = key, ContinuationData.build(inp, ctx, max_norm)
+        inp._continuation = key, ContinuationData.build(inp, ctx, cutoffs)
     return inp._continuation[1]
 
 
 def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     """Partial zeta via the split theta integral, valid for all s.
 
-    The ray integral defining the completed zeta is split at the fixed
-    point of v -> -1/v; the inner segment is mapped to the outer one by the
-    theta functional equation.  Both halves integrate term by term to
-    incomplete gamma functions, giving
+    The ray integral defining the completed zeta is split at v = i t, the
+    balanced split point of the ContinuationData; the inner segment is
+    mapped to the outer one by the theta functional equation.  Both halves
+    integrate term by term to incomplete gamma functions, giving, with
+    x = 2 pi |N|,
 
         zeta(s) = sgn(l0') N(b)^s (1/kappa) (2 pi)^s / Gamma(s) *
-                  [ sum_primal sgn(xi') G(s, 2 pi N) / (2 pi N)^s
+                  [ sum_primal sgn(xi') G(s, x t) / x^s
                   + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr(xi l0')}
-                      G(1-s, 2 pi N) / (2 pi N)^{1-s} ],
+                      G(1-s, x/t) / x^{1-s} ],
 
     sums over totally-positive-unit orbit representatives, Delta the
     covolume and kappa the orbit-splitting index of the unit groups."""
@@ -308,8 +362,8 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     with ctx.workprec():
         s = mp.mpmathify(s)
         total = data.split_sum(
-            lambda m, x: m * upper_gamma(s, x, ctx) * mp.power(x, -s),
-            lambda c, x: c * upper_gamma(1 - s, x, ctx) * mp.power(x, -(1 - s)),
+            lambda m, x, y: m * upper_gamma(s, y, ctx) * mp.power(x, -s),
+            lambda c, x, y: c * upper_gamma(1 - s, y, ctx) * mp.power(x, -(1 - s)),
         )
         pref = (
             inp.sign_l0_conj
@@ -331,17 +385,19 @@ class StarkResult:
     route_gap: mp.mpf
 
 
-def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx):
-    """zeta'(0) from the split representation, differentiated analytically.
+def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0):
+    """zeta'(0) from the split representation at one of the split points
+    v = i t of the ContinuationData, differentiated analytically.
 
     The prefactor (N(b) 2 pi)^s / Gamma(s) vanishes linearly at s = 0, so
-    zeta'(0) = sgn(l0') / kappa * [ sum_primal sgn(xi') E1(2 pi N)
-             + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr} e^{-2 pi N}/(2 pi N) ]."""
+    with x = 2 pi |N|
+    zeta'(0) = sgn(l0') / kappa * [ sum_primal sgn(xi') E1(x t)
+             + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr} e^{-x/t} / x ]."""
     inp = inp.reduced()
     data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        total = data.split_sum(lambda m, x: m * upper_gamma(0, x, ctx),
-                               lambda c, x: c * mp.exp(-x) / x)
+        total = data.split_sum(lambda m, x, y: m * upper_gamma(0, y, ctx),
+                               lambda c, x, y: c * mp.exp(-y) / x, split)
         val = total * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
             raise ConvergenceError(
@@ -360,7 +416,14 @@ def _zeta_prime_0_complex_step(inp: StarkInput, ctx: PrecisionCtx):
     - h^2 zeta'''(0)/6 + O(h^4), with no difference of nearby values to
     cancel.  The fixed-point kernel leaves about 2^-(work_bits+44) of
     absolute error on imaginary parts, which the division by h amplifies;
-    h = 2^-floor((work_bits+44)/3) balances that against the truncation."""
+    h = 2^-floor((work_bits+44)/3) balances that against the truncation.
+
+    At a small split point many primal arguments x t fall below 1.5, where
+    upper_gamma(ih, x t) divides a series by ih and carries the log2(1/h)
+    bits that cancel as extra precision.  An error left on the bracket's
+    imaginary part would be harmless: the prefactor is ih + O(h^2), so
+    Im zeta(ih)/h reads the bracket's real part, and its imaginary part
+    enters only times O(h)."""
     h = mp.ldexp(1, -((ctx.work_bits + 44) // 3))
     with ctx.workprec():
         coarse, fine = (partial_zeta_continued(inp, mp.mpc(0, hh), ctx).imag / hh
@@ -370,20 +433,30 @@ def _zeta_prime_0_complex_step(inp: StarkInput, ctx: PrecisionCtx):
 
 def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResult:
     """S0 = exp(zeta'(0)), computed by the regularized split formula and
-    cross-checked against the complex-step derivative of the continued zeta.
-    Three continued evaluations in all: at ih, at ih/2 and at 0.  The gap
-    between the two routes may be at most 100 times the larger of the error
-    target and the complex step's change between h and h/2."""
+    gated twice.  The complex-step derivative of the continued zeta
+    cross-checks the special functions and the derivative: the gap between
+    the two routes may be at most 100 times the larger of the error target
+    and the complex step's change between h and h/2.  The regularized
+    formula at the second split point t * _GATE_SPLIT cross-checks the data,
+    Delta and the functional equation: it may differ by at most 100 times
+    the error target.  Three continued evaluations in all: at ih, at ih/2
+    and at 0."""
     with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err)
         zp_b = _zeta_prime_0_regularized(inp, ctx)
         zp_a, deriv_err = _zeta_prime_0_complex_step(inp, ctx)
         gap = abs(zp_a - zp_b)
-        tol = mp.mpf(ctx.target_abs_err)
         allowed = 100 * max(tol, deriv_err)
         if gap > allowed:
             raise RouteDisagreement(
                 "zeta'(0) routes differ by %s (allowed %s)"
                 % (mp.nstr(gap, 8), mp.nstr(allowed, 8))
+            )
+        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, split=1) - zp_b)
+        if split_gap > 100 * tol:
+            raise RouteDisagreement(
+                "zeta'(0) at two split points differs by %s (allowed %s)"
+                % (mp.nstr(split_gap, 8), mp.nstr(100 * tol, 8))
             )
         z0 = partial_zeta_continued(inp, mp.mpf(0), ctx)
         return StarkResult(

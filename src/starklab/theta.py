@@ -10,7 +10,7 @@ point: the complex theta walks the rows of a Lagrange-Gauss reduced basis
 by recurrence (as Deconinck et al., Math. Comp. 73, 2004, reduce first),
 and the real-multiplication theta reads norm_coefficients, one exact
 coefficient per norm of fold_by_norm, as does the zeta continuation in
-stark (a spec at v = i and its dual_spec).  mp.fsum adds mantissas
+stark (a spec at v = i t and its dual_spec).  mp.fsum adds mantissas
 exactly, so neither sorts its terms."""
 
 from __future__ import annotations

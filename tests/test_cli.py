@@ -312,6 +312,22 @@ def test_exit_2_on_route_disagreement(monkeypatch):
     assert r.stderr.startswith("residual violation: zeta'(0) routes differ")
 
 
+def test_exit_2_on_a_covolume_off_by_1e_20(monkeypatch):
+    # both zeta'(0) routes read the one ContinuationData, so a wrong
+    # covolume is caught only by the second split point
+    import dataclasses
+
+    from starklab.stark import ContinuationData
+
+    build = ContinuationData.build
+    monkeypatch.setattr(ContinuationData, "build", classmethod(
+        lambda cls, *args: dataclasses.replace(
+            data := build(*args), delta=data.delta * (1 + mp.mpf("1e-20")))))
+    r = run("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]')
+    assert r.exit_code == 2
+    assert r.stderr.startswith("residual violation: zeta'(0) at two split points")
+
+
 @pytest.fixture(scope="module")
 def p11_stark_numbers():
     """The Stark numbers `stark conjecture` computes on P11 at its default

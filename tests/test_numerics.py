@@ -91,6 +91,22 @@ def test_upper_gamma_against_oracle(a, x):
             assert abs(mine - ref) <= bound * abs(ref), bits
 
 
+@pytest.mark.parametrize("x", ["0.01", "0.3", "0.79", "1", "1.4", "1.49"])
+def test_upper_gamma_near_a_zero_keeps_its_real_part(x):
+    # below x = 1.5, Gamma(ih, x) takes the series at 1 + ih and divides by
+    # ih, the complex step of the Stark number at 128 bits (h = 2^-57); the
+    # 57 bits that the division cancels are carried as extra precision, or
+    # the real part is off by 1e-34 and the imaginary part by 1e-28
+    x = mp.mpf(x)
+    h = mp.ldexp(1, -57)
+    for a in (mp.mpc(0, h), mp.mpc(0, h / 2)):
+        mine = upper_gamma(a, x, CTX)
+        with mp.workprec(400):
+            ref = mp.gammainc(a, x)
+            assert abs(mine.real - ref.real) < mp.mpf("1e-40")
+            assert abs(mine.imag - ref.imag) < mp.mpf("1e-40")
+
+
 def test_e1_against_oracle():
     with mp.workprec(200):
         for x in (0.01, 0.3, 1.0, 2.0, 10.0, 60.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import pathlib
@@ -244,7 +245,8 @@ def test_continuation_data_matches_reference_fold():
         validate_pair(QuadIdeal.from_generators(F5, [11, F5.omega + 3]), F5.omega + 2),
     ]
     for inp in pairs:
-        data = ContinuationData.build(inp, CTX, Fraction(15))
+        # one split point at v = i, both sides to |N| <= 15
+        data = ContinuationData.build(inp, CTX, ((1, Fraction(15), Fraction(15)),))
         primal, dual_pairs, delta = _reference_fold(inp, CTX, Fraction(15))
         assert data.primal and data.dual
         assert len(data.primal) == len(primal) and len(data.dual) == len(dual_pairs)
@@ -322,6 +324,63 @@ def test_route_disagreement_fires_on_a_skewed_continuation(monkeypatch):
                         + mp.mpf("1e-20") * s)
     with pytest.raises(RouteDisagreement, match="routes differ"):
         stark_number(suite_pairs()[2], CTX)
+
+
+def _replace_dual(data, k, coeff):
+    x, c = data.dual[k]
+    return dataclasses.replace(data, dual=data.dual[:k] + ((x, coeff(c)),) + data.dual[k + 1:])
+
+
+# Defects of the continuation data that both zeta'(0) routes read alike.
+# The dual coefficients are 2i sum sgn(xi) sin(2 pi tr(xi l0')) over the
+# pairs +-xi, so a conjugated one is a negated one up to rounding: the two
+# are applied to different rows.
+CONTINUATION_DEFECTS = {
+    "delta": lambda d: dataclasses.replace(d, delta=d.delta * (1 + mp.mpf("1e-20"))),
+    "conjugated": lambda d: _replace_dual(d, 0, mp.conj),
+    "negated": lambda d: _replace_dual(d, 1, lambda c: -c),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONTINUATION_DEFECTS))
+def test_second_split_point_fires_on_defective_continuation_data(monkeypatch, defect):
+    # a covolume off by 1e-20 or one dual coefficient conjugated or negated
+    # leaves the routes' gap at rounding level, but zeta'(0) then depends
+    # on the split point
+    build = ContinuationData.build
+    monkeypatch.setattr(ContinuationData, "build", classmethod(
+        lambda cls, *args: CONTINUATION_DEFECTS[defect](build(*args))))
+    with pytest.raises(RouteDisagreement, match="two split points"):
+        stark_number(suite_pairs()[2], CTX)
+
+
+def _pair_209_80():
+    # a partner pair of D=5 p11 on the skewed lattice (209, 80, 1), l0 = 19
+    F = FieldCtx(5)
+    return validate_pair(QuadIdeal.from_generators(F, [209, F.omega + 80]), F.elem(19))
+
+
+@pytest.mark.parametrize("make", [lambda: suite_pairs()[0], lambda: suite_pairs()[2],
+                                  _pair_209_80], ids=["D2-p7", "D5-p11", "D5-209-80"])
+def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
+    # the split point balances the norms the main split sums, and 1.5 times
+    # either side's cutoff moves zeta'(0) by less than the error target
+    inp = make()
+    value = stark_mod._zeta_prime_0_regularized(inp, CTX)
+    data = inp.reduced()._continuation[1]
+    _, _, primal, dual = data.splits[0]
+    assert primal <= 3 * dual and dual <= 3 * primal
+    build = ContinuationData.build
+    for side, (fp, fd) in (("primal", (Fraction(3, 2), 1)), ("dual", (1, Fraction(3, 2)))):
+        monkeypatch.setattr(ContinuationData, "build", classmethod(
+            lambda cls, inp, ctx, cutoffs, fp=fp, fd=fd: build(
+                inp, ctx, tuple((t, p * fp, d * fd) for t, p, d in cutoffs))))
+        wider = make()
+        wide = stark_mod._zeta_prime_0_regularized(wider, CTX)
+        wide_data = wider.reduced()._continuation[1]
+        assert len(getattr(wide_data, side)) > len(getattr(data, side))
+        with CTX.workprec():
+            assert abs(wide - value) < CTX.target_abs_err, side
 
 
 def test_conjugated_dual_character_fails_the_fe_and_the_direct_sum(monkeypatch):
@@ -550,7 +609,8 @@ def test_recognize_integer_by_the_conjugate_bound():
 def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
     # 16 narrow classes, R1 and R2 distinct and nontrivial: |G| = 8 and four
     # <R1, R2>-orbits, each with one Stark number and one invariance
-    # partner, plus the direct S0(R2) of the inversion gate
+    # partner, plus the direct S0(R2) of the inversion gate; at the CLI's
+    # default precision
     calls = []
     stark_number = stark_mod.stark_number
 
@@ -560,7 +620,7 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
 
     monkeypatch.setattr(stark_mod, "stark_number", counting)
     F = FieldCtx(3)
-    rep = conjecture_check(QuadIdeal.principal(F, F.elem(5)), PrecisionCtx(64, 1e-12))
+    rep = conjecture_check(QuadIdeal.principal(F, F.elem(5)), CTX)
     assert len(calls) == 9
     assert rep.passed and rep.recognition_failures == ()
     # Q = X^8 - (8+5r3)X^7 + (53+30r3)X^6 - (156+90r3)X^5 + (225+130r3)X^4 - ... + 1
@@ -569,6 +629,11 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
     residuals = [c.invariance_residual for c in rep.classes
                  if c.invariance_residual is not None]
     assert len(rep.classes) == 8 and len(residuals) == 4
-    assert all(r > 0 for r in residuals)
-    # the direct S0(R2) is not the conjugate of a partner's computation
-    assert rep.inversion_residual > 0 and rep.inversion_residual not in residuals
+    assert all(r <= rep.tolerance for r in residuals + [rep.inversion_residual])
+    # no gate compares a computation with itself: each partner lies on
+    # another reduced lattice than its class's pair, and the direct S0(R2)
+    # on none of class 0's two lattices or their conjugates.  (A residual
+    # may still round to 0.0 at the ulp floor.)
+    lattices = [inp.reduced().L for inp in calls]
+    assert all(first != partner for first, partner in zip(lattices[0:8:2], lattices[1:8:2]))
+    assert lattices[8] not in {M for L in lattices[:2] for M in (L, L.conjugate())}
