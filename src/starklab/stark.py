@@ -235,18 +235,6 @@ def _split_spec(inp: StarkInput, t: Fraction) -> RMThetaSpec:
                        epsU=inp.unit.eps_f_plus, v=mp.mpc(0, mpf_from_fraction(t)))
 
 
-def _densities(inp: StarkInput) -> tuple[float, float]:
-    """Crude densities of slice representatives per unit of |N| on the two
-    sides of the split at v = i: 4 log W / Delta, W = eps_f_plus^2 the slice
-    ratio and Delta the side's covolume.  At v = i t they are rho / t and
-    rho' t per unit of |N| t and |N| / t, the arguments of the terms."""
-    spec = _split_spec(inp, Fraction(1))
-    four_log_w = 8.0 * math.log(float(spec.epsU.embed("id")))
-    root_d = math.sqrt(spec.L.field.D)
-    return tuple(four_log_w / (float(side.L.delta_exact()) * root_d)
-                 for side in (spec, spec.dual_spec()))
-
-
 def _max_norm(rho: float, scale: Fraction, tol: float, s_scale: float) -> Fraction:
     """The cutoff in |N| of a side of density rho at v = i whose terms
     decay like e^{-2 pi |N| scale}: the cutoff at v = i for the density
@@ -266,8 +254,8 @@ class ContinuationData:
     dual: (x, c), c = sum sgn(xi) e^{2 pi i tr(xi l0')} over the dual lattice
     representatives of that norm; delta: the covolume.  Zeros are dropped.
     splits: per split point, the first the main one, (t, 1/t, kp, kd): Im v
-    of the primal spec and of its dual_spec, and the number of primal and
-    dual rows within that split's cutoffs."""
+    of the primal side at that split and of its dual side, and the number of
+    primal and dual rows within that split's cutoffs."""
 
     primal: tuple
     dual: tuple
@@ -281,8 +269,7 @@ class ContinuationData:
         max_norm) per split point v = i t, the main one first; each side is
         enumerated once, to the largest of its cutoffs."""
         with ctx.workprec():
-            specs = [_split_spec(inp, t) for t, _, _ in cutoffs]
-            duals = [spec.dual_spec() for spec in specs]
+            spec = _split_spec(inp, Fraction(cutoffs[0][0]))
             two_pi = 2 * mp.pi
 
             def side(spec, max_norms):
@@ -291,10 +278,11 @@ class ContinuationData:
                 rows = tuple((two_pi * (mp.mpf(n) / dd), c) for n, c in coeffs)
                 return rows, [bisect_right(norms, m * dd) for m in max_norms]
 
-            primal, kp = side(specs[0], [p for _, p, _ in cutoffs])
-            dual, kd = side(duals[0], [d for _, _, d in cutoffs])
-            splits = tuple((mp.im(s.v), mp.im(d.v), p, q)
-                           for s, d, p, q in zip(specs, duals, kp, kd))
+            primal, kp = side(spec, [p for _, p, _ in cutoffs])
+            dual, kd = side(spec.dual_spec(), [d for _, _, d in cutoffs])
+            ts = [Fraction(t) for t, _, _ in cutoffs]
+            splits = tuple((mpf_from_fraction(t), mpf_from_fraction(1 / t), p, q)
+                           for t, p, q in zip(ts, kp, kd))
             return cls(primal=primal, dual=dual, delta=delta(inp.lattice, ctx),
                        splits=splits)
 
@@ -312,10 +300,6 @@ class ContinuationData:
         return part1 + part2 / (mp.mpc(0, 1) * self.delta)
 
 
-# The dual side's slice points share a norm about 9 times as often as the
-# primal side's (D=5 p11 at t = 1/8: 4.5 rows per primal norm, 38 per dual
-# norm), so the norm counts balance where rho / t = 9 rho' t.
-_NORM_SHARING = 9.0
 # stark_number's second split point, as a multiple of the first: it widens
 # only the primal side, whose points are the sparse ones
 _GATE_SPLIT = Fraction(1, 2)
@@ -325,12 +309,21 @@ def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
                        s_scale: float = 1.0) -> ContinuationData:
     """The ContinuationData of a reduced input at its balanced split point t
     and at t * _GATE_SPLIT, each side's cutoff meeting ctx's error target
-    for |s| <= s_scale.  t is the power of two at which the two sides hold
-    about as many norms: t^2 = _NORM_SHARING rho / rho' for the densities
-    of _densities.  The input keeps the last one built, and builds anew
+    for |s| <= s_scale.  The input keeps the last one built, and builds anew
     when a split point, a cutoff or work_bits changes."""
-    rho, rho_dual = _densities(inp)
-    t = Fraction(2) ** round(math.log2(_NORM_SHARING * rho / rho_dual) / 2)
+    lat = inp.lattice
+    delta_f = float(lat.delta_exact()) * math.sqrt(lat.field.D)
+    # crude density of slice representatives per unit of |N| at v = i:
+    # 4 log W / Delta, W = eps_f_plus^2 the slice ratio; the dual side's,
+    # of covolume 1/Delta, is rho Delta^2.  At v = i t the densities are
+    # rho / t and rho' t per unit of the terms' arguments |N| t and |N| / t.
+    rho = 8.0 * math.log(float(inp.unit.eps_f_plus.embed("id"))) / delta_f
+    rho_dual = rho * delta_f ** 2
+    # The dual side's slice points share a norm about 9 times as often as
+    # the primal side's (D=5 p11 at t = 1/8: 4.5 rows per primal norm, 38
+    # per dual norm), so the norm counts balance where rho / t = 9 rho' t,
+    # at t = 3 / Delta; t is the nearest power of two.
+    t = Fraction(2) ** -round(math.log2(delta_f / 3))
     tol = ctx.target_abs_err
     cutoffs = tuple((tau, _max_norm(rho, tau, tol, s_scale),
                      _max_norm(rho_dual, 1 / tau, tol, s_scale))

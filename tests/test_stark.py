@@ -371,14 +371,16 @@ def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
     _, _, primal, dual = data.splits[0]
     assert primal <= 3 * dual and dual <= 3 * primal
     build = ContinuationData.build
-    for side, (fp, fd) in (("primal", (Fraction(3, 2), 1)), ("dual", (1, Fraction(3, 2)))):
+    for side, k, (fp, fd) in (("primal", 2, (Fraction(3, 2), 1)),
+                              ("dual", 3, (1, Fraction(3, 2)))):
         monkeypatch.setattr(ContinuationData, "build", classmethod(
             lambda cls, inp, ctx, cutoffs, fp=fp, fd=fd: build(
                 inp, ctx, tuple((t, p * fp, d * fd) for t, p, d in cutoffs))))
         wider = make()
         wide = stark_mod._zeta_prime_0_regularized(wider, CTX)
+        # the main split sums more rows of the widened side
         wide_data = wider.reduced()._continuation[1]
-        assert len(getattr(wide_data, side)) > len(getattr(data, side))
+        assert wide_data.splits[0][k] > data.splits[0][k], side
         with CTX.workprec():
             assert abs(wide - value) < CTX.target_abs_err, side
 
@@ -611,12 +613,13 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
     # <R1, R2>-orbits, each with one Stark number and one invariance
     # partner, plus the direct S0(R2) of the inversion gate; at the CLI's
     # default precision
-    calls = []
+    calls, results = [], []
     stark_number = stark_mod.stark_number
 
     def counting(inp, ctx):
         calls.append(inp)
-        return stark_number(inp, ctx)
+        results.append(stark_number(inp, ctx))
+        return results[-1]
 
     monkeypatch.setattr(stark_mod, "stark_number", counting)
     F = FieldCtx(3)
@@ -630,10 +633,16 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
                  if c.invariance_residual is not None]
     assert len(rep.classes) == 8 and len(residuals) == 4
     assert all(r <= rep.tolerance for r in residuals + [rep.inversion_residual])
-    # no gate compares a computation with itself: each partner lies on
-    # another reduced lattice than its class's pair, and the direct S0(R2)
-    # on none of class 0's two lattices or their conjugates.  (A residual
-    # may still round to 0.0 at the ulp floor.)
+    # no gate compares a computation with itself: the k-th invariance
+    # residual compares calls 2k and 2k+1 and the inversion residual calls 0
+    # and 8; each partner lies on another reduced lattice than its class's
+    # pair, and the direct S0(R2) on none of class 0's two lattices or their
+    # conjugates.  (Two such S0 may still agree to the last bit, so a
+    # residual may read 0.0.)
+    s0 = [res.s0 for res in results]
+    with CTX.workprec():
+        assert residuals == [abs(s0[k + 1] / s0[k] - 1) for k in range(0, 8, 2)]
+        assert rep.inversion_residual == abs(s0[8] * s0[0] - 1)
     lattices = [inp.reduced().L for inp in calls]
     assert all(first != partner for first, partner in zip(lattices[0:8:2], lattices[1:8:2]))
     assert lattices[8] not in {M for L in lattices[:2] for M in (L, L.conjugate())}
