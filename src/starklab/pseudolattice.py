@@ -305,6 +305,12 @@ def _sign_surd(r: int, t: int, D: int) -> int:
     return (1 if r > 0 else -1) if r * r > D * t * t else (1 if t > 0 else -1)
 
 
+# Lattice points past which coset_slice_rows refuses to scan its box.  The
+# scan takes about 2 s per 1e8 points (a box of 5.0e8 took 11.4 s), and the
+# largest box that the test suite scans holds 6.2e6.
+_MAX_BOX_POINTS = 10**8
+
+
 def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     """Exactly one representative of each <u>-orbit of (l0 + L) \\ {0} with
     |N(xi)| <= max_norm, where W = u/u' = u^2 (totally positive, W > 1) for
@@ -322,7 +328,8 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
 
     Returns (den, rows), rows a list of (n, a, b, x, y) for
     xi = l0 + a*l1 + b*l2 = (x + y sqrt(D))/den with |N(xi)| = n/den^2,
-    sorted by (n, a, b) for determinism."""
+    sorted by (n, a, b) for determinism.  Raises BoundExceeded before any
+    scan when the box holds more than _MAX_BOX_POINTS lattice points."""
     if not (W.is_totally_positive() and W > QuadElem(W.D, 1)):
         raise ValueError("W must be totally positive and > 1")
     X = float(max_norm)
@@ -341,6 +348,10 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
             corners_b.append((g1r * ry - g1c * rx) / det)
     amin, amax = math.floor(min(corners_a)) - 1, math.ceil(max(corners_a)) + 1
     bmin, bmax = math.floor(min(corners_b)) - 1, math.ceil(max(corners_b)) + 1
+    points = (amax - amin + 1) * (bmax - bmin + 1)
+    if points > _MAX_BOX_POINTS:
+        raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
+                            % (points, _MAX_BOX_POINTS))
 
     candidates = []
     bs = np.arange(bmin, bmax + 1)

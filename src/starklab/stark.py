@@ -51,7 +51,7 @@ from .numerics import (
     PrecisionCtx,
     DEFAULT_CTX,
     mpf_from_fraction,
-    upper_gamma,
+    scaled_upper_gamma,
 )
 from .quadfield import (
     FieldCtx,
@@ -107,8 +107,10 @@ class StarkInput:
     unit: UnitData
     # the reduced pair, when it is not this pair itself
     _reduced: StarkInput | None = field(default=None, repr=False, compare=False)
-    # the last ContinuationData built, under its key (max_norm, work_bits)
-    _continuation: tuple[tuple[Fraction, int], ContinuationData] | None = field(
+    # the last ContinuationData built, under its key (cutoffs, work_bits):
+    # cutoffs holds a (t, primal max_norm, dual max_norm) triple per split
+    _continuation: tuple[tuple[tuple[tuple[Fraction, Fraction, Fraction], ...], int],
+                         ContinuationData] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -286,10 +288,11 @@ class ContinuationData:
             return cls(primal=primal, dual=dual, delta=delta(inp.lattice, ctx),
                        splits=splits)
 
-    def split_sum(self, primal_term, dual_term, split: int = 0):
-        """sum_primal primal_term(m, x, x t) + (1/(i delta)) sum_dual
+    def split_sum(self, primal_term, dual_term, split: int = 0, scales=(1, 1)):
+        """w1 sum_primal primal_term(m, x, x t) + (w2/(i delta)) sum_dual
         dual_term(c, x, x/t) at split point v = i t, over the rows within
-        its cutoffs, each side accumulated in ascending |N|."""
+        its cutoffs, each side accumulated in ascending |N|; (w1, w2) are
+        the scales."""
         t, t_dual, kp, kd = self.splits[split]
         part1 = mp.mpc(0)
         for x, mult in self.primal[:kp]:
@@ -297,7 +300,8 @@ class ContinuationData:
         part2 = mp.mpc(0)
         for x, coeff in self.dual[:kd]:
             part2 += dual_term(coeff, x, x * t_dual)
-        return part1 + part2 / (mp.mpc(0, 1) * self.delta)
+        w1, w2 = scales
+        return w1 * part1 + w2 * part2 / (mp.mpc(0, 1) * self.delta)
 
 
 # stark_number's second split point, as a multiple of the first: it widens
@@ -344,19 +348,23 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     x = 2 pi |N|,
 
         zeta(s) = sgn(l0') N(b)^s (1/kappa) (2 pi)^s / Gamma(s) *
-                  [ sum_primal sgn(xi') G(s, x t) / x^s
-                  + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr(xi l0')}
-                      G(1-s, x/t) / x^{1-s} ],
+                  [ t^s sum_primal sgn(xi') (x t)^-s Gamma(s, x t)
+                  + (1/(i Delta)) (1/t)^{1-s} sum_dual
+                      sgn(xi) e^{2 pi i tr(xi l0')} (x/t)^{s-1} Gamma(1-s, x/t) ],
 
     sums over totally-positive-unit orbit representatives, Delta the
-    covolume and kappa the orbit-splitting index of the unit groups."""
+    covolume and kappa the orbit-splitting index of the unit groups.  Each
+    term is one scaled_upper_gamma, y^-a Gamma(a, y), so no term forms a
+    power of x: t^s and (1/t)^{1-s} multiply each side's sum once."""
     inp = inp.reduced()
     data = _continuation_data(inp, ctx, s_scale=abs(complex(s)))
     with ctx.workprec():
         s = mp.mpmathify(s)
+        t, t_dual = data.splits[0][:2]
         total = data.split_sum(
-            lambda m, x, y: m * upper_gamma(s, y, ctx) * mp.power(x, -s),
-            lambda c, x, y: c * upper_gamma(1 - s, y, ctx) * mp.power(x, -(1 - s)),
+            lambda m, x, y: m * scaled_upper_gamma(s, y, ctx),
+            lambda c, x, y: c * scaled_upper_gamma(1 - s, y, ctx),
+            scales=(mp.power(t, s), mp.power(t_dual, 1 - s)),
         )
         pref = (
             inp.sign_l0_conj
@@ -389,7 +397,7 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0
     inp = inp.reduced()
     data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        total = data.split_sum(lambda m, x, y: m * upper_gamma(0, y, ctx),
+        total = data.split_sum(lambda m, x, y: m * scaled_upper_gamma(0, y, ctx),
                                lambda c, x, y: c * mp.exp(-y) / x, split)
         val = total * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
@@ -411,9 +419,10 @@ def _zeta_prime_0_complex_step(inp: StarkInput, ctx: PrecisionCtx):
     absolute error on imaginary parts, which the division by h amplifies;
     h = 2^-floor((work_bits+44)/3) balances that against the truncation.
 
-    At a small split point many primal arguments x t fall below 1.5, where
-    upper_gamma(ih, x t) divides a series by ih and carries the log2(1/h)
-    bits that cancel as extra precision.  An error left on the bracket's
+    At a small split point many primal arguments x t fall below the
+    kernel's complex crossover (0.03 of the working precision, x t < 4.44 at
+    128 bits), where scaled_upper_gamma(ih, x t) divides a series by ih and
+    carries the log2(1/h) bits that cancel as extra precision.  An error left on the bracket's
     imaginary part would be harmless: the prefactor is ih + O(h^2), so
     Im zeta(ih)/h reads the bracket's real part, and its imaginary part
     enters only times O(h)."""

@@ -4,12 +4,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starklab import numerics
 from starklab.numerics import (
     ConvergenceError,
     PrecisionCtx,
     branch_sqrt_neg_iv,
+    scaled_upper_gamma,
     trapezoid,
-    upper_gamma,
 )
 from oracles import numeric_derivative
 
@@ -73,36 +74,87 @@ def test_branch_sqrt_squares_back(x, y):
         assert r.real > 0  # principal branch for v in the upper half plane
 
 
+def _oracle(a, x):
+    """x^-a Gamma(a, x) at 400 bits."""
+    with mp.workprec(400):
+        return mp.gammainc(a, x) * mp.power(x, -a)
+
+
+def _oracle_error(a, x, bits):
+    """Relative error of scaled_upper_gamma at bits against the oracle, in
+    units of its bound 2^-(bits+14) (1 + x)."""
+    a, x = mp.mpmathify(a), mp.mpf(x)
+    mine = scaled_upper_gamma(a, x, PrecisionCtx(bits, 1e-30))
+    with mp.workprec(400):
+        ref = _oracle(a, x)
+        return abs(mine - ref) / (mp.ldexp(1 + x, -(bits + 14)) * abs(ref))
+
+
 @pytest.mark.parametrize("a", [-3, -2, -1, 0, 0.4, -0.6, 1.3, 2, 3.5,
                                mp.mpc(1, 1), mp.mpc(-0.5, 2),
                                mp.mpc(-20, 10), mp.mpc(0.25, -40)])
 @pytest.mark.parametrize("x", [0.01, 0.114, 0.5, 1.2, 1.5, 3.0, 20.0, 80.0,
                                1e3, 1e4, 1e5])
 def test_upper_gamma_against_oracle(a, x):
-    # relative error within 2^-(work_bits+14) (1 + x) of a 400-bit oracle;
-    # the (1 + x) is the rounding of -x in the exponent of x^a e^{-x}
-    a, x = mp.mpmathify(a), mp.mpf(x)
-    with mp.workprec(400):
-        ref = mp.gammainc(a, x)
+    # relative error within 2^-(work_bits+14) (1 + x) of a 400-bit oracle
     for bits in (64, 128, 256):
-        mine = upper_gamma(a, x, PrecisionCtx(bits, 1e-30))
-        with mp.workprec(400):
-            bound = mp.ldexp(1 + x, -(bits + 14))
-            assert abs(mine - ref) <= bound * abs(ref), bits
+        assert _oracle_error(a, x, bits) <= 1, bits
 
 
-@pytest.mark.parametrize("x", ["0.01", "0.3", "0.79", "1", "1.4", "1.49"])
+H = mp.ldexp(1, -57)  # the complex step of the Stark number at 128 bits
+SWEEP_A = [0, mp.mpc(0, H), mp.mpc(0, H / 2), mp.mpc(1, -H), mp.mpc(1, -H / 2),
+           1, 2, -1, 0.4]
+
+
+def _sweep_failures():
+    """(bits, a, x, error) wherever the error exceeds its bound, for x on
+    both sides of the real and the complex crossover, at 64, 128 and 256
+    bits."""
+    failures = []
+    for bits in (64, 128, 256):
+        with PrecisionCtx(bits, 1e-30).workprec():
+            edges = [numerics._series_below(mp.mp.prec, real) for real in (True, False)]
+        for a in SWEEP_A:
+            for edge in edges:
+                for f in ("0.5", "0.9", "0.999", "1.001", "1.1", "2"):
+                    x = mp.mpf(edge) * mp.mpf(f)
+                    err = _oracle_error(a, x, bits)
+                    if err > 1:
+                        failures.append((bits, a, x, err))
+    return failures
+
+
+def test_upper_gamma_on_both_sides_of_each_crossover():
+    assert _sweep_failures() == []
+
+
+def test_crossover_sweep_fails_without_the_series_guard_bits(monkeypatch):
+    # the E1 series' terms reach e^x before they cancel to e^-x / x: without
+    # the bits that carry this, the sweep fails below the real crossover
+    monkeypatch.setattr(numerics, "_series_guard_bits", lambda x: 0)
+    failures = _sweep_failures()
+    e1 = [x for bits, a, x, _ in failures if a == 0]
+    assert e1 and any(15 < x < 25 for x in e1)
+    # the continued fraction above the crossovers does not use them
+    with PrecisionCtx(256, 1e-30).workprec():
+        edge = numerics._series_below(mp.mp.prec, True)
+    assert all(x < edge for _, a, x, _ in failures if not isinstance(a, mp.mpc))
+
+
+@pytest.mark.parametrize("x", ["0.01", "0.3", "0.79", "1", "1.4", "1.49",
+                               "2", "3", "4", "4.4", "4.5", "4.6", "6"])
 def test_upper_gamma_near_a_zero_keeps_its_real_part(x):
-    # below x = 1.5, Gamma(ih, x) takes the series at 1 + ih and divides by
-    # ih, the complex step of the Stark number at 128 bits (h = 2^-57); the
-    # 57 bits that the division cancels are carried as extra precision, or
-    # the real part is off by 1e-34 and the imaginary part by 1e-28
+    # below the complex crossover (0.03 prec, 4.44 at 128 bits) Gamma(ih, x)
+    # takes the series at 1 + ih and divides by ih, the complex step of the
+    # Stark number at 128 bits (h = 2^-57); the 57 bits that the division
+    # cancels are carried as extra precision, or the real part is off by
+    # 1e-34 and the imaginary part by 1e-28.  Past it, the continued
+    # fraction.
     x = mp.mpf(x)
-    h = mp.ldexp(1, -57)
-    for a in (mp.mpc(0, h), mp.mpc(0, h / 2)):
-        mine = upper_gamma(a, x, CTX)
+    for a in (mp.mpc(0, H), mp.mpc(0, H / 2)):
+        mine = scaled_upper_gamma(a, x, CTX)
+        ref = _oracle(a, x)
         with mp.workprec(400):
-            ref = mp.gammainc(a, x)
             assert abs(mine.real - ref.real) < mp.mpf("1e-40")
             assert abs(mine.imag - ref.imag) < mp.mpf("1e-40")
 
@@ -110,18 +162,19 @@ def test_upper_gamma_near_a_zero_keeps_its_real_part(x):
 def test_e1_against_oracle():
     with mp.workprec(200):
         for x in (0.01, 0.3, 1.0, 2.0, 10.0, 60.0):
-            assert abs(upper_gamma(0, mp.mpf(x), CTX) - mp.e1(mp.mpf(x))) < mp.mpf(10) ** -32
+            x = mp.mpf(x)
+            assert abs(scaled_upper_gamma(0, x, CTX) - mp.e1(x)) < mp.mpf(10) ** -32
 
 
 def test_upper_gamma_recurrence_property():
-    # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}
+    # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}, divided by x^a
     rng = random.Random(3)
     with mp.workprec(180):
         for _ in range(20):
             a = mp.mpf(rng.uniform(-4, 4))
             x = mp.mpf(rng.uniform(0.05, 30))
-            lhs = upper_gamma(a + 1, x, CTX)
-            rhs = a * upper_gamma(a, x, CTX) + mp.power(x, a) * mp.exp(-x)
+            lhs = x * scaled_upper_gamma(a + 1, x, CTX)
+            rhs = a * scaled_upper_gamma(a, x, CTX) + mp.exp(-x)
             assert abs(lhs - rhs) < mp.mpf(10) ** -28 * max(1, abs(lhs))
 
 
@@ -131,8 +184,8 @@ def test_precision_refinement_self_consistency():
     with mp.workprec(220):
         x = mp.mpf("0.77")
         a = mp.mpf("-1.0")
-        va = upper_gamma(a, x, coarse)
-        vb = upper_gamma(a, x, fine)
+        va = scaled_upper_gamma(a, x, coarse)
+        vb = scaled_upper_gamma(a, x, fine)
         assert abs(va - vb) < 1e-20
 
 
