@@ -5,13 +5,14 @@ Fourier/Poisson toolkit for the Gaussian family, and the two functional
 equations that drive the zeta continuation.  Both integrals, the geodesic
 average and the Fourier transform, use the trapezoid rule.
 
-Both sums make their transcendental calls per row or per norm, not per
-point: the complex theta walks the rows of a Lagrange-Gauss reduced basis
-by recurrence (as Deconinck et al., Math. Comp. 73, 2004, reduce first),
-and the real-multiplication theta reads norm_coefficients, one exact
-coefficient per norm of fold_by_norm, as does the zeta continuation in
-stark (a spec at v = i t and its dual_spec).  mp.fsum adds mantissas
-exactly, so neither sorts its terms."""
+Neither sum makes a transcendental call per point.  The complex theta
+makes eight per sum: it reduces the basis (Lagrange-Gauss, as Deconinck et
+al., Math. Comp. 73, 2004, reduce first) and walks the whole disk by its
+row recurrence on Gaussian integers scaled by 2^P.  The real-multiplication
+theta makes one per norm: it reads norm_coefficients, one exact coefficient
+per norm of fold_by_norm, as does the zeta continuation in stark (a spec at
+v = i t and its dual_spec).  The walk sums exact integers and mp.fsum adds
+mantissas exactly, so neither sorts its terms."""
 
 from __future__ import annotations
 
@@ -21,11 +22,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .numerics import (
+    _GUARD_BITS,
+    _LOG2E,
     ConvergenceError,
     DEFAULT_CTX,
     PrecisionCtx,
+    _to_fixed,
     branch_sqrt_neg_iv,
     mpf_from_fraction,
     trapezoid,
@@ -171,17 +176,52 @@ def _disk_rows(h1, h2, lam0, R):
     return rows
 
 
+def _walk_guard_bits(sigma, n1, n2) -> int:
+    """Bits that the fixed-point truncations of theta_complex's walk can
+    cost at sigma = Im(v) on a reduced basis with n1 = |h1|^2 and
+    n2 = |h2|^2: ceil(2 pi sigma (n1 + n2) log2 e), as derived there."""
+    return math.ceil(2 * math.pi * float(sigma) * float(n1 + n2) * _LOG2E)
+
+
 def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
     """Sum of ((lambda0+lambda) . eta) e^{pi i v |lambda0+lambda|^2}
     e^{-2 pi i (lambda . mu0) - pi i (lambda0 . mu0)} over the lattice,
     truncated at |lambda0 + lambda| <= R with a Gaussian shell tail bound.
 
-    The basis is Lagrange-Gauss reduced first, with h2 its shortest vector.
-    Along a row z = lambda0 + a h1 + b h2 the exponent is quadratic in b, so
-    each row takes three expjpi calls: the term at bstar, nearest the row's
-    minimiser of |z|, and the ratios to its two neighbours.  Walking outward
-    multiplies the term by the ratio and the ratio by q = e^{2 pi i v |h2|^2},
-    and every factor has modulus at most 1."""
+    The basis is Lagrange-Gauss reduced first, with h2 its shortest vector,
+    and the disk is cut into rows z = lambda0 + a h1 + b h2 of fixed a.  The
+    exponent is quadratic in (a, b), so a step by h1 or h2 multiplies the
+    term by a ratio, and each ratio changes by a constant factor at each
+    step: q1 = e^{2 pi i v |h1|^2} along h1, q2 = e^{2 pi i v |h2|^2} along
+    h2 and w = e^{2 pi i v Re(h1 conj h2)} across.  A call makes eight expjpi
+    calls, whatever its row count: those three; the term at b* of the centre
+    row, the anchor nearest 0, and its ratios along +h1, -h1 and +h2; and
+    the constant e^{-pi i (lambda0 . mu0)}.  1/w and 1/q2 are quotients.
+
+    h2 is oriented so that Re(h1 conj h2) <= 0.  Then each row's b*, the
+    integer nearest the row's minimiser mid of |z|, grows with a by 0 or 1
+    per row.  From the centre, the upward pass steps +h1 and +h2 to each
+    row's b*, the downward pass -h1 and -h2, and each row is walked outward
+    from b*.  Across empty rows, b follows the straight line.  Where float
+    rounding breaks a tie between two nearest integers the other way, a
+    pass steps back along h2 by the other pass's step.  Every step is a
+    product.  The coefficient (z . eta) steps by the fixed-point
+    increments (h1 . eta) and (h2 . eta), so its steps add no rounding.  The
+    walk runs on Gaussian integers scaled by 2^P.  The terms c x are summed
+    exactly at scale 2^2P, and the sum is rounded once.
+
+    Guard bits.  A truncation to 2^-P that produces a carried value Y costs
+    a term T computed from Y at most 2^-P |T| / |Y|.  With sigma = Im v,
+    |term| = e^{-pi sigma |z|^2} <= 1.  The reduction gives
+    |Re(h1 conj h2)| <= |h2|^2 / 2, so every point the passes visit has
+    |b - mid| <= 3/2, and |T| <= e^{4 pi sigma |h2|^2} |Y| for every
+    carried term or ratio Y and every term T computed from it.  Within a
+    row, terms and ratios only shrink outward from b*.  The constants q1
+    and q2, truncated once, are off by 2^-P / |q| = 2^-P e^{2 pi sigma |h|^2}
+    relatively.  Since |h2| <= |h1|, both losses are at most
+    e^{2 pi sigma (|h1|^2 + |h2|^2)}.  So P is the working precision, plus
+    24 guard bits, plus _walk_guard_bits, which is
+    ceil(2 pi sigma (|h1|^2 + |h2|^2) log2 e)."""
     with ctx.workprec():
         v = mp.mpc(spec.v)
         if not v.imag > 0:
@@ -203,45 +243,104 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
             )
 
         R = mp.sqrt((mp.log(10) * ctx.dps + 8) / alpha)
-        while tail(R) > ctx.target_abs_err / 2:
+        bound = tail(R)
+        while bound > ctx.target_abs_err / 2:
             R += mp.mpf(1) / 4
             if R > 1e6:
                 raise ConvergenceError("Im(v) too small to reach the target")
+            bound = tail(R)
 
         # rows step along h1 and walk along the shortest vector h2, which
         # makes them long and few
         h2, h1 = _gauss_reduce(g1, g2)
+        m = h1.real * h2.real + h1.imag * h2.imag
+        if m > 0:  # orient h2 so that each row's b* grows with a
+            h2, m = -h2, -m
         rows = _disk_rows(h1, h2, lam0, R)
         if sum(hi - lo + 1 for _, lo, hi, _ in rows) > _MAX_TERMS:
             raise ConvergenceError("term cap exceeded")
+        if not rows:
+            return ThetaValue(mp.mpc(0), +bound)
 
+        f1, f2, fl0 = complex(h1), complex(h2), complex(lam0)
+        centre = min(range(len(rows)),
+                     key=lambda k: abs(fl0 + rows[k][0] * f1 + rows[k][3] * f2))
+        a0, _, _, b0 = rows[centre]
+        z0 = lam0 + a0 * h1 + b0 * h2
+        n1 = h1.real * h1.real + h1.imag * h1.imag
         n2 = h2.real * h2.real + h2.imag * h2.imag
-        q = mp.expjpi(2 * v * n2)
         p1, p2 = scalar_product(h1, mu0), scalar_product(h2, mu0)
-        step = scalar_product(h2, eta)
-
-        def walk(e, r, coef, count, dstep):
-            for _ in range(count):
-                yield coef * e
-                e, r, coef = e * r, r * q, coef + dstep
-
-        def row_terms(a, lo, hi, b):
-            # the exponent at z = lam0 + a h1 + b h2 is
-            # x = v |z|^2 - 2 (a h1 + b h2) . mu0, and
-            # x(b +- 1) - x(b) = v (n2 +- 2 Re(z conj(h2))) -+ 2 (h2 . mu0)
-            z = lam0 + a * h1 + b * h2
-            zr, zi = z.real, z.imag
-            e = mp.expjpi(v * (zr * zr + zi * zi) - 2 * (a * p1 + b * p2))
-            lin = 2 * (zr * h2.real + zi * h2.imag)
-            up = mp.expjpi(v * (n2 + lin) - 2 * p2)
-            down = mp.expjpi(v * (n2 - lin) + 2 * p2)
-            coef = zr * eta.imag + zi * eta.real
-            yield from walk(e, up, coef, hi - b + 1, step)
-            yield from walk(e * down, down * q, coef - step, b - lo, -step)
-
+        r1 = 2 * (z0.real * h1.real + z0.imag * h1.imag)
+        r2 = 2 * (z0.real * h2.real + z0.imag * h2.imag)
+        # x(a, b) = v |z|^2 - 2 (a h1 + b h2) . mu0 at the centre, and its
+        # differences along +h1, -h1 and +h2
+        term = mp.expjpi(v * (z0.real * z0.real + z0.imag * z0.imag)
+                         - 2 * (a0 * p1 + b0 * p2))
+        up1 = mp.expjpi(v * (n1 + r1) - 2 * p1)
+        down1 = mp.expjpi(v * (n1 - r1) + 2 * p1)
+        up2 = mp.expjpi(v * (n2 + r2) - 2 * p2)
+        q1, q2, w = (mp.expjpi(2 * v * n) for n in (n1, n2, m))
         const = mp.expjpi(-scalar_product(lam0, mu0))
-        total = mp.fsum(t for row in rows for t in row_terms(*row)) * const
-        return ThetaValue(+total, +tail(R))
+
+        P = mp.mp.prec + _GUARD_BITS + _walk_guard_bits(v.imag, n1, n2)
+        Q1, Q2, W, WI, Q2I, E0, U0, D0 = (
+            _to_fixed(f, P) for f in (q1, q2, w, 1 / w, 1 / q2, term, up2, q2 / up2))
+        C0, S1, S2 = (to_fixed(scalar_product(h, eta)._mpf_, P) for h in (z0, h1, h2))
+
+        def mul(x, y):
+            return (x[0] * y[0] - x[1] * y[1]) >> P, (x[0] * y[1] + x[1] * y[0]) >> P
+
+        def row_sum(e, up, down, c, n_up, n_down):
+            # c x at b*, ..., hi, then at b* - 1, ..., lo, exactly at 2^2P
+            sr = si = 0
+            er, ei = e
+            ur, ui = up
+            qr, qi = Q2
+            cu = c
+            for _ in range(n_up):
+                sr += cu * er
+                si += cu * ei
+                er, ei = (er * ur - ei * ui) >> P, (er * ui + ei * ur) >> P
+                ur, ui = (ur * qr - ui * qi) >> P, (ur * qi + ui * qr) >> P
+                cu += S2
+            er, ei = e
+            dr, di = down
+            for _ in range(n_down):
+                er, ei = (er * dr - ei * di) >> P, (er * di + ei * dr) >> P
+                dr, di = (dr * qr - di * qi) >> P, (dr * qi + di * qr) >> P
+                c -= S2
+                sr += c * er
+                si += c * ei
+            return sr, si
+
+        def walk(rows, s, row_ratio, ws, wsi):
+            # the rows in walking order from the centre, a stepping by s;
+            # e is the term at (a, b), and row_ratio, up and down its ratios
+            # to (a + s, b), (a, b + 1) and (a, b - 1)
+            a, b, e, up, down, c = a0, b0, E0, U0, D0, C0
+            sr = si = 0
+            for ra, lo, hi, bt in rows:
+                k, a, bs = (ra - a) * s, ra, b
+                for j in range(1, k + 1):
+                    e, row_ratio = mul(e, row_ratio), mul(row_ratio, Q1)
+                    up, down = mul(up, ws), mul(down, wsi)
+                    c += s * S1
+                    target = bs + ((bt - bs) * j + k // 2) // k
+                    while b < target:
+                        e, up, down = mul(e, up), mul(up, Q2), mul(down, Q2I)
+                        row_ratio, c, b = mul(row_ratio, ws), c + S2, b + 1
+                    while b > target:
+                        e, up, down = mul(e, down), mul(up, Q2I), mul(down, Q2)
+                        row_ratio, c, b = mul(row_ratio, wsi), c - S2, b - 1
+                tr, ti = row_sum(e, up, down, c, hi - b + 1, b - lo)
+                sr, si = sr + tr, si + ti
+            return sr, si
+
+        up_re, up_im = walk(rows[centre:], 1, _to_fixed(up1, P), W, WI)
+        down_re, down_im = walk(rows[:centre][::-1], -1, _to_fixed(down1, P), WI, W)
+        total = mp.mpc(mp.ldexp(up_re + down_re, -2 * P),
+                       mp.ldexp(up_im + down_im, -2 * P)) * const
+        return ThetaValue(+total, +bound)
 
 
 def norm_coefficients(spec: RMThetaSpec, max_norm, ctx: PrecisionCtx = DEFAULT_CTX):

@@ -8,6 +8,8 @@ for the tests to compare against.  The package itself calls none of them.
 - canonicalize_into_slice: an orbit representative by repeated unit steps.
 - partial_zeta_direct_reference: the direct partial zeta sum over QuadElem
   representatives with Fraction norms.
+- theta_complex_reference: the complex lattice theta over a disk, one expjpi
+  per lattice point at twice the working precision.
 """
 
 import math
@@ -15,6 +17,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from starklab.hecke import scalar_product
 from starklab.numerics import DEFAULT_CTX, ConvergenceError, PrecisionCtx
 from starklab.pseudolattice import coset_slice_reps
 from starklab.quadfield import FieldCtx, QuadElem, _float_embed
@@ -121,3 +124,40 @@ def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_nor
     with ctx.workprec():
         pref = inp.sign_l0_conj * mp.power(inp.b.norm(), s)
         return mp.mpc(pref * total)
+
+
+def theta_complex_reference(g1, g2, lam0, mu0, etas, v, radius, bits):
+    """The sum of theta.theta_complex over the points z = lam0 + m g1 + n g2
+    with |z| <= radius, for each eta in etas: one expjpi of
+    v |z|^2 - 2 (lambda . mu0) - (lam0 . mu0) per point, lambda = z - lam0, at
+    2 bits of precision.  The points come from the box that the disk fits in
+    (|m| <= (radius + |lam0|) |g2| / covol, and likewise n), prefiltered in
+    float64 with a margin and tested in mpmath.  Returns a list
+    of (value, sum of |terms|), one per eta."""
+    with mp.workprec(2 * bits):
+        g1, g2, lam0, mu0, v = (mp.mpc(x) for x in (g1, g2, lam0, mu0, v))
+        etas = [mp.mpc(eta) for eta in etas]
+        radius = mp.mpf(radius)
+        covol = abs(g1.real * g2.imag - g2.real * g1.imag)
+        reach = radius + abs(lam0)
+        mmax = int(mp.ceil(reach * abs(g2) / covol))
+        nmax = int(mp.ceil(reach * abs(g1) / covol))
+        const = scalar_product(lam0, mu0)
+        # a float64 prefilter with a margin, then the exact test
+        f1, f2, fl0, fr = complex(g1), complex(g2), complex(lam0), float(radius) + 1e-6
+        sums = [[mp.mpc(0), mp.mpf(0)] for _ in etas]
+        for m in range(-mmax, mmax + 1):
+            for n in range(-nmax, nmax + 1):
+                if abs(fl0 + m * f1 + n * f2) > fr:
+                    continue
+                lam = m * g1 + n * g2
+                z = lam0 + lam
+                modsq = z.real * z.real + z.imag * z.imag
+                if modsq > radius * radius:
+                    continue
+                x = mp.expjpi(v * modsq - 2 * scalar_product(lam, mu0) - const)
+                for s, eta in zip(sums, etas):
+                    term = scalar_product(z, eta) * x
+                    s[0] += term
+                    s[1] += abs(term)
+        return [(+value, +size) for value, size in sums]

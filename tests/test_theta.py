@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from starklab.theta import (
     theta_complex,
     theta_rm,
 )
+from oracles import theta_complex_reference
 
 mp.mp.dps = 50
 
@@ -299,13 +301,12 @@ def test_theta_complex_is_basis_independent(case):
             assert abs(_theta_complex_at(lat, lam0, mu0, eta, v) - base) < 1e-40
 
 
-def test_theta_complex_makes_three_expjpi_calls_per_row(monkeypatch):
-    # one term and two neighbour ratios per row of the reduced basis, plus
-    # q and the constant; walking away from the row's minimiser of |z|,
-    # every factor has modulus at most 1
+def test_theta_complex_makes_at_most_eight_expjpi_calls(monkeypatch):
+    # q1, q2, w, the centre term and its three ratios, and the constant,
+    # whatever the row count: the walk runs on integers from there
     import starklab.theta as th
 
-    rows, moduli = [], []
+    rows, calls = [], []
     disk_rows, expjpi = th._disk_rows, mp.expjpi
 
     def recording_rows(*args):
@@ -314,25 +315,139 @@ def test_theta_complex_makes_three_expjpi_calls_per_row(monkeypatch):
         return out
 
     def counting_expjpi(x):
-        value = expjpi(x)
-        moduli.append(abs(value))
-        return value
+        calls.append(x)
+        return expjpi(x)
 
     monkeypatch.setattr(th, "_disk_rows", recording_rows)
     monkeypatch.setattr(mp, "expjpi", counting_expjpi)
     with CTX.workprec():
         F = FieldCtx(5)
         lat = hecke_lattice(Pseudolattice(F, F.elem(1), F.omega), mp.mpf("0.7"), CTX)
-        for v in (mp.mpc(0, 1), mp.mpc("0.5", "1"), mp.mpc("-0.25", "2")):
+        for v in (mp.mpc(0, "0.5"), mp.mpc("-0.5", "0.5"), mp.mpc("0.25", "0.25")):
             rows.clear()
-            moduli.clear()
+            calls.clear()
             _theta_complex_at(lat, mp.mpc("0.3", "0.1"), mp.mpc("0.2", "-0.4"),
                               mp.mpc(1, 2), v)
             (row_list,) = rows
-            points = sum(hi - lo + 1 for _, lo, hi, _ in row_list)
-            assert points > 2 * len(row_list)
-            assert len(moduli) <= 3 * len(row_list) + 2 < 2 * points
-            assert max(moduli) <= 1 + mp.mpf("1e-30")
+            assert len(row_list) > 8
+            assert len(calls) <= 8
+
+
+def test_theta_complex_of_a_disk_without_points():
+    # lambda0 at the centre of a wide cell: no point lies within R of 0
+    spec = ComplexThetaSpec(lattice=(mp.mpc(10), mp.mpc(0, 10)),
+                            lambda0=mp.mpc(5, 5), mu0=0, eta=1, v=mp.mpc(0, 4))
+    got = theta_complex(spec, CTX)
+    assert got.value == 0
+    assert 0 < got.tail_bound < CTX.target_abs_err
+
+
+def test_theta_complex_where_row_minimisers_tie(monkeypatch):
+    # on a rotated square lattice with lambda0 = g1/2 every row's minimiser
+    # of |z| lies halfway between two points, so float rounding moves b*
+    # down as well as up from row to row, and the passes step back along h2
+    import starklab.theta as th
+
+    rows = []
+    disk_rows = th._disk_rows
+
+    def recording_rows(*args):
+        rows.append(disk_rows(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(th, "_disk_rows", recording_rows)
+    with CTX.workprec():
+        g1 = mp.expj(mp.mpf("0.1"))
+        g2 = 1j * g1
+        lam0, mu0, eta = g1 / 2, mp.mpc("0.2", "-0.4"), mp.mpc(1, 2)
+        for v in (mp.mpc(0, 1), mp.mpc(0, "0.25")):
+            got = theta_complex(ComplexThetaSpec(lattice=(g1, g2), lambda0=lam0,
+                                                 mu0=mu0, eta=eta, v=v), CTX)
+            with mp.workprec(256):
+                radius = mp.sqrt(168 * mp.log(2) / (mp.pi * v.imag)) + 1
+            ((expected, size),) = theta_complex_reference(g1, g2, lam0, mu0, [eta],
+                                                          v, radius, 128)
+            with mp.workprec(256):
+                bound = mp.ldexp(1 + size, -138) + got.tail_bound
+                assert abs(got.value - expected) < bound
+    assert any(later < earlier for row_list in rows
+               for (_, _, _, earlier), (_, _, _, later) in zip(row_list, row_list[1:]))
+
+
+# the oracle sweep: two lattices, Im v from wide to narrow disks with both
+# signs of Re v, the zero shift and two off-lattice ones (lambda0 = 1/2 lies
+# halfway between two points of a row of the skewed basis), real, imaginary
+# and complex eta, and three precisions
+_SWEEP_IM_V = ("0.25", "1", "2", "4")
+_SWEEP_SHIFTS = (("0", "0"), ("0.3+0.1j", "0.2-0.4j"), ("0.5", "-0.35+0.5j"))
+_SWEEP_ETAS = (1, 1j, 1 + 2j)
+_SWEEP_BITS = (64, 128, 256)
+
+
+@functools.cache
+def _sweep_lattice(case):
+    if case == "skew":
+        return mp.mpc(1), mp.mpc("0.3", "1")
+    # built at 600 bits, above the oracle's 512
+    F = FieldCtx(5)
+    ctx = PrecisionCtx(600, 1e-30)
+    with ctx.workprec():
+        lat = hecke_lattice(Pseudolattice(F, F.elem(1), F.omega), 3, ctx)
+    return lat.gen1, lat.gen2
+
+
+@functools.cache
+def _sweep_reference(case, v, shift, bits):
+    # past this radius the terms sum to far below 2^-(bits+10)
+    g1, g2 = _sweep_lattice(case)
+    with mp.workprec(2 * bits):
+        radius = mp.sqrt((bits + 40) * mp.log(2) / (mp.pi * mp.mpc(v).imag)) + 1
+    return theta_complex_reference(g1, g2, mp.mpc(complex(shift[0])),
+                                   mp.mpc(complex(shift[1])), _SWEEP_ETAS, v,
+                                   radius, bits)
+
+
+def _sweep_failures(case):
+    """The sweep cases where theta_complex misses the oracle by more than
+    2^-(bits+10) (1 + sum of |terms|) plus its tail bound."""
+    g1, g2 = _sweep_lattice(case)
+    failures = []
+    for im in _SWEEP_IM_V:
+        for re in ("0.5", "-0.5"):
+            v = complex(re + "+" + im + "j")
+            for shift in _SWEEP_SHIFTS:
+                for bits in _SWEEP_BITS:
+                    refs = _sweep_reference(case, v, shift, bits)
+                    ctx = PrecisionCtx(bits, 1e-10)
+                    for eta, (expected, size) in zip(_SWEEP_ETAS, refs):
+                        with ctx.workprec():
+                            spec = ComplexThetaSpec(
+                                lattice=(g1, g2), lambda0=mp.mpc(complex(shift[0])),
+                                mu0=mp.mpc(complex(shift[1])), eta=mp.mpc(eta),
+                                v=mp.mpc(v))
+                            got = theta_complex(spec, ctx)
+                        with mp.workprec(2 * bits):
+                            bound = mp.ldexp(1 + size, -(bits + 10)) + got.tail_bound
+                            if abs(got.value - expected) > bound:
+                                failures.append((v, shift, eta, bits))
+    return failures
+
+
+@pytest.mark.parametrize("case", ["skew", "hecke_t3"])
+def test_theta_complex_against_oracle_sweep(case):
+    assert _sweep_failures(case) == []
+
+
+def test_oracle_sweep_fails_without_the_walk_guard_bits(monkeypatch):
+    # the guard bits that scale with Im(v) |h|^2 are needed: without them
+    # the walk's fixed-point truncations miss the oracle at Im v = 4 on the
+    # t = 3 Hecke lattice
+    import starklab.theta as th
+
+    monkeypatch.setattr(th, "_walk_guard_bits", lambda sigma, n1, n2: 0)
+    failures = _sweep_failures("hecke_t3")
+    assert failures
+    assert {v.imag for v, _, _, _ in failures} == {4}
 
 
 def _rm_spec_with_characters():
