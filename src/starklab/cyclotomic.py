@@ -7,6 +7,10 @@ For 0 < m < n the class function is
                   = n^{-s} ( zeta_H(s, m/n) + zeta_H(s, 1 - m/n) ),
 
 whose derivative at s = 0 satisfies exp(-2 zeta'_(m,n)(0)) = 4 sin^2(m pi/n).
+The Hurwitz zeta function is one Euler-Maclaurin kernel for real and
+complex s: its head length and Bernoulli term count come from a proven
+bound on the remainder, and the Bernoulli sum runs on integers scaled by
+2^P, the convention of the numerics module.
 The same numbers 4 cos^2(pi/n) appear as the discrete part of the Jones
 index set and (shifted) as the critical Temperley-Lieb parameters; both are
 provided here.
@@ -14,11 +18,13 @@ provided here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import mpf_bernoulli, pi_fixed, to_fixed
 
-from .numerics import ConvergenceError, PrecisionCtx, DEFAULT_CTX
+from .numerics import _GUARD_BITS, PrecisionCtx, DEFAULT_CTX
 
 
 @dataclass(frozen=True)
@@ -35,52 +41,119 @@ class TauUndefined(ValueError):
     """The critical Temperley-Lieb parameter is undefined (cosine zero)."""
 
 
+# Cost of one head term, an mp.power at about 150 bits, in steps of the
+# Bernoulli loop (CPython 3.11): the trade that picks N and M.
+_HEAD_COST_REAL = 4
+_HEAD_COST_COMPLEX = 12
+_LOG_TWO_PI_SQ = 2 * math.log(2 * math.pi)
+
+
+def _euler_maclaurin_cut(s, a: float, tol: float, sr: int, one: int) -> tuple[int, int]:
+    """A head length N and a Bernoulli term count M whose remainder is at
+    most tol, by Johansson's bound (Numer. Algorithms 69, 2015, Thm. 1):
+
+      |R(N, M)| <= 4 |(s)_2M| (N+a)^(1-sigma-2M) / ((2 pi)^2M (sigma+2M-1))
+
+    for sigma = Re s and sigma + 2M > 1.  It follows from |B_2M(t - floor t)|
+    <= 4 (2M)! / (2 pi)^2M in the integral form of the remainder, and holds
+    for complex s.  For each M the least N + a follows in closed form; M
+    grows while one more term saves more head terms than it costs.
+
+    When the factor s + i of the Pochhammer symbol is exactly 0 (s a
+    nonpositive integer, read from its fixed-point value sr = s one, with
+    one = 2^P), the terms from (s)_(i+1) on and the remainder vanish:
+    N = 0, and M counts the ceil(i/2) terms before."""
+    sigma, tau = float(s.real), float(s.imag)
+    if not tau and sr <= 0 and not sr % one:
+        return 0, (-sr // one + 1) // 2
+    head = _HEAD_COST_COMPLEX if tau else _HEAD_COST_REAL
+    # the rounding of sigma to a float, so that each factor |s + i| is
+    # bounded from above
+    eps = 2.0 ** -50 * (1 + abs(sigma))
+    log_scale = math.log(tol / 4)
+    log_poch = 0.0  # log |(s)_2M| - 2M log(2 pi)
+    x = math.inf
+    M = 0
+    while True:
+        M += 1
+        log_poch += math.log((math.hypot(sigma + 2 * M - 2, tau) + eps)
+                             * (math.hypot(sigma + 2 * M - 1, tau) + eps)) - _LOG_TWO_PI_SQ
+        e = sigma + 2 * M - 1
+        if e <= 0:
+            continue
+        # the least x = N + a with R <= tol at this M (capped below the
+        # float range, where the next M is taken anyway)
+        x_next = math.exp(min((log_poch - math.log(e) - log_scale) / e, 700))
+        if x_next <= a:
+            return 0, M
+        if head * (x - x_next) < 1:
+            return math.ceil(x - a), M - 1
+        x = x_next
+
+
+def _bernoulli_sum(sr: int, si: int, X: int, M: int, P: int) -> tuple[int, int]:
+    """sum_{1<=j<=M} c_j w_j, c_j = B_2j (2 pi)^2j / (2j)! and
+    w_j = (s)_(2j-1) / (2 pi x)^2j, on integers scaled by 2^P, with s the
+    Gaussian pair (sr, si) and x = X.  |c_j| = 2 zeta(2j) < 3.3, so w_j
+    carries the size of each term and reaches 0 only below the scale.  The
+    B_2j come from mpmath's table, which is filled in order of j and kept
+    for the precision."""
+    F = 4 * pi_fixed(P) ** 2 >> P  # (2 pi)^2
+    Y = F * X * X >> 2 * P  # (2 pi x)^2
+    one = 1 << P
+    wr, wi = (sr << P) // Y, (si << P) // Y
+    tp, fact = F, 2  # (2 pi)^2j and (2j)!
+    tr = ti = 0
+    for j in range(1, M + 1):
+        c = to_fixed(mpf_bernoulli(2 * j, P), P) * tp // fact >> P
+        tr += c * wr >> P
+        ti += c * wi >> P
+        # w_(j+1) = w_j (s + 2j - 1)(s + 2j) / (2 pi x)^2
+        pr, qr = sr + (2 * j - 1) * one, sr + 2 * j * one
+        fr, fi = (pr * qr - si * si) >> P, si * (pr + qr) >> P
+        wr, wi = (wr * fr - wi * fi) // Y, (wr * fi + wi * fr) // Y
+        tp = tp * F >> P
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return tr, ti
+
+
 def hurwitz_zeta(s, a, ctx: PrecisionCtx = DEFAULT_CTX):
-    """Hurwitz zeta zeta_H(s, a) = sum_{k>=0} (k+a)^{-s} for a > 0, continued
-    to all s != 1 by Euler-Maclaurin:
+    """Hurwitz zeta zeta_H(s, a) = sum_{k>=0} (k+a)^{-s} for a > 0 and real
+    or complex s != 1, continued by Euler-Maclaurin at x = N + a:
 
-      zeta_H(s,a) = sum_{k<N} (k+a)^{-s} + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
-                   + sum_{j>=1} B_{2j}/(2j)! * (s)_{2j-1} (N+a)^{-s-2j+1},
+      zeta_H(s,a) = sum_{k<N} (k+a)^{-s} + x^{1-s}/(s-1) + x^{-s}/2
+                   + x^{1-s} sum_{1<=j<=M} c_j w_j + R(N, M),
+      c_j = B_2j (2 pi)^2j / (2j)!,   w_j = (s)_(2j-1) / (2 pi x)^2j.
 
-    truncated when the correction terms drop below the target error; the
-    tail of the Bernoulli sum is bounded by its first omitted term (times a
-    modulus factor for complex s)."""
+    N and M come before any term is summed, from a bound on R that holds
+    for complex s (_euler_maclaurin_cut): the cheapest pair with |R| below
+    target_abs_err / 2^10.  At a nonpositive integer s the Pochhammer symbol
+    is exactly 0 from (s)_(1-s) on, so the sum ends exactly and N = 0; at
+    s = 0 no term is summed, and the value is x/(s-1) + 1/2 at x = a.
+
+    The head is summed by mp.power.  The Bernoulli sum runs on integers
+    scaled by 2^P, P the working precision plus the guard bits, as Gaussian
+    pairs (re, im) (_bernoulli_sum).  Its rounding is then below that of
+    x^{1-s}/(s-1), to which it adds."""
     with ctx.workprec():
-        s = mp.mpmathify(s)
+        s = +mp.mpmathify(s)
         a = mp.mpf(a)
         if not a > 0:
             raise ValueError("hurwitz_zeta requires a > 0")
         if s == 1:
             raise ZeroDivisionError("hurwitz_zeta has a pole at s = 1")
-        tol = mp.mpf(ctx.target_abs_err) * mp.mpf(2) ** (-10)
-        # base offset: large enough that the asymptotic series converges
-        # well before the Bernoulli numbers take over
-        N = int(max(10, abs(mp.im(s)) * 0.6 + mp.mp.prec * 0.12 + 8))
-        for _ in range(4):
-            head = mp.fsum(mp.power(k + a, -s) for k in range(N))
-            base = N + a
-            total = head + mp.power(base, 1 - s) / (s - 1) + mp.power(base, -s) / 2
-            # Bernoulli correction sum
-            poch = s  # (s)_{2j-1} for j = 1
-            powb = mp.power(base, -s - 1)
-            ok = False
-            prev = mp.inf
-            for j in range(1, 300):
-                term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * poch * powb
-                total += term
-                mag = abs(term)
-                if mag <= tol:
-                    ok = True
-                    break
-                if mag > prev:
-                    break  # asymptotic series started diverging
-                prev = mag
-                poch *= (s + 2 * j - 1) * (s + 2 * j)
-                powb /= base * base
-            if ok:
-                return +total if mp.im(s) else mp.mpf(mp.re(total))
-            N *= 2
-        raise ConvergenceError("Euler-Maclaurin tail did not reach target")
+        if isinstance(s, mp.mpc) and not s.imag:
+            s = s.real
+        real = not isinstance(s, mp.mpc)
+        P = mp.mp.prec + _GUARD_BITS
+        sr, si = to_fixed(s.real._mpf_, P), to_fixed(s.imag._mpf_, P)
+        N, M = _euler_maclaurin_cut(s, float(a), ctx.target_abs_err * 2.0 ** -10, sr, 1 << P)
+        x = N + a
+        tr, ti = _bernoulli_sum(sr, si, to_fixed(x._mpf_, P), M, P)
+        head = mp.fsum(mp.power(k + a, -s) for k in range(N))
+        p = mp.power(x, 1 - s)
+        tail = mp.ldexp(tr, -P) if real else mp.mpc(mp.ldexp(tr, -P), mp.ldexp(ti, -P))
+        return +(head + p / (s - 1) + p / x / 2 + p * tail)
 
 
 def hurwitz_zeta_prime0(a, ctx: PrecisionCtx = DEFAULT_CTX):

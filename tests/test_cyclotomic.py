@@ -6,6 +6,7 @@ import pytest
 from starklab.cyclotomic import (
     CongruenceClass,
     TauUndefined,
+    _euler_maclaurin_cut,
     hurwitz_zeta,
     hurwitz_zeta_prime0,
     jones_index_member,
@@ -46,6 +47,43 @@ def test_hurwitz_zeta_complex_argument(s):
             ours = hurwitz_zeta(sv, a, CTX)
             oracle = mp.zeta(sv, a)
             assert abs(ours - oracle) < 1e-28 * max(1, abs(oracle))
+
+
+# 1 +- 2^-20 and the complex points are exact binary floats
+GRID_S = [0, -1, -3, -6, 1 + 2 ** -20, 1 - 2 ** -20, 2, 12, 40,
+          2 + 3j, 0.5 + 14j, -1.5 + 2j, 0.5 + 40j]
+GRID_A = [(1, 20), (19, 20), (1, 1), (5, 2), (30, 1)]
+
+
+@pytest.mark.parametrize("bits,target", [(64, 1e-15), (128, 1e-30), (256, 1e-70)])
+@pytest.mark.parametrize("s", GRID_S)
+def test_hurwitz_zeta_oracle_grid(bits, target, s):
+    # Euler-Maclaurin with N and M from the remainder bound, against
+    # mp.zeta at twice the working precision, to target * max(1, |zeta|)
+    ctx = PrecisionCtx(bits, target)
+    for num, den in GRID_A:
+        with ctx.workprec():
+            sv, a = mp.mpmathify(s), mp.mpf(num) / den
+            ours = hurwitz_zeta(sv, a, ctx)
+            twice = 2 * mp.mp.prec
+        with mp.workprec(twice):
+            oracle = mp.zeta(sv, a)
+            assert abs(ours - oracle) < target * max(1, abs(oracle)), (num, den)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_hurwitz_zeta_ends_exactly_at_nonpositive_integers(k):
+    # zeta_H(-k, a) = -B_(k+1)(a)/(k+1): the Pochhammer symbol (-k)_(2j-1)
+    # vanishes for j > (1+k)/2, so no head term is summed and the
+    # Bernoulli sum ends after ceil(k/2) terms, even at a = 1/20, where
+    # the terms grow until they vanish
+    with CTX.workprec():
+        for a in (mp.mpf(1) / 20, mp.mpf(1) / 3, mp.mpf(19) / 20, mp.mpf(1), mp.mpf(5) / 2):
+            exact = -mp.bernpoly(k + 1, a) / (k + 1)
+            assert abs(hurwitz_zeta(-k, a, CTX) - exact) < 1e-40
+            one = 1 << mp.mp.prec
+            assert _euler_maclaurin_cut(mp.mpf(-k), float(a), 1e-33, -k * one, one) \
+                == (0, (k + 1) // 2)
 
 
 def test_hurwitz_zeta_at_zero_is_half_minus_a():
