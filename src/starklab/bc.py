@@ -211,6 +211,7 @@ def kms_state(beta, gamma, twist: int = 1, ctx: PrecisionCtx = DEFAULT_CTX):
         total = mp.mpc(0)
         for j in range(1, q + 1):
             phase = mp.expjpi(2 * mpf_from_fraction(Fraction(j * g.numerator % q, q)))
-            total += phase * hurwitz_zeta(beta, mp.mpf(j) / q, ctx)
+            # the j = q term is zeta_H(beta, 1), the partition function
+            total += phase * (z if j == q else hurwitz_zeta(beta, mp.mpf(j) / q, ctx))
         val = mp.power(q, -beta) * total / z
         return mp.mpc(val), mp.mpf(ctx.target_abs_err)

@@ -479,13 +479,17 @@ class RayClassGroup:
     """The ray class group modulo f: members[k] lists the enumerated ideals
     of class k in enumeration order, the first being the class's
     representative; table[i][j] is the class of rep_i * rep_j; units is
-    unit_mod_f(f)."""
+    unit_mod_f(f).  bases holds (conj(J), f (N J)_f) for the first
+    enumerated ideal J of each ordinary class, and index maps each class's
+    _ray_key to k."""
 
     modulus: QuadIdeal
     variant: str
     members: tuple
     table: tuple
     units: UnitData
+    bases: tuple = field(repr=False, compare=False)
+    index: dict = field(repr=False, compare=False)
 
     def __len__(self):
         return len(self.members)
@@ -495,7 +499,8 @@ class RayClassGroup:
         return tuple(m[0] for m in self.members)
 
     def class_index(self, ideal: QuadIdeal) -> int:
-        k = _class_of(ideal, self.reps, self.modulus, self.variant, self.units)
+        key = _ray_key(ideal, self.bases, self.variant, self.units)
+        k = self.index.get(key)
         if k is None:
             raise BoundExceeded("ideal not equivalent to any enumerated class")
         return k
@@ -512,52 +517,78 @@ def _congruence_ideal(n: int, f: QuadIdeal) -> QuadIdeal:
     return T
 
 
+def _residue_key(F: FieldCtx, gen: tuple[int, int], target: QuadIdeal,
+                 variant: str, units: UnitData) -> tuple:
+    """The least, over the unit multiples +-eps0^k gamma (k < units.order),
+    of (the residue mod target, and in the narrow variant the sign pair
+    modulo units.signs), gamma = u + v omega for gen = (u, v).
+
+    For a base J of norm n and target = f (n)_f, let A conj(J) = (gamma)
+    and B conj(J) = (delta) with A, B coprime to f.  Then A B^{-1} =
+    (gamma/delta), and gamma/delta == 1 mod* f iff gamma == delta mod
+    target, as both have the f-part (n)_f.  A generator of A B^{-1} that
+    is == 1 mod* f (and totally positive, narrow) exists iff some
+    +-eps0^k gamma is == delta mod target with a sign pair in
+    sgn(delta) units.signs: iff the two keys agree.  eps0^order is +-1
+    times a unit == 1 mod f, so k < order covers the orbit; as eps0 > 0,
+    the sign pair of +-eps0^k gamma is +-(sgn gamma,
+    sgn gamma' * sgn(eps0')^k)."""
+    u, v = gen
+    # gamma = (x + v sqrt(D))/2 when t = 1 and x + v sqrt(D) when t = 0
+    x = 2 * u + v if F.omega_trace else u
+    sgn, sgn_conj = _sign_surd(x, v, F.D), _sign_surd(x, -v, F.D)
+    r = target._residue(gen)
+    best = None
+    for _ in range(units.order):
+        for m, res in ((1, r), (-1, target._residue((-r[0], -r[1])))):
+            key = res if variant == "wide" else (res, min(
+                (m * sgn * a, m * sgn_conj * b) for a, b in units.signs))
+            if best is None or key < best:
+                best = key
+        r = target._residue(_omega_mul(F, r, units.step))
+        sgn_conj *= units.eps0_norm
+    return best
+
+
+def _ray_key(I: QuadIdeal, bases, variant: str, units: UnitData) -> tuple | None:
+    """(j, _residue_key of gamma) for the first base conj(J_j) with
+    I conj(J_j) = (gamma) principal, or None when I lies in no base's
+    ordinary class."""
+    for j, (conj_J, target) in enumerate(bases):
+        gen = (I * conj_J).generator_coords()
+        if gen is not None:
+            return j, _residue_key(I.field, gen, target, variant, units)
+    return None
+
+
+def _new_base(J: QuadIdeal, f: QuadIdeal, variant: str, units: UnitData):
+    """The base (conj(J), f (N J)_f) and J's own _residue_key: as
+    J conj(J) = (N J), it needs no principal test."""
+    target = _congruence_ideal(J.norm(), f)
+    return (J.conjugate(), target), _residue_key(J.field, (J.norm(), 0), target,
+                                                 variant, units)
+
+
 def ray_equivalent(A: QuadIdeal, B: QuadIdeal, f: QuadIdeal,
                    variant: str = "narrow", units: UnitData | None = None) -> bool:
     """Exact test, for A and B coprime to f: A B^{-1} = (alpha) with
     alpha == 1 mod* f (multiplicative congruence), and alpha totally
     positive in the narrow variant.  units is unit_mod_f(f), derived here
-    when not given.
-
-    With n = N(B), A conj(B) = (n) A B^{-1}, so alpha = gamma/n for a
-    generator gamma of A conj(B), and alpha == 1 mod* f iff gamma - n lies
-    in f (n)_f, (n)_f the part of (n) on the primes of f.  As n > 0, alpha
-    and gamma have the same signs.
-
-    The candidates +-gamma eps0^k are walked as residues mod f (n)_f; as
-    eps0 > 0, the sign pair of +-gamma eps0^k is +-(sgn gamma,
-    sgn gamma' * sgn(eps0')^k)."""
-    F = A.field
-    n = B.norm()
-    gen = (A * B.conjugate()).generator_coords()
-    if gen is None:
-        return False
+    when not given.  With B as the base, the keys of A and B agree (see
+    _residue_key)."""
     if units is None:
-        units = unit_mod_f(F, f)
-    target = _congruence_ideal(n, f)
-    r = target._residue(gen)
-    # gamma = (x + v sqrt(D))/2 when t = 1 and x + v sqrt(D) when t = 0
-    u, v = gen
-    x = 2 * u + v if F.omega_trace else u
-    sgn, sgn_conj = _sign_surd(x, v, F.D), _sign_surd(x, -v, F.D)
-    plus, minus = target._residue((n, 0)), target._residue((-n, 0))
-    for _ in range(units.order):
-        for m, res in ((1, plus), (-1, minus)):
-            # narrow: alpha must be totally positive after adjusting by a
-            # unit congruent to 1 mod f
-            if r == res and (variant == "wide" or (m * sgn, m * sgn_conj) in units.signs):
-                return True
-        r = target._residue(_omega_mul(F, r, units.step))
-        sgn_conj *= units.eps0_norm
-    return False
+        units = unit_mod_f(A.field, f)
+    base, key = _new_base(B, f, variant, units)
+    return _ray_key(A, (base,), variant, units) == (0, key)
 
 
-def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int):
-    """All integral ideals of norm <= norm_bound coprime to f, via the
-    two-generator normal form c*(a, b + omega)."""
+def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int,
+                              above: int = 0):
+    """All integral ideals of norm in (above, norm_bound] coprime to f, in
+    ascending norm, via the two-generator normal form c*(a, b + omega)."""
     t, nw = F.omega_trace, F.omega_norm
     out = []
-    for n in range(1, norm_bound + 1):
+    for n in range(above + 1, norm_bound + 1):
         c = 1
         while c * c <= n:
             if n % (c * c) == 0:
@@ -571,13 +602,6 @@ def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int):
     return out
 
 
-def _class_of(I: QuadIdeal, reps, f: QuadIdeal, variant: str,
-              units: UnitData) -> int | None:
-    """The index of the first rep ray-equivalent to I, or None."""
-    return next((k for k, R in enumerate(reps)
-                 if ray_equivalent(I, R, f, variant, units)), None)
-
-
 # Classes ray_classes enumerates before it gives up.
 _MAX_RAY_CLASSES = 64
 # Norm bound past which ray_classes stops doubling its bound.
@@ -589,46 +613,59 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
     """Enumerate the ray class group modulo f (narrow by default): ideals
     coprime to f up to the norm bound, quotiented by principality with a
     generator congruent to 1 mod f (totally positive in the narrow case).
-    norm_bound is the starting bound: while a product of representatives
-    escapes the enumerated classes, the enumeration is repeated at twice
-    the bound, and past _MAX_NORM_BOUND it raises BoundExceeded.  The
-    multiplication table is verified (closure, identity, inverses,
-    associativity)."""
+    Each ideal is classified by its _ray_key: one principal test per
+    ordinary class met before its own, and one dict lookup.  norm_bound is
+    the starting bound: while a product of representatives escapes the
+    enumerated classes, the ideals of norm up to twice the bound are
+    enumerated too, and past _MAX_NORM_BOUND it raises BoundExceeded.  As
+    the enumeration runs in ascending norm, this equals a restart at the
+    doubled bound.  The multiplication table is verified (closure,
+    identity, inverses, associativity)."""
     F = f.field
     units = unit_mod_f(F, f)
+    bases: list[tuple[QuadIdeal, QuadIdeal]] = []
+    index: dict = {}  # _ray_key -> class
+    members: list[list[QuadIdeal]] = []
+    products: dict = {}  # (i, j) -> class of rep_i * rep_j, j >= i
+    above = 0
     while True:
-        reps: list[QuadIdeal] = []
-        members: list[list[QuadIdeal]] = []
         # (1) comes first, so class 0 is the principal class
-        for I in _enumerate_coprime_ideals(F, f, norm_bound):
-            idx = _class_of(I, reps, f, variant, units)
+        for I in _enumerate_coprime_ideals(F, f, norm_bound, above):
+            key = _ray_key(I, bases, variant, units)
+            if key is None:
+                base, own = _new_base(I, f, variant, units)
+                key = (len(bases), own)
+                bases.append(base)
+            idx = index.get(key)
             if idx is not None:
                 members[idx].append(I)
                 continue
-            reps.append(I)
+            index[key] = len(members)
             members.append([I])
-            if len(reps) > _MAX_RAY_CLASSES:
+            if len(members) > _MAX_RAY_CLASSES:
                 raise BoundExceeded(
                     "more than %d ray classes at norm bound %d"
                     % (_MAX_RAY_CLASSES, norm_bound)
                 )
-        k = len(reps)
+        k = len(members)
         # ideal products commute, and rep_i * rep_j and rep_j * rep_i have
         # the same HNF, so each entry with j >= i is looked up and mirrored
-        table = [[0] * k for _ in range(k)]
         for i, j in combinations_with_replacement(range(k), 2):
-            idx = _class_of(reps[i] * reps[j], reps, f, variant, units)
-            if idx is None:
-                break
-            table[i][j] = table[j][i] = idx
+            if (i, j) not in products:
+                idx = index.get(_ray_key(members[i][0] * members[j][0],
+                                         bases, variant, units))
+                if idx is None:
+                    break
+                products[i, j] = idx
         else:
             break
-        norm_bound *= 2
+        above, norm_bound = norm_bound, 2 * norm_bound
         if norm_bound > _MAX_NORM_BOUND:
             raise BoundExceeded("product of class representatives escapes the "
                                 "enumerated classes up to norm bound %d"
                                 % _MAX_NORM_BOUND)
-    table = tuple(map(tuple, table))
+    table = tuple(tuple(products[min(i, j), max(i, j)] for j in range(k))
+                  for i in range(k))
     # verify the group axioms on the table
     for i in range(k):
         if table[0][i] != i or table[i][0] != i:
@@ -642,7 +679,7 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
                     raise ArithmeticError("associativity fails in ray class table")
     return RayClassGroup(modulus=f, variant=variant,
                          members=tuple(map(tuple, members)), table=table,
-                         units=units)
+                         units=units, bases=tuple(bases), index=index)
 
 
 # ---------------------------------------------------------------------------

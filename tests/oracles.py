@@ -10,18 +10,28 @@ for the tests to compare against.  The package itself calls none of them.
   representatives with Fraction norms.
 - theta_complex_reference: the complex lattice theta over a disk, one expjpi
   per lattice point at twice the working precision.
+- ray_equivalent_reference, ray_classes_reference: the pairwise exact
+  ray-equivalence test, and the ray class group built by testing each
+  ideal against every class representative in turn, restarting the
+  enumeration at each doubled bound.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
 
 from starklab.hecke import scalar_product
-from starklab.numerics import DEFAULT_CTX, ConvergenceError, PrecisionCtx
-from starklab.pseudolattice import coset_slice_reps
-from starklab.quadfield import FieldCtx, QuadElem, _float_embed
-from starklab.stark import StarkInput, _smooth_weight
+from starklab.numerics import DEFAULT_CTX, BoundExceeded, ConvergenceError, PrecisionCtx
+from starklab.pseudolattice import _sign_surd, coset_slice_reps
+from starklab.quadfield import FieldCtx, QuadElem, _float_embed, _omega_mul, unit_mod_f
+from starklab.stark import (
+    StarkInput,
+    _congruence_ideal,
+    _enumerate_coprime_ideals,
+    _smooth_weight,
+)
 
 
 def numeric_derivative(f, s0, h, ctx: PrecisionCtx = DEFAULT_CTX):
@@ -161,3 +171,76 @@ def theta_complex_reference(g1, g2, lam0, mu0, etas, v, radius, bits):
                     s[0] += term
                     s[1] += abs(term)
         return [(+value, +size) for value, size in sums]
+
+
+def ray_equivalent_reference(A, B, f, variant, units):
+    """A B^{-1} = (alpha) with alpha == 1 mod* f, and totally positive in
+    the narrow variant.  With n = N(B), alpha = gamma/n for a generator
+    gamma of A conj(B); the candidates +-gamma eps0^k are walked as
+    residues mod f (n)_f and compared with +-n, and the sign pair of
+    +-gamma eps0^k, +-(sgn gamma, sgn gamma' * sgn(eps0')^k), must be
+    realized by a unit == 1 mod f."""
+    F = A.field
+    n = B.norm()
+    gen = (A * B.conjugate()).generator_coords()
+    if gen is None:
+        return False
+    target = _congruence_ideal(n, f)
+    r = target._residue(gen)
+    u, v = gen
+    x = 2 * u + v if F.omega_trace else u
+    sgn, sgn_conj = _sign_surd(x, v, F.D), _sign_surd(x, -v, F.D)
+    plus, minus = target._residue((n, 0)), target._residue((-n, 0))
+    for _ in range(units.order):
+        for m, res in ((1, plus), (-1, minus)):
+            if r == res and (variant == "wide" or (m * sgn, m * sgn_conj) in units.signs):
+                return True
+        r = target._residue(_omega_mul(F, r, units.step))
+        sgn_conj *= units.eps0_norm
+    return False
+
+
+def ray_classes_reference(f, variant, norm_bound=30, max_classes=64, max_norm_bound=960):
+    """(members, table) of the ray class group mod f: each enumerated ideal
+    joins the first representative it is ray_equivalent_reference to, and
+    while a product of representatives escapes, everything is enumerated
+    again at twice the bound.  Raises BoundExceeded past max_classes or
+    max_norm_bound, and ArithmeticError on a table that is not a group."""
+    F = f.field
+    units = unit_mod_f(F, f)
+
+    def class_of(I, reps):
+        return next((k for k, R in enumerate(reps)
+                     if ray_equivalent_reference(I, R, f, variant, units)), None)
+
+    while True:
+        reps, members = [], []
+        for I in _enumerate_coprime_ideals(F, f, norm_bound):
+            idx = class_of(I, reps)
+            if idx is not None:
+                members[idx].append(I)
+                continue
+            reps.append(I)
+            members.append([I])
+            if len(reps) > max_classes:
+                raise BoundExceeded("more than %d ray classes" % max_classes)
+        k = len(reps)
+        table = [[0] * k for _ in range(k)]
+        for i, j in combinations_with_replacement(range(k), 2):
+            idx = class_of(reps[i] * reps[j], reps)
+            if idx is None:
+                break
+            table[i][j] = table[j][i] = idx
+        else:
+            break
+        norm_bound *= 2
+        if norm_bound > max_norm_bound:
+            raise BoundExceeded("product escapes up to norm bound %d" % max_norm_bound)
+    for i in range(k):
+        if table[0][i] != i or table[i][0] != i or 0 not in table[i]:
+            raise ArithmeticError("not a group table")
+        for j in range(k):
+            for m in range(k):
+                if table[table[i][j]][m] != table[i][table[j][m]]:
+                    raise ArithmeticError("associativity fails")
+    return tuple(map(tuple, members)), tuple(map(tuple, table))

@@ -11,7 +11,7 @@ import pytest
 
 from starklab.numerics import BoundExceeded, PrecisionCtx, mpf_from_fraction
 from starklab.pseudolattice import coset_slice_reps, dual
-from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
+from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit, unit_mod_f
 import starklab.stark as stark_mod
 from starklab.stark import (
     ConditionFailed,
@@ -30,7 +30,12 @@ from starklab.stark import (
     stark_number,
     validate_pair,
 )
-from oracles import numeric_derivative, partial_zeta_direct_reference
+from oracles import (
+    numeric_derivative,
+    partial_zeta_direct_reference,
+    ray_classes_reference,
+    ray_equivalent_reference,
+)
 
 mp.mp.dps = 50
 
@@ -502,6 +507,8 @@ def test_ray_classes_match_the_benchmark_references(variant):
         for k, m in enumerate(group.members):
             for I in m:
                 assert group.class_index(I) == k
+        assert (group.members, group.table) == ray_classes_reference(
+            f, variant, norm_bound), name
 
 
 def test_ray_classes_double_the_bound_until_the_group_closes():
@@ -522,6 +529,56 @@ def test_ray_classes_raise_past_the_bound_cap(monkeypatch):
     F = FieldCtx(3)
     with pytest.raises(BoundExceeded, match="escapes the enumerated classes"):
         ray_classes(QuadIdeal(F, 5, 0, 5), "narrow")
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 6, 7, 10, 13, 79])
+def test_ray_classes_match_the_pairwise_scan(D):
+    # every modulus of norm <= 30, both variants, from the default bound:
+    # the same members and table as testing each ideal against every
+    # representative, or the same exception type; D = 10 has moduli whose
+    # narrow classes tell f from f (N J)_f
+    F = FieldCtx(D)
+    for f in _coprime_pool(F, QuadIdeal.unit_ideal(F), 30):
+        for variant in ("narrow", "wide"):
+            got = _outcome(lambda: ray_classes(f, variant))
+            if not isinstance(got, type):
+                got = (got.members, got.table)
+            assert got == _outcome(lambda: ray_classes_reference(f, variant)), (f, variant)
+
+
+def test_ray_equivalent_matches_the_pairwise_reference():
+    for D, (a, b, c) in ((10, (6, 2, 1)), (2, (7, 3, 1)), (79, (5, 2, 1))):
+        F = FieldCtx(D)
+        f = QuadIdeal(F, a, b, c)
+        units = unit_mod_f(F, f)
+        pool = _coprime_pool(F, f, 24)
+        for variant in ("narrow", "wide"):
+            for A in pool:
+                for B in pool[:8]:
+                    assert ray_equivalent(A, B, f, variant, units) == \
+                        ray_equivalent_reference(A, B, f, variant, units), (A, B, variant)
+
+
+def test_ray_classes_make_one_principal_test_per_ideal_and_product(monkeypatch):
+    # D = 3 has one ordinary class, so each ideal after (1) and each table
+    # product takes one principal test, and the first ideal none
+    calls = []
+    real = QuadIdeal.generator_coords
+    monkeypatch.setattr(QuadIdeal, "generator_coords",
+                        lambda self: calls.append(self) or real(self))
+    F = FieldCtx(3)
+    f = QuadIdeal(F, 5, 0, 5)
+    group = ray_classes(f, "narrow", norm_bound=60)
+    k = len(group)
+    assert k == 16
+    assert len(calls) <= len(_coprime_pool(F, f, 60)) + k * (k + 1) // 2
 
 
 @pytest.mark.parametrize("D, h, h_plus", [
