@@ -14,7 +14,6 @@ from itertools import groupby
 from operator import itemgetter
 
 import mpmath as mp
-import numpy as np
 
 from .numerics import DEFAULT_CTX, BoundExceeded, PrecisionCtx
 from .quadfield import (
@@ -26,7 +25,6 @@ from .quadfield import (
     _cf_walk,
     _convergent_matrix,
     _float_embed,
-    _float_embed_conj,
     _omega_mul,
 )
 
@@ -305,10 +303,100 @@ def _sign_surd(r: int, t: int, D: int) -> int:
     return (1 if r > 0 else -1) if r * r > D * t * t else (1 if t > 0 else -1)
 
 
-# Lattice points past which coset_slice_rows refuses to scan its box.  The
-# scan takes about 2 s per 1e8 points (a box of 5.0e8 took 11.4 s), and the
-# largest box that the test suite scans holds 6.2e6.
+# Lattice points past which coset_slice_rows refuses to walk its sub-slice
+# triangles: their area over the covolume plus their rows, counted before
+# any row is walked.  The walk takes about 1.3 s and 230 MB per 1e6 kept
+# rows (D=5 and D=2 at 5e5 rows; 2-core Xeon VM, Python 3.11.7), so 1e8
+# points would take minutes and tens of GB.  The largest count in the test
+# suite that is walked is 1.8e5.
 _MAX_BOX_POINTS = 10**8
+
+# coset_slice_rows' running count of the work it does, for the tests: rows
+# solved, plus lattice points kept or tested one by one at a slice boundary.
+_EXAMINED = [0]
+
+
+def _dyadic(v: float) -> Fraction:
+    """v > 0 rounded to 30 significant bits, as an exact fraction."""
+    m, e = math.frexp(v)
+    return Fraction(round(math.ldexp(m, 30))) * Fraction(2) ** (e - 30)
+
+
+def _sub_slices(W: QuadElem) -> list[Fraction]:
+    """Rational cuts r_0 < r_1 < ... < r_k of the ratio |xi/xi'| for the
+    slice tau^2 in (1/W, W]: r_0 < 1/sqrt(W) and r_k > sqrt(W) (exactly, so
+    the outer pieces cover the slice's ends), and successive ratios of at
+    most about e^2, whose bounding triangles have 1.18 times the area of
+    their pieces."""
+    log_w = math.log(_float_embed(W)) / 2
+    k = max(1, math.ceil(log_w))
+    ends = [_dyadic(math.exp(-log_w) * (1 - 2 ** -24)), _dyadic(math.exp(log_w) * (1 + 2 ** -24))]
+    while (W * ends[0] * ends[0]).compare(1) >= 0:
+        ends[0] *= Fraction(2 ** 24 - 1, 2 ** 24)
+    while (W * ends[1] * ends[1]).compare(1) <= 0:
+        ends[1] *= Fraction(2 ** 24 + 1, 2 ** 24)
+    return [ends[0]] + [_dyadic(math.exp(log_w * (2 * j / k - 1))) for j in range(1, k)] + [ends[1]]
+
+
+def _embed_pair(x: int, y: int, D: int, rd: float) -> tuple[float, float]:
+    """x + y sqrt(D) and x - y sqrt(D) in float64, rd = sqrt(D), each to a
+    few ulp: the one whose terms cancel is the exact integer norm divided by
+    the other."""
+    if x * y >= 0:
+        e = x + y * rd
+        return e, ((x * x - D * y * y) / e if e else 0.0)
+    e = x - y * rd
+    return (x * x - D * y * y) / e, e
+
+
+def _positive_run(r0: int, t0: int, r1: int, t1: int, D: int):
+    """The integers b with (r0 + r1 b) + (t0 + t1 b) sqrt(D) > 0, a function
+    linear in b, as (lo, hi) with None for an unbounded end; (1, 0) when
+    there are none.  The root -(r0 + t0 sqrt D)/(r1 + t1 sqrt D) is
+    (al + be sqrt D)/ga, and its floor comes from isqrt(D be^2)."""
+    s1 = _sign_surd(r1, t1, D)
+    if s1 == 0:
+        return (None, None) if _sign_surd(r0, t0, D) > 0 else (1, 0)
+    al, be, ga = D * t0 * t1 - r0 * r1, r0 * t1 - t0 * r1, r1 * r1 - D * t1 * t1
+    if ga < 0:
+        al, be, ga = -al, -be, -ga
+    root = math.isqrt(D * be * be)
+    # be sqrt(D) is irrational unless be = 0, so its floor is -root - 1 for be < 0
+    fl = (al + (root if be >= 0 else -root - 1)) // ga
+    if s1 > 0:
+        return fl + 1, None
+    return None, (fl - 1 if be == 0 and al % ga == 0 else fl)
+
+
+def _quadratic_run(A: int, B: int, C: int):
+    """The integers b with A b^2 + B b + C <= 0, A > 0, as (lo, hi); (1, 0)
+    when there are none."""
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return 1, 0
+    s = math.isqrt(disc)
+    return -((B + s) // (2 * A)), (s - B) // (2 * A)
+
+
+def _gauss_reduce(u, w, embed):
+    """Lagrange-Gauss reduction of the basis u, w, each a tuple of integer
+    coordinates of a lattice vector whose image in the plane is the complex
+    float embed(v).  The steps are chosen in float64, and each image is
+    recomputed from the exact coordinates, so no rounding accumulates.
+    Returns (short, long) with |short| <= |long| and |Re(short conj(long))|
+    <= |short|^2 / 2, up to float64 rounding."""
+    fu, fw = embed(u), embed(w)
+    while True:
+        if abs(fu) > abs(fw):
+            u, w, fu, fw = w, u, fw, fu
+        x = (fu.conjugate() * fw).real / (fu.real * fu.real + fu.imag * fu.imag)
+        # a tie |x| = 1/2 is reduced already; float rounding must not turn
+        # it into a step that swaps two vectors of equal length forever
+        if abs(x) <= 0.5 + 1e-9:
+            return u, w
+        k = round(x)
+        w = tuple(wi - k * ui for wi, ui in zip(w, u))
+        fw = embed(w)
 
 
 def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
@@ -319,61 +407,31 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
 
     The fundamental slice is tau(xi)^2 := (xi/xi')^2 in (1/W, W]:
     xi^2 <= W xi'^2 (upper, closed) and W xi^2 > xi'^2 (lower, open), so
-    boundary points are never double counted.  Candidates are pre-filtered
-    in float64 with a wide margin and every survivor is verified exactly in
-    integer arithmetic: with a common denominator den, xi = (x + y sqrt(D))/den
-    where x = x0 + a x1 + b x2 (y likewise), and W = (Wx + Wy sqrt(D))/wd.
-    The norm is (x^2 - D y^2)/den^2, and each slice inequality is the exact
-    sign of an integer combination r + t sqrt(D).
+    boundary points are never double counted.  With a common denominator
+    den, xi = (x + y sqrt(D))/den where x = x0 + a x1 + b x2 (y likewise),
+    and W = (Wx + Wy sqrt(D))/wd; the norm is (x^2 - D y^2)/den^2.
+
+    The ratio |xi/xi'| is cut at rationals into pieces of ratio at most
+    about e^2 (_sub_slices), and each sign quadrant of a piece, {r1 <
+    |xi/xi'| <= r2, |N| <= X}, lies in the triangle with vertices 0,
+    (sqrt(X r1), sqrt(X/r1)) and (sqrt(X r2), sqrt(X/r2)) in the plane of
+    (xi, xi').  The plane is flowed so that the piece is central, and the
+    lattice basis is Lagrange-Gauss reduced there.  Each row of the
+    triangle along the shorter reduced vector is solved on integers: the two
+    rays by the floor of a surd root, the norm by math.isqrt on the integer
+    norm form.  The outer rays lie just outside the slice, and the exact
+    slice tests above trim each outer row's ends one point at a time.
+    Float64 only bounds the rows to walk, with a margin.
 
     Returns (den, rows), rows a list of (n, a, b, x, y) for
     xi = l0 + a*l1 + b*l2 = (x + y sqrt(D))/den with |N(xi)| = n/den^2,
     sorted by (n, a, b) for determinism.  Raises BoundExceeded before any
-    scan when the box holds more than _MAX_BOX_POINTS lattice points."""
+    row is walked when the triangles hold more than _MAX_BOX_POINTS lattice
+    points."""
     if not (W.is_totally_positive() and W > QuadElem(W.D, 1)):
         raise ValueError("W must be totally positive and > 1")
-    X = float(max_norm)
-    g1r, g1c = _float_embed(L.l1), _float_embed_conj(L.l1)
-    g2r, g2c = _float_embed(L.l2), _float_embed_conj(L.l2)
-    l0r, l0c = _float_embed(l0), _float_embed_conj(l0)
-    Wr = _float_embed(W)
-    w = math.sqrt(Wr)
-    B = math.sqrt(X * w) * (1 + 1e-9) + 1e-12
-    det = g1r * g2c - g2r * g1c
-    corners_a, corners_b = [], []
-    for sx in (-1, 1):
-        for sy in (-1, 1):
-            rx, ry = sx * B - l0r, sy * B - l0c
-            corners_a.append((rx * g2c - ry * g2r) / det)
-            corners_b.append((g1r * ry - g1c * rx) / det)
-    amin, amax = math.floor(min(corners_a)) - 1, math.ceil(max(corners_a)) + 1
-    bmin, bmax = math.floor(min(corners_b)) - 1, math.ceil(max(corners_b)) + 1
-    points = (amax - amin + 1) * (bmax - bmin + 1)
-    if points > _MAX_BOX_POINTS:
-        raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
-                            % (points, _MAX_BOX_POINTS))
-
-    candidates = []
-    bs = np.arange(bmin, bmax + 1)
-    chunk = max(1, int(4_000_000 / max(1, len(bs))))
-    for a0 in range(amin, amax + 1, chunk):
-        a_arr = np.arange(a0, min(a0 + chunk, amax + 1))
-        A, Bb = np.meshgrid(a_arr, bs, indexing="ij")
-        xr = l0r + A * g1r + Bb * g2r
-        xc = l0c + A * g1c + Bb * g2c
-        absN = np.abs(xr * xc)
-        r2, c2 = xr * xr, xc * xc
-        keep = (
-            (absN <= X * (1 + 1e-6))
-            & (absN > 1e-12)
-            & (r2 <= Wr * c2 * (1 + 1e-6) + 1e-9)
-            & (Wr * r2 * (1 + 1e-6) + 1e-9 >= c2)
-        )
-        ka, kb = A[keep], Bb[keep]
-        candidates.extend(zip(ka.tolist(), kb.tolist()))
-
-    # exact verification on common-denominator integer coordinates
     D = L.field.D
+    rd = math.sqrt(D)
     gens = (l0, L.l1, L.l2)
     den = math.lcm(*(c.denominator for g in gens for c in (g.x, g.y)))
     x0, x1, x2 = (int(g.x * den) for g in gens)
@@ -384,24 +442,109 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     # |x^2 - D y^2| <= max_norm * den^2, cleared of the max_norm denominator
     norm_num = max_norm_fr.numerator * den * den
     norm_den = max_norm_fr.denominator
+    M = float(max_norm_fr) * den * den  # the norm bound on x + y sqrt(D)
+
+    # vectors are (x, y, a, b): x + y sqrt(D) = den (a l1 + b l2)
+    basis = (x1, y1, 1, 0), (x2, y2, 0, 1)
+    cuts = _sub_slices(W)
+    plans, points = [], 0.0
+    for r1, r2 in zip(cuts, cuts[1:]):
+        # the flow (xi, xi') -> (xi / g, xi' g) takes the piece's mean ratio
+        # g^2 = sqrt(r1 r2) to 1
+        g = math.sqrt(math.sqrt(float(r1) * float(r2)))
+
+        def flowed(v, g=g):
+            e, ec = _embed_pair(v[0], v[1], D, rd)
+            return complex(e / g, ec * g)
+
+        basis = short, long = _gauss_reduce(*basis, flowed)
+        f2, f1 = flowed(short), flowed(long)
+        cross = f1.real * f2.imag - f1.imag * f2.real
+        # the coset point nearest 0 in the flowed plane
+        fl0 = flowed((x0, y0))
+        ma = round(-(fl0.real * f2.imag - fl0.imag * f2.real) / cross)
+        mb = round(-(f1.real * fl0.imag - f1.imag * fl0.real) / cross)
+        p0 = (x0 + ma * long[0] + mb * short[0], y0 + ma * long[1] + mb * short[1],
+              ma * long[2] + mb * short[2], ma * long[3] + mb * short[3])
+        fp0 = flowed(p0)
+        area = M * (math.sqrt(float(r2 / r1)) - math.sqrt(float(r1 / r2))) / 2
+        quadrants = []
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                ends = [complex(s1 * math.sqrt(M * float(r)) / g, s2 * math.sqrt(M / float(r)) * g)
+                        for r in (r1, r2)]
+                coords = [((z - fp0).real * f2.imag - (z - fp0).imag * f2.real) / cross
+                          for z in [0j] + ends]
+                lo, hi = min(coords), max(coords)
+                margin = 1e-9 * (abs(lo) + abs(hi)) + 1e-6
+                arange = range(math.ceil(lo - margin), math.floor(hi + margin) + 1)
+                points += area / abs(cross) + len(arange)
+                quadrants.append((s1, s2, arange))
+        plans.append((r1, r2, short, long, p0, quadrants))
+    if points > _MAX_BOX_POINTS:
+        raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
+                            % (points, _MAX_BOX_POINTS))
+
+    def upper(x, y):  # closed: W xi'^2 - xi^2 >= 0, den^2 xi^2 = P + Q sqrt(D)
+        P, Q = x * x + D * y * y, 2 * x * y
+        return _sign_surd((Wx - wd) * P - D * Wy * Q, Wy * P - (Wx + wd) * Q, D) >= 0
+
+    def lower(x, y):  # open: W xi^2 - xi'^2 > 0
+        P, Q = x * x + D * y * y, 2 * x * y
+        return _sign_surd((Wx - wd) * P + D * Wy * Q, Wy * P + (Wx + wd) * Q, D) > 0
+
     kept = []
-    for a, b in candidates:
-        x = x0 + a * x1 + b * x2
-        y = y0 + a * y1 + b * y2
-        xx, dyy = x * x, D * y * y
-        n = xx - dyy
-        if n == 0 or abs(n) * norm_den > norm_num:
-            continue
-        # den^2 xi^2 = P + Q sqrt(D) and den^2 xi'^2 = P - Q sqrt(D)
-        P = xx + dyy
-        Q = 2 * x * y
-        # upper bound, closed: W xi'^2 - xi^2 >= 0
-        if _sign_surd((Wx - wd) * P - D * Wy * Q, Wy * P - (Wx + wd) * Q, D) < 0:
-            continue
-        # lower bound, open: W xi^2 - xi'^2 > 0
-        if _sign_surd((Wx - wd) * P + D * Wy * Q, Wy * P + (Wx + wd) * Q, D) <= 0:
-            continue
-        kept.append((abs(n), a, b, x, y))
+    examined = 0
+    last = len(plans) - 1
+    for k, (r1, r2, short, long, p0, quadrants) in enumerate(plans):
+        xq, yq, qa, qb = short
+        trims = [t for t, outer in ((lower, k == 0), (upper, k == last)) if outer]
+        for s1, s2, arange in quadrants:
+            sigma = s1 * s2
+            # s1 xi > r1 s2 xi' and s1 xi <= r2 s2 xi': with r = p/q, the sign
+            # of q s1 xi - p s2 xi' is that of (q s1 - p s2) x + (q s1 + p s2) y sqrt(D)
+            (c1, d1), (c2, d2) = ((r.denominator * s1 - r.numerator * s2,
+                                   r.denominator * s1 + r.numerator * s2) for r in (r1, r2))
+            A = sigma * norm_den * (xq * xq - D * yq * yq)
+            for a in arange:
+                xp, yp = p0[0] + a * long[0], p0[1] + a * long[1]
+                examined += 1
+                lo, hi = _positive_run(c1 * xp, d1 * yp, c1 * xq, d1 * yq, D)
+                lo2, hi2 = _positive_run(c2 * xp, d2 * yp, c2 * xq, d2 * yq, D)
+                # the second ray's complement: its points with s1 xi <= r2 s2 xi'
+                if lo2 is None and hi2 is None:
+                    continue
+                if lo2 is None:
+                    lo = hi2 + 1 if lo is None else max(lo, hi2 + 1)
+                elif hi2 is None:
+                    hi = lo2 - 1 if hi is None else min(hi, lo2 - 1)
+                # sigma N(xi) den^2 norm_den <= norm_num, a quadratic in b
+                B = 2 * sigma * norm_den * (xp * xq - D * yp * yq)
+                C = sigma * norm_den * (xp * xp - D * yp * yp) - norm_num
+                if A > 0:
+                    nlo, nhi = _quadratic_run(A, B, C)
+                    runs = [(nlo if lo is None else max(lo, nlo),
+                             nhi if hi is None else min(hi, nhi))]
+                else:
+                    # a line on which |N| grows without bound leaves the cone
+                    # both ways; the norm drops out where A b^2 + B b + C >= 1
+                    elo, ehi = _quadratic_run(-A, -B, 1 - C)
+                    runs = [(lo, min(hi, elo - 1)), (max(lo, ehi + 1), hi)] \
+                        if elo <= ehi else [(lo, hi)]
+                ra, rb = p0[2] + a * long[2], p0[3] + a * long[3]
+                for lo, hi in runs:
+                    for trim in trims:
+                        while lo <= hi and not trim(xp + lo * xq, yp + lo * yq):
+                            lo += 1
+                            examined += 1
+                        while lo <= hi and not trim(xp + hi * xq, yp + hi * yq):
+                            hi -= 1
+                            examined += 1
+                    for b in range(lo, hi + 1):
+                        x, y = xp + b * xq, yp + b * yq
+                        kept.append((sigma * (x * x - D * y * y), ra + b * qa, rb + b * qb, x, y))
+                    examined += max(0, hi - lo + 1)
+    _EXAMINED[0] += examined
     # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
     kept.sort()
     return den, kept

@@ -43,7 +43,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import mpmath as mp
-import numpy as np
 
 from .numerics import (
     BoundExceeded,
@@ -178,15 +177,17 @@ def validate_pair(L: QuadIdeal, l0: QuadElem) -> StarkInput:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_weight(x: np.ndarray) -> np.ndarray:
+def _smooth_weight(x: float) -> float:
     """C-infinity cutoff: 1 on [0, 1/4], 0 on [1, inf)."""
-    w = np.ones_like(x)
-    mid = (x > 0.25) & (x < 1.0)
-    t = (x[mid] - 0.25) / 0.75
-    with np.errstate(over="ignore"):
-        w[mid] = 1.0 / (1.0 + np.exp(1.0 / (1.0 - t) - 1.0 / t))
-    w[x >= 1.0] = 0.0
-    return w
+    if x <= 0.25:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    t = (x - 0.25) / 0.75
+    try:
+        return 1.0 / (1.0 + math.exp(1.0 / (1.0 - t) - 1.0 / t))
+    except OverflowError:  # e^709.8 and beyond: the weight is below 1e-308
+        return 0.0
 
 
 # |N| at which the smooth weight of the direct sum reaches 0
@@ -213,11 +214,12 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     W = g * g  # ratio-slice step for the <eps_f>-orbits
     den, rows = coset_slice_rows(inp.lattice, inp.l0, W, _DIRECT_MAX_NORM)
     D, dd = inp.field.D, den * den
-    signs = np.array([_sign_surd(x, -y, D) for _, _, _, x, y in rows], dtype=np.float64)
-    norms = np.array([n / dd for n, _, _, _, _ in rows], dtype=np.float64)
-    w = _smooth_weight(norms / _DIRECT_MAX_NORM)
-    terms = signs * w * norms ** (-s)
-    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    terms = []
+    for n, _, _, x, y in rows:
+        norm = n / dd
+        terms.append(_sign_surd(x, -y, D) * _smooth_weight(norm / _DIRECT_MAX_NORM)
+                     * norm ** -s)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     with ctx.workprec():
         pref = inp.sign_l0_conj * mp.power(inp.b.norm(), s)
         return mp.mpc(pref * total)

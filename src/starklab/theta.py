@@ -39,6 +39,7 @@ from .hecke import HeckeLattice, embed_pair, hecke_lattice, scalar_product
 from .pseudolattice import (
     Pseudolattice,
     _characters,
+    _gauss_reduce,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
     delta,
@@ -130,25 +131,6 @@ class ComplexThetaSpec:
             return self.lattice.gen1, self.lattice.gen2
         g1, g2 = self.lattice
         return mp.mpc(g1), mp.mpc(g2)
-
-
-def _gauss_reduce(g1, g2):
-    """Lagrange-Gauss reduction of the basis (g1, g2): returns h1, h2 with
-    |h1| <= |h2| and |Re(h1 conj(h2))| <= |h1|^2 / 2, up to float64
-    rounding.  The integer steps are chosen in float64 and applied to g1, g2
-    as a unimodular matrix, so h1, h2 generate exactly the lattice of g1, g2."""
-    u, w = complex(g1), complex(g2)
-    cu, cw = (1, 0), (0, 1)
-    while True:
-        if abs(u) > abs(w):
-            u, w, cu, cw = w, u, cw, cu
-        x = (u.conjugate() * w).real / (u.real * u.real + u.imag * u.imag)
-        # a tie |x| = 1/2 is reduced already; float rounding must not turn
-        # it into a step that swaps two vectors of equal length forever
-        if abs(x) <= 0.5 + 1e-9:
-            return cu[0] * g1 + cu[1] * g2, cw[0] * g1 + cw[1] * g2
-        k = round(x)
-        w, cw = w - k * u, (cw[0] - k * cu[0], cw[1] - k * cu[1])
 
 
 def _disk_rows(h1, h2, lam0, R):
@@ -252,7 +234,9 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
 
         # rows step along h1 and walk along the shortest vector h2, which
         # makes them long and few
-        h2, h1 = _gauss_reduce(g1, g2)
+        f1, f2 = complex(g1), complex(g2)
+        short, long = _gauss_reduce((1, 0), (0, 1), lambda c: c[0] * f1 + c[1] * f2)
+        h2, h1 = (c[0] * g1 + c[1] * g2 for c in (short, long))
         m = h1.real * h2.real + h1.imag * h2.imag
         if m > 0:  # orient h2 so that each row's b* grows with a
             h2, m = -h2, -m

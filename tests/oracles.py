@@ -6,6 +6,8 @@ for the tests to compare against.  The package itself calls none of them.
 - pell_fundamental_unit: the fundamental unit by a scan of the norm
   equation.
 - canonicalize_into_slice: an orbit representative by repeated unit steps.
+- coset_slice_rows_reference: the slice rows by a float64-prefiltered scan
+  of the whole box around the slice.
 - partial_zeta_direct_reference: the direct partial zeta sum over QuadElem
   representatives with Fraction norms.
 - theta_complex_reference: the complex lattice theta over a disk, one expjpi
@@ -17,6 +19,7 @@ for the tests to compare against.  The package itself calls none of them.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import mpmath as mp
@@ -25,7 +28,14 @@ import numpy as np
 from starklab.hecke import scalar_product
 from starklab.numerics import DEFAULT_CTX, BoundExceeded, ConvergenceError, PrecisionCtx
 from starklab.pseudolattice import _sign_surd, coset_slice_reps
-from starklab.quadfield import FieldCtx, QuadElem, _float_embed, _omega_mul, unit_mod_f
+from starklab.quadfield import (
+    FieldCtx,
+    QuadElem,
+    _float_embed,
+    _float_embed_conj,
+    _omega_mul,
+    unit_mod_f,
+)
 from starklab.stark import (
     StarkInput,
     _congruence_ideal,
@@ -111,6 +121,91 @@ def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:
     return xi
 
 
+def coset_slice_rows_reference(L, l0, W, max_norm, max_points=10**8):
+    """The rows of pseudolattice.coset_slice_rows, (den, [(n, a, b, x, y)])
+    sorted, by a scan of the whole box around the square |xi|, |xi'| <=
+    sqrt(X sqrt(W)) in lattice coordinates: a float64 prefilter with a wide
+    margin over every box point, then the exact norm and slice tests on
+    each survivor.  Raises BoundExceeded when the box holds more than
+    max_points lattice points."""
+    if not (W.is_totally_positive() and W > QuadElem(W.D, 1)):
+        raise ValueError("W must be totally positive and > 1")
+    X = float(max_norm)
+    g1r, g1c = _float_embed(L.l1), _float_embed_conj(L.l1)
+    g2r, g2c = _float_embed(L.l2), _float_embed_conj(L.l2)
+    l0r, l0c = _float_embed(l0), _float_embed_conj(l0)
+    Wr = _float_embed(W)
+    w = math.sqrt(Wr)
+    B = math.sqrt(X * w) * (1 + 1e-9) + 1e-12
+    det = g1r * g2c - g2r * g1c
+    corners_a, corners_b = [], []
+    for sx in (-1, 1):
+        for sy in (-1, 1):
+            rx, ry = sx * B - l0r, sy * B - l0c
+            corners_a.append((rx * g2c - ry * g2r) / det)
+            corners_b.append((g1r * ry - g1c * rx) / det)
+    amin, amax = math.floor(min(corners_a)) - 1, math.ceil(max(corners_a)) + 1
+    bmin, bmax = math.floor(min(corners_b)) - 1, math.ceil(max(corners_b)) + 1
+    points = (amax - amin + 1) * (bmax - bmin + 1)
+    if points > max_points:
+        raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
+                            % (points, max_points))
+
+    candidates = []
+    bs = np.arange(bmin, bmax + 1)
+    chunk = max(1, int(4_000_000 / max(1, len(bs))))
+    for a0 in range(amin, amax + 1, chunk):
+        a_arr = np.arange(a0, min(a0 + chunk, amax + 1))
+        A, Bb = np.meshgrid(a_arr, bs, indexing="ij")
+        xr = l0r + A * g1r + Bb * g2r
+        xc = l0c + A * g1c + Bb * g2c
+        absN = np.abs(xr * xc)
+        r2, c2 = xr * xr, xc * xc
+        keep = (
+            (absN <= X * (1 + 1e-6))
+            & (absN > 1e-12)
+            & (r2 <= Wr * c2 * (1 + 1e-6) + 1e-9)
+            & (Wr * r2 * (1 + 1e-6) + 1e-9 >= c2)
+        )
+        ka, kb = A[keep], Bb[keep]
+        candidates.extend(zip(ka.tolist(), kb.tolist()))
+
+    # exact verification on common-denominator integer coordinates
+    D = L.field.D
+    gens = (l0, L.l1, L.l2)
+    den = math.lcm(*(c.denominator for g in gens for c in (g.x, g.y)))
+    x0, x1, x2 = (int(g.x * den) for g in gens)
+    y0, y1, y2 = (int(g.y * den) for g in gens)
+    wd = math.lcm(W.x.denominator, W.y.denominator)
+    Wx, Wy = int(W.x * wd), int(W.y * wd)
+    max_norm_fr = Fraction(max_norm)
+    # |x^2 - D y^2| <= max_norm * den^2, cleared of the max_norm denominator
+    norm_num = max_norm_fr.numerator * den * den
+    norm_den = max_norm_fr.denominator
+    kept = []
+    for a, b in candidates:
+        x = x0 + a * x1 + b * x2
+        y = y0 + a * y1 + b * y2
+        xx, dyy = x * x, D * y * y
+        n = xx - dyy
+        if n == 0 or abs(n) * norm_den > norm_num:
+            continue
+        # den^2 xi^2 = P + Q sqrt(D) and den^2 xi'^2 = P - Q sqrt(D)
+        P = xx + dyy
+        Q = 2 * x * y
+        # upper bound, closed: W xi'^2 - xi^2 >= 0
+        if _sign_surd((Wx - wd) * P - D * Wy * Q, Wy * P - (Wx + wd) * Q, D) < 0:
+            continue
+        # lower bound, open: W xi^2 - xi'^2 > 0
+        if _sign_surd((Wx - wd) * P + D * Wy * Q, Wy * P + (Wx + wd) * Q, D) <= 0:
+            continue
+        kept.append((abs(n), a, b, x, y))
+    # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
+    kept.sort()
+    return den, kept
+
+
+
 def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_norm):
     """The direct sum of stark.partial_zeta_direct with cutoff max_norm,
     over the representatives of coset_slice_reps: sgn(xi') from the
@@ -126,11 +221,9 @@ def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_nor
     reps = coset_slice_reps(inp.lattice, inp.l0, W, max_norm)
     if not reps:
         return mp.mpc(0)
-    signs = np.array([xi.conjugate().sign() for xi, _, _, _ in reps], dtype=np.float64)
-    norms = np.array([float(n) for _, _, _, n in reps], dtype=np.float64)
-    w = _smooth_weight(norms / max_norm)
-    terms = signs * w * norms ** (-s)
-    total = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    terms = [xi.conjugate().sign() * _smooth_weight(float(n) / max_norm) * float(n) ** -s
+             for xi, _, _, n in reps]
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     with ctx.workprec():
         pref = inp.sign_l0_conj * mp.power(inp.b.norm(), s)
         return mp.mpc(pref * total)

@@ -409,8 +409,8 @@ def test_exit_3_on_convergence_failure(monkeypatch):
     assert r.exit_code == 3
 
 
-# Address space of the subprocess below: numpy needs 2.05 GiB for one row of
-# the D=10 box, so a scan that starts fails here with exit 1.
+# Address space of the subprocess below: a walk of 5e7 slice rows needs about
+# 10 GiB, so a walk that starts fails here with exit 1.
 _BOX_TEST_AS = 2 << 30
 
 
@@ -421,16 +421,16 @@ def _limit_address_space():
 @pytest.mark.parametrize("ideal", ['{"D": 10, "ideal": [27, 19, 1]}',
                                    '{"D": 2, "ideal": [23, 5, 1]}'])
 def test_exit_3_on_a_slice_box_too_large_to_scan(ideal):
-    # the primal boxes hold 5.3e16 (D=10, a unit of 10^13.9) and 3.3e10
-    # lattice points: the count from the corners fails fast, where a scan
-    # ran out of memory or past 30 s
+    # the evaluation at s = 1e7 takes each side's cutoff about 1e6 times
+    # past the Stark number's, and the sub-slice triangles of the first side
+    # then hold 5.5e8 (D=10, a unit of 10^13.9) and 2.1e8 lattice points:
+    # the count fails fast, where the walk runs out of memory
     src = pathlib.Path(cli_mod.__file__).resolve().parents[1]
     r = subprocess.run(
         [sys.executable, "-m", "starklab.cli", "stark", "compute", "--ideal", ideal,
-         "--l0", '["1", "0"]', "--prec", "64", "--err", "1e-12"],
+         "--l0", '["1", "0"]', "--s", "1e7", "--prec", "64", "--err", "1e-12"],
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
-        # one BLAS thread: numpy's import reserves address space per thread
-        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("bound exceeded: the slice box holds")
 

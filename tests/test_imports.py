@@ -5,8 +5,11 @@ The package's __init__ re-exports what it imports, so its imports are not
 checked.  An import line marked `noqa` is kept on purpose and skipped."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +94,14 @@ def test_a_dead_definition_is_found():
               "def unused(n):\n    return unused(n - 1) if n else used()\n")
     assert dead_definitions(module, ["used()"]) == ["unused (line 8)"]
     assert dead_definitions(module, ["used(); unused(2)"]) == []
+
+
+def test_the_package_imports_no_numpy():
+    # numpy's import costs about 0.1 s of every process start, and no
+    # starklab module names it: it is a test dependency only
+    code = "import starklab.cli, sys; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+    assert [p.name for p in sorted(SRC.glob("*.py")) if "numpy" in p.read_text()] == []

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -20,9 +22,13 @@ from starklab.pseudolattice import (
     k0_pseudolattice,
 )
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit
+from starklab.stark import validate_pair
+import starklab.pseudolattice as pl_mod
+import starklab.stark as stark_mod
+import starklab.theta as theta_mod
 
 from conftest import SQUAREFREE_50, random_elem, random_pseudolattice
-from oracles import canonicalize_into_slice
+from oracles import canonicalize_into_slice, coset_slice_rows_reference
 
 mp.mp.dps = 50
 
@@ -360,6 +366,87 @@ def test_slice_reps_complete_and_exclusive():
             assert xi == l0 + a * L.l1 + b * L.l2
             assert absn == abs(xi.norm())
         assert [t[3] for t in reps] == sorted(t[3] for t in reps)
+
+
+def _continuation_sides(monkeypatch, inputs, ctx):
+    """The (L, l0, W, max_norm) of both sides of each input's continuation
+    data at ctx, as the theta layer asks coset_slice_rows for them."""
+    calls = []
+    rows = theta_mod.coset_slice_rows
+    monkeypatch.setattr(theta_mod, "coset_slice_rows",
+                        lambda *args: calls.append(args) or rows(*args))
+    for inp in inputs:
+        stark_mod._continuation_data(inp.reduced(), ctx)
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(inputs)
+    return calls
+
+
+def _sweep_slices(seed):
+    """Random shifted lattices Z a + Z (b + c sqrt D) in D in {2, 3, 5, 13,
+    46, 79} with W = u^2 and u^4, u the least totally positive unit, and
+    about 40-200 rows each.  The box scan of coset_slice_rows_reference
+    holds about 2 sqrt(W) / log(W) points per row, so X is cut down where
+    that box would pass 2e6 points: D=46 with W = u^4 keeps no more than a
+    row or two."""
+    rng = random.Random(seed)
+    cases = []
+    for D in (2, 3, 5, 13, 46, 79):
+        F = FieldCtx(D)
+        u0 = fundamental_unit(D)
+        u = u0 if u0.is_totally_positive() else u0 * u0
+        for W in (u * u, u ** 4):
+            w, log_w2 = math.sqrt(float(W.embed("id"))), math.log(float(W.embed("id")))
+            for k in range(3):
+                L = Pseudolattice(F, F.elem(rng.randint(1, 9)),
+                                  QuadElem(D, rng.randint(-9, 9), rng.randint(1, 5)))
+                # l0 = 0 puts points on the slice's boundaries and on the
+                # cut |xi/xi'| = 1
+                l0 = F.elem(0) if k == 0 else QuadElem(
+                    D, Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                rows = min(rng.randint(40, 200), 2e6 * log_w2 / (2 * w))
+                covol = float(L.delta_exact()) * math.sqrt(D)
+                X = Fraction(max(1, round(64 * rows * covol / (2 * log_w2))), 64)
+                cases.append((L, l0, W, X))
+    return cases
+
+
+def test_slice_rows_equal_the_box_scan(monkeypatch):
+    # the sub-slice walk returns the box scan's rows, list for list, and
+    # examines at most 4 candidates (rows solved, and points kept or tested)
+    # per kept row: in each group, and in each call that keeps 40 rows.  A
+    # call that keeps almost nothing still solves a row or so per triangle,
+    # four for each ratio e^2 of the slice.
+    ctx = PrecisionCtx(128, 1e-30)
+    refs = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                       / "bench" / "refs.json").read_text())["stark"]
+    bench = []
+    for ref in refs.values():
+        report = json.loads(ref["report"])
+        F = FieldCtx(report["D"])
+        bench.append(validate_pair(QuadIdeal(F, *report["ideal"]),
+                                   F.elem(int(report["l0"][0]))))
+    F = FieldCtx(5)
+    skewed = validate_pair(QuadIdeal.from_generators(F, [209, F.omega + 80]), F.elem(19))
+    groups = {
+        "slice cases": _slice_cases(),
+        "benchmark sides": _continuation_sides(monkeypatch, bench, ctx),
+        "D=5 (209, 80, 1)": _continuation_sides(monkeypatch, [skewed], ctx),
+        "sweep": _sweep_slices(21),
+    }
+    assert len(groups["benchmark sides"]) == 32
+    for name, cases in groups.items():
+        kept = examined = 0
+        for L, l0, W, X in cases:
+            before = pl_mod._EXAMINED[0]
+            got = pl_mod.coset_slice_rows(L, l0, W, X)
+            count = pl_mod._EXAMINED[0] - before
+            assert got == coset_slice_rows_reference(L, l0, W, X), (name, L, l0, X)
+            assert len(got[1]) < 40 or count <= 4 * len(got[1]), (name, L, l0, X, count)
+            kept += len(got[1])
+            examined += count
+        assert examined <= 4 * kept, (name, examined, kept)
 
 
 def test_slice_kernel_sign_matches_field_sign():
