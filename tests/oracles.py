@@ -121,13 +121,13 @@ def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:
     return xi
 
 
-def coset_slice_rows_reference(L, l0, W, max_norm, max_points=10**8):
+def coset_slice_rows_reference(L, l0, W, max_norm):
     """The rows of pseudolattice.coset_slice_rows, (den, [(n, a, b, x, y)])
     sorted, by a scan of the whole box around the square |xi|, |xi'| <=
     sqrt(X sqrt(W)) in lattice coordinates: a float64 prefilter with a wide
     margin over every box point, then the exact norm and slice tests on
-    each survivor.  Raises BoundExceeded when the box holds more than
-    max_points lattice points."""
+    each survivor.  Raises BoundExceeded when the box holds more than 10^8
+    lattice points."""
     if not (W.is_totally_positive() and W > QuadElem(W.D, 1)):
         raise ValueError("W must be totally positive and > 1")
     X = float(max_norm)
@@ -147,9 +147,8 @@ def coset_slice_rows_reference(L, l0, W, max_norm, max_points=10**8):
     amin, amax = math.floor(min(corners_a)) - 1, math.ceil(max(corners_a)) + 1
     bmin, bmax = math.floor(min(corners_b)) - 1, math.ceil(max(corners_b)) + 1
     points = (amax - amin + 1) * (bmax - bmin + 1)
-    if points > max_points:
-        raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
-                            % (points, max_points))
+    if points > 10**8:
+        raise BoundExceeded("the slice box holds %.2g lattice points, more than 1e+08" % points)
 
     candidates = []
     bs = np.arange(bmin, bmax + 1)
