@@ -35,7 +35,6 @@ from .stark import (
     partial_zeta_continued,
     partial_zeta_direct,
     ray_classes,
-    ray_equivalent,
     recognize_quadratic,
     stark_number,
     validate_pair,

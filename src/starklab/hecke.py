@@ -27,10 +27,6 @@ class HeckeLattice:
     grow: object = field(default=None)  # mpf
     shrink: object = field(default=None)
 
-    def embed_point(self, l: QuadElem, ctx: PrecisionCtx = DEFAULT_CTX):
-        """l e^{t/2} + i l' e^{-t/2} at working precision."""
-        return self.flow_point(embed_pair(l, ctx), ctx)
-
     def flow_point(self, pair, ctx: PrecisionCtx = DEFAULT_CTX):
         """The point of an embedded pair (l, l') from embed_pair:
         l e^{t/2} + i l' e^{-t/2} at working precision."""

@@ -8,12 +8,14 @@ precision (Gautschi, ACM TOMS 5, 1979): past a crossover, a private function
 of the precision (about 0.12 prec for a real a, 0.03 prec for a complex a),
 the modified-Lentz continued fraction; below it, the lower power series or
 the E1 series.  The loops run on integers scaled by 2^P, where P is the
-working precision plus 24 guard bits plus the bit length of ceil(x): a real
-loop for a real a, a loop on Gaussian pairs (re, im) for a complex a.  The
-series' terms grow to about e^x before they cancel, so below the crossover
-the precision carries floor(x log2 e) + 2 bitlen(x) more bits.  The
-fraction's result is multiplied by the real e^-x alone, with no power of x;
-the series adds x^-b Gamma(b) at its base parameter b."""
+working precision plus 24 guard bits plus the bit length of ceil(x): the
+continued fraction has a real loop for a real a and a loop on Gaussian
+pairs (re, im) for a complex a, and the lower series one Gaussian loop,
+which a real a enters as (a, 0).  The series' terms grow to about e^x
+before they cancel, so below the crossover the precision carries
+floor(x log2 e) + 2 bitlen(x) more bits.  The fraction's result is
+multiplied by the real e^-x alone, with no power of x; the series adds
+x^-b Gamma(b) at its base parameter b."""
 
 from __future__ import annotations
 
@@ -196,20 +198,12 @@ def _continued_fraction(a, x):
 
 def _lower_series(b, x):
     """sum_n x^n / (b (b+1) ... (b+n)) for Re(b) > 0, so that
-    x^-b gamma_lower(b, x) = e^-x times it, on integers scaled by 2^P: real,
-    or Gaussian pairs for a complex b."""
+    x^-b gamma_lower(b, x) = e^-x times it, on Gaussian pairs of integers
+    scaled by 2^P.  A real b enters as (b, 0), where each quotient
+    floor(t x b / b^2) is a real loop's floor(t x / b): the result is real."""
     prec, P = mp.mp.prec, _fixed_scale(x)
     one = 1 << P
     X = to_fixed(x._mpf_, P)
-    if not isinstance(b, mp.mpc):
-        B = to_fixed(b._mpf_, P)
-        t = total = (one << P) // B
-        for n in range(1, 20000):
-            t = t * X // (B + n * one)
-            total += t
-            if t << prec + 4 < total:
-                return mp.ldexp(total, -P)
-        raise ConvergenceError("incomplete gamma series did not converge")
     br, bi = _to_fixed(b, P)
     n = br * br + bi * bi
     sr, si = tr, ti = (br << 2 * P) // n, (-bi << 2 * P) // n
@@ -220,7 +214,8 @@ def _lower_series(b, x):
         tr, ti = (zr * br + zi * bi) // n, (zi * br - zr * bi) // n
         sr, si = sr + tr, si + ti
         if (tr * tr + ti * ti) << 2 * (prec + 4) < sr * sr + si * si:
-            return mp.mpc(mp.ldexp(sr, -P), mp.ldexp(si, -P))
+            re = mp.ldexp(sr, -P)
+            return mp.mpc(re, mp.ldexp(si, -P)) if isinstance(b, mp.mpc) else re
     raise ConvergenceError("incomplete gamma series did not converge")
 
 

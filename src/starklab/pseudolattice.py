@@ -26,6 +26,7 @@ from .quadfield import (
     _convergent_matrix,
     _float_embed,
     _omega_mul,
+    _sign_surd,
 )
 
 
@@ -130,9 +131,6 @@ class Pseudolattice:
             f"Pseudolattice(D={self.field.D}, l1={self.l1}, l2={self.l2}, "
             f"or={self.orientation})"
         )
-
-    def scaled(self, lam: QuadElem) -> "Pseudolattice":
-        return Pseudolattice(self.field, self.l1 * lam, self.l2 * lam, self.orientation)
 
     def theta(self) -> QuadElem:
         """The ratio l2/l1 classified by fractional-linear equivalence."""
@@ -293,23 +291,13 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _sign_surd(r: int, t: int, D: int) -> int:
-    """Exact sign of r + t*sqrt(D) for integers r, t and non-square D."""
-    if r >= 0 and t >= 0:
-        return 0 if r == 0 and t == 0 else 1
-    if r <= 0 and t <= 0:
-        return -1
-    # mixed signs: the larger of r^2 and D t^2 decides (never equal)
-    return (1 if r > 0 else -1) if r * r > D * t * t else (1 if t > 0 else -1)
-
-
 # Lattice points past which coset_slice_rows refuses to walk its sub-slice
 # triangles: their area over the covolume plus their rows, counted before
 # any row is walked.  The walk takes about 1.3 s and 230 MB per 1e6 kept
-# rows (D=5 and D=2 at 5e5 rows; 2-core Xeon VM, Python 3.11.7), so 1e8
-# points would take minutes and tens of GB.  The largest count in the test
-# suite that is walked is 1.8e5.
-_MAX_BOX_POINTS = 10**8
+# rows (D=5 and D=2 at 5e5 rows; 2-core Xeon VM, Python 3.11.7); a walk just
+# under the cap (D=5, 4.4e6 rows) took 8.8 s and 1.07 GB.  The largest count
+# in the test suite that is walked is 1.8e5.
+_MAX_BOX_POINTS = 5 * 10**6
 
 # coset_slice_rows' running count of the work it does, for the tests: rows
 # solved, plus lattice points kept or tested one by one at a slice boundary.

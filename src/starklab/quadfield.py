@@ -25,6 +25,20 @@ import mpmath as mp
 from .numerics import DEFAULT_CTX, BoundExceeded, PrecisionCtx
 
 
+def _sign_surd(r: int, t: int, D: int) -> int:
+    """Exact sign of r + t*sqrt(D) for integers r, t; ArithmeticError where
+    r^2 = D t^2 with mixed signs, which a non-square D never gives."""
+    if r >= 0 and t >= 0:
+        return 0 if r == 0 and t == 0 else 1
+    if r <= 0 and t <= 0:
+        return -1
+    # mixed signs: the larger of r^2 and D t^2 decides
+    gap = r * r - D * t * t
+    if gap == 0:
+        raise ArithmeticError("sqrt(D) cannot be rational")
+    return (1 if r > 0 else -1) if gap > 0 else (1 if t > 0 else -1)
+
+
 def _squarefree(n: int) -> bool:
     if n < 1:
         return False
@@ -131,21 +145,10 @@ class QuadElem:
         return self.x == 0 and self.y == 0
 
     def sign(self) -> int:
-        """Exact sign of x + y*sqrt(D), by integer comparison of x^2 vs D y^2."""
+        """Exact sign of x + y*sqrt(D): _sign_surd on the common denominator
+        of x and y."""
         x, y = self.x, self.y
-        if x == 0 and y == 0:
-            return 0
-        if x >= 0 and y >= 0:
-            return 1
-        if x <= 0 and y <= 0:
-            return -1
-        # mixed signs: compare |x| with |y| sqrt(D)
-        lhs = x * x
-        rhs = self.D * y * y
-        if lhs == rhs:  # impossible for squarefree D > 1 and x, y != 0
-            raise ArithmeticError("sqrt(D) cannot be rational")
-        bigger_is_x = lhs > rhs
-        return (1 if x > 0 else -1) if bigger_is_x else (1 if y > 0 else -1)
+        return _sign_surd(x.numerator * y.denominator, y.numerator * x.denominator, self.D)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conjugate().sign() > 0
@@ -223,10 +226,6 @@ class FieldCtx:
         if self.D % 4 == 1:
             return QuadElem(self.D, Fraction(1, 2), Fraction(1, 2))
         return QuadElem(self.D, 0, 1)
-
-    @property
-    def disc(self) -> int:
-        return self.D if self.D % 4 == 1 else 4 * self.D
 
     @property
     def omega_trace(self) -> int:
@@ -616,19 +615,9 @@ class QuadIdeal:
             raise ArithmeticError("CF generator does not generate the ideal")
         return gen
 
-    def principal_generator(self):
-        """alpha with (alpha) = self, or None when self is not principal
-        (see generator_coords)."""
-        gen = self.generator_coords()
-        return None if gen is None else self.field.from_coords(*gen)
-
 
 def _float_embed(e: QuadElem) -> float:
     return float(e.x) + float(e.y) * math.sqrt(e.D)
-
-
-def _float_embed_conj(e: QuadElem) -> float:
-    return float(e.x) - float(e.y) * math.sqrt(e.D)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .pseudolattice import (
 from .quadfield import QuadElem
 
 
-# Lattice points norm_coefficients or theta_complex may take before giving up.
+# Lattice points theta_complex's disk may hold before it gives up.
 _MAX_TERMS = 50_000_000
 
 
@@ -343,8 +343,6 @@ def norm_coefficients(spec: RMThetaSpec, max_norm, ctx: PrecisionCtx = DEFAULT_C
         if eta == 0:
             return 1, []
         den, rows = coset_slice_rows(spec.L, spec.l0, spec.epsU * spec.epsU, max_norm)
-        if len(rows) > _MAX_TERMS:
-            raise ConvergenceError("term cap exceeded")
         modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0)
         character = _characters(modulus)
         parts = [(k, e) for k, e in enumerate((eta.real, eta.imag)) if e != 0]

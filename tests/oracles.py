@@ -27,13 +27,13 @@ import numpy as np
 
 from starklab.hecke import scalar_product
 from starklab.numerics import DEFAULT_CTX, BoundExceeded, ConvergenceError, PrecisionCtx
-from starklab.pseudolattice import _sign_surd, coset_slice_reps
+from starklab.pseudolattice import coset_slice_reps
 from starklab.quadfield import (
     FieldCtx,
     QuadElem,
     _float_embed,
-    _float_embed_conj,
     _omega_mul,
+    _sign_surd,
     unit_mod_f,
 )
 from starklab.stark import (
@@ -119,6 +119,10 @@ def canonicalize_into_slice(xi: QuadElem, u: QuadElem, W: QuadElem) -> QuadElem:
         if guard > 10000:
             raise ArithmeticError("slice normalization did not terminate")
     return xi
+
+
+def _float_embed_conj(e: QuadElem) -> float:
+    return float(e.x) - float(e.y) * math.sqrt(e.D)
 
 
 def coset_slice_rows_reference(L, l0, W, max_norm):

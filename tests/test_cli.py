@@ -95,8 +95,8 @@ def test_stark_compute_reference_value():
 
 
 def test_stark_compute_builds_continuation_data_once(monkeypatch):
-    # the README command: S0, its cross-check, zeta(0) and zeta(2) all read
-    # the one ContinuationData its input keeps
+    # the README command: S0, its two gates and zeta(2) all read the one
+    # ContinuationData its input keeps
     from starklab.stark import ContinuationData
 
     builds = []
@@ -418,17 +418,27 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_BOX_TEST_AS, _BOX_TEST_AS))
 
 
-@pytest.mark.parametrize("ideal", ['{"D": 10, "ideal": [27, 19, 1]}',
-                                   '{"D": 2, "ideal": [23, 5, 1]}'])
-def test_exit_3_on_a_slice_box_too_large_to_scan(ideal):
+_D10 = '{"D": 10, "ideal": [27, 19, 1]}'
+_D2 = '{"D": 2, "ideal": [23, 5, 1]}'
+
+
+@pytest.mark.parametrize("ideal, s", [
+    pytest.param(_D10, "1e7", id=_D10),
+    pytest.param(_D2, "1e7", id=_D2),
+    pytest.param(_D10, "1e6", id=_D10 + " at s=1e6"),
+    pytest.param(_D2, "1e6", id=_D2 + " at s=1e6"),
+])
+def test_exit_3_on_a_slice_box_too_large_to_scan(ideal, s):
     # the evaluation at s = 1e7 takes each side's cutoff about 1e6 times
     # past the Stark number's, and the sub-slice triangles of the first side
-    # then hold 5.5e8 (D=10, a unit of 10^13.9) and 2.1e8 lattice points:
-    # the count fails fast, where the walk runs out of memory
+    # then hold 5.5e8 (D=10, a unit of 10^13.9) and 2.1e8 lattice points; at
+    # s = 1e6 they hold 5.5e7 and 2.1e7, still past the cap, but a walk of
+    # that many rows would run out of the address space: the count fails
+    # fast, where the walk runs out of memory
     src = pathlib.Path(cli_mod.__file__).resolve().parents[1]
     r = subprocess.run(
         [sys.executable, "-m", "starklab.cli", "stark", "compute", "--ideal", ideal,
-         "--l0", '["1", "0"]', "--s", "1e7", "--prec", "64", "--err", "1e-12"],
+         "--l0", '["1", "0"]', "--s", s, "--prec", "64", "--err", "1e-12"],
         capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert r.returncode == 3, r.stderr

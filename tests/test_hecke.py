@@ -56,8 +56,8 @@ def test_period_shift_permutes_lattice_points():
         with CTX.workprec():
             for _ in range(10):
                 l = F.from_coords(rng.randint(-6, 6), rng.randint(-6, 6))
-                lhs = latT.embed_point(l, CTX)
-                rhs = lat0.embed_point(eps_plus * l, CTX)
+                lhs = latT.flow_point(embed_pair(l, CTX), CTX)
+                rhs = lat0.flow_point(embed_pair(eps_plus * l, CTX), CTX)
                 assert abs(lhs - rhs) < 1e-28
 
 
@@ -75,10 +75,9 @@ def test_embeddings_are_bit_identical_to_the_direct_formula():
                     tt = mp.mpf(t)
                     direct = +(l.embed("id", CTX) * mp.exp(tt / 2)
                                + 1j * l.embed("conj", CTX) * mp.exp(-tt / 2))
-                assert lat.embed_point(l, CTX) == direct
                 assert lat.flow_point(embed_pair(l, CTX), CTX) == direct
-            assert (lat.gen1, lat.gen2) == (lat.embed_point(L.l1, CTX),
-                                            lat.embed_point(L.l2, CTX))
+            assert (lat.gen1, lat.gen2) == (lat.flow_point(basis[0], CTX),
+                                            lat.flow_point(basis[1], CTX))
             pre = hecke_lattice(L, t, CTX, basis=basis)
             assert (pre.gen1, pre.gen2) == (lat.gen1, lat.gen2)
 
@@ -97,7 +96,8 @@ def test_pairing_matches_field_trace_form():
         with CTX.workprec():
             for t in (0, mp.mpf("0.7")):
                 lat = hecke_lattice(L, t, CTX)
-                val = scalar_product(lat.embed_point(l, CTX), lat.embed_point(m, CTX))
+                val = scalar_product(lat.flow_point(embed_pair(l, CTX), CTX),
+                                     lat.flow_point(embed_pair(m, CTX), CTX))
                 assert abs(val - mp.mpf(exact.numerator) / exact.denominator) < 1e-28
 
 

@@ -1,5 +1,6 @@
 """Import and definition hygiene: every name a starklab module imports is
-used in it, and every top-level name it defines is used somewhere.
+used in it, every top-level name it defines is used somewhere, and every
+public method or property of its classes is read as an attribute somewhere.
 
 The package's __init__ re-exports what it imports, so its imports are not
 checked.  An import line marked `noqa` is kept on purpose and skipped."""
@@ -50,6 +51,12 @@ def test_an_unused_import_is_found():
     assert unused_imports("import math\nx = math.pi\n") == []
 
 
+def _outside(lines: list[str], node) -> str:
+    """The module's text without node's definition and its decorators."""
+    start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+
+
 def dead_definitions(module: str, other_sources: list[str]) -> list[str]:
     """The top-level functions, classes and constants of module whose name
     appears nowhere in module outside their own definition, nor in
@@ -65,9 +72,7 @@ def dead_definitions(module: str, other_sources: list[str]) -> list[str]:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        start = min([node.lineno] + [d.lineno for d in
-                                     getattr(node, "decorator_list", [])])
-        rest = "\n".join(lines[:start - 1] + lines[node.end_lineno:])
+        rest = _outside(lines, node)
         for name in names:
             if name.startswith("__"):
                 continue
@@ -77,13 +82,35 @@ def dead_definitions(module: str, other_sources: list[str]) -> list[str]:
     return dead
 
 
+def dead_methods(module: str, other_sources: list[str]) -> list[str]:
+    """The public methods and properties of module's public top-level
+    classes that are read as `.name` nowhere in module outside their own
+    definition, nor in other_sources.  A private class is skipped: its
+    methods may be hooks that a framework calls, such as click's
+    make_context."""
+    tree = ast.parse(module)
+    lines = module.splitlines()
+    dead = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            attr = re.compile(r"\.%s\b" % re.escape(node.name))
+            if not any(attr.search(text) for text in [_outside(lines, node)] + other_sources):
+                dead.append("%s.%s (line %d)" % (cls.name, node.name, node.lineno))
+    return dead
+
+
 def test_no_dead_definitions():
     sources = {path: path.read_text() for folder in ("src", "tests", "bench")
                for path in sorted((ROOT / folder).rglob("*.py"))}
     dead = {}
     for path in sorted(SRC.glob("*.py")):
         others = [text for other, text in sources.items() if other != path]
-        found = dead_definitions(sources[path], others)
+        found = dead_definitions(sources[path], others) + dead_methods(sources[path], others)
         if found:
             dead[path.name] = found
     assert dead == {}
@@ -94,6 +121,16 @@ def test_a_dead_definition_is_found():
               "def unused(n):\n    return unused(n - 1) if n else used()\n")
     assert dead_definitions(module, ["used()"]) == ["unused (line 8)"]
     assert dead_definitions(module, ["used(); unused(2)"]) == []
+
+
+def test_a_dead_method_is_found():
+    module = ("class Box:\n    def used(self):\n        return self.size\n\n"
+              "    @property\n    def size(self):\n        return 1\n\n"
+              "    def unused(self):\n        return self.unused()\n\n"
+              "    def _private(self):\n        return 0\n")
+    # a bare name is not an attribute read
+    assert dead_methods(module, ["Box().used(); unused = 1"]) == ["Box.unused (line 9)"]
+    assert dead_methods(module, ["Box().used(); Box().unused()"]) == []
 
 
 def test_the_package_imports_no_numpy():

@@ -450,9 +450,17 @@ def test_slice_rows_equal_the_box_scan(monkeypatch):
 
 
 def test_slice_kernel_sign_matches_field_sign():
-    # the exact sign behind the slice test, at near-cancelling r + t sqrt(D)
-    # taken from powers of the fundamental unit, against QuadElem.sign
-    from starklab.pseudolattice import _sign_surd
+    # the one exact sign rule, behind the slice test and QuadElem.sign, at
+    # near-cancelling r + t sqrt(D) taken from powers of the fundamental
+    # unit (|r| up to 3e28, |r + t sqrt(D)| down to 1e-28), against 500-bit
+    # floats; QuadElem.sign on rational coordinates clears denominators
+    from starklab.quadfield import _sign_surd
+
+    def reference(x, y, D):
+        with mp.workprec(500):
+            v = mp.mpf(x.numerator) / x.denominator \
+                + mp.mpf(y.numerator) / y.denominator * mp.sqrt(D)
+            return 0 if v == 0 else (1 if v > 0 else -1)
 
     for D in (2, 3, 5, 13, 46):
         e = fundamental_unit(D)
@@ -462,7 +470,16 @@ def test_slice_kernel_sign_matches_field_sign():
             x, y = int(2 * power.x), int(2 * power.y)
             for dx in range(-2, 3):
                 for r, t in ((x + dx, -y), (-x + dx, y), (dx, 0), (0, dx)):
-                    assert _sign_surd(r, t, D) == QuadElem(D, r, t).sign()
+                    want = reference(Fraction(r), Fraction(t), D)
+                    assert _sign_surd(r, t, D) == QuadElem(D, r, t).sign() == want
+                    # r/2 + t/3 sqrt(D) and r/6 + t sqrt(D) keep the sign of
+                    # 3r + 2t sqrt(D) and r + 6t sqrt(D)
+                    for q in (QuadElem(D, Fraction(r, 2), Fraction(t, 3)),
+                              QuadElem(D, Fraction(r, 6), t)):
+                        assert q.sign() == reference(q.x, q.y, D)
+    # QuadElem takes any D; a square one can make r^2 = D t^2
+    with pytest.raises(ArithmeticError):
+        QuadElem(4, -2, 1).sign()
 
 
 def test_effective_cone_and_k0():

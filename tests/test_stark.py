@@ -24,7 +24,6 @@ from starklab.stark import (
     partial_zeta_continued,
     partial_zeta_direct,
     ray_classes,
-    ray_equivalent,
     recognize_integer,
     recognize_quadratic,
     stark_number,
@@ -263,8 +262,8 @@ def test_continuation_data_matches_reference_fold():
 
 
 def test_stark_number_builds_continuation_data_once(monkeypatch):
-    # one enumeration and fold serves the regularized route, the two
-    # complex steps ih and ih/2 and the value at 0
+    # one enumeration and fold serves the regularized route at both split
+    # points and the two complex steps ih and ih/2; zeta(0) is not evaluated
     builds, evals = [], []
     build, continued = ContinuationData.build, stark_mod.partial_zeta_continued
 
@@ -283,7 +282,7 @@ def test_stark_number_builds_continuation_data_once(monkeypatch):
     r = stark_number(inp, CTX)
     assert r.route_gap < 1e-20
     assert len(builds) == 1
-    assert len(evals) == 3 and len(set(evals)) == 3
+    assert len(evals) == 2 and len(set(evals)) == 2
 
 
 def test_inputs_are_freed_without_the_garbage_collector():
@@ -428,7 +427,7 @@ def test_stark_number_class_invariance_small():
     for a in group.reps:
         others = [
             i for i in _coprime_pool(F, f, 25)
-            if ray_equivalent(i, a, f, "narrow") and i.hnf() != a.hnf()
+            if group.class_index(i) == group.class_index(a) and i.hnf() != a.hnf()
         ]
         if not others:
             continue
@@ -460,20 +459,6 @@ def test_narrow_ray_group_mod_p11():
         assert sorted(g.table[i]) == list(range(n))
         assert sorted(g.table[j][i] for j in range(n)) == list(range(n))
     assert g.table[0] == tuple(range(n))  # class 0 is the principal identity
-
-
-def test_ray_equivalence_is_an_equivalence_relation():
-    F = FieldCtx(5)
-    f = QuadIdeal.from_generators(F, [11, F.omega + 3])
-    pool = _coprime_pool(F, f, 20)[:12]
-    for variant in ("wide", "narrow"):
-        for a in pool[:6]:
-            assert ray_equivalent(a, a, f, variant)
-        for a in pool[:5]:
-            for b in pool[:5]:
-                ab = ray_equivalent(a, b, f, variant)
-                ba = ray_equivalent(b, a, f, variant)
-                assert ab == ba
 
 
 # the moduli of the benchmark's classes workload: (name, D, HNF, norm bound)
@@ -554,15 +539,19 @@ def test_ray_classes_match_the_pairwise_scan(D):
 
 
 def test_ray_equivalent_matches_the_pairwise_reference():
+    # two ideals share a class_index exactly when the pairwise test finds
+    # A B^-1 = (alpha) with alpha == 1 mod* f (and totally positive, narrow)
     for D, (a, b, c) in ((10, (6, 2, 1)), (2, (7, 3, 1)), (79, (5, 2, 1))):
         F = FieldCtx(D)
         f = QuadIdeal(F, a, b, c)
         units = unit_mod_f(F, f)
         pool = _coprime_pool(F, f, 24)
         for variant in ("narrow", "wide"):
+            group = ray_classes(f, variant, norm_bound=24)
+            assert group.units == units
             for A in pool:
                 for B in pool[:8]:
-                    assert ray_equivalent(A, B, f, variant, units) == \
+                    assert (group.class_index(A) == group.class_index(B)) == \
                         ray_equivalent_reference(A, B, f, variant, units), (A, B, variant)
 
 
@@ -587,7 +576,7 @@ def test_ray_classes_make_one_principal_test_per_ideal_and_product(monkeypatch):
 ])
 def test_class_numbers_wide_and_narrow(D, h, h_plus):
     # published class numbers h and narrow class numbers h+; each wide
-    # class beyond the first needs principal_generator to return None
+    # class beyond the first needs generator_coords to return None
     one = QuadIdeal.unit_ideal(FieldCtx(D))
     assert len(ray_classes(one, "wide", norm_bound=30)) == h
     assert len(ray_classes(one, "narrow", norm_bound=30)) == h_plus
@@ -597,12 +586,11 @@ def test_principal_totally_positive_generator_is_trivial_narrow():
     F = FieldCtx(5)
     f = QuadIdeal.from_generators(F, [11, F.omega + 3])
     # (a) for a totally positive, a = 1 mod f: principal ray class
+    group = ray_classes(f, "narrow")
     one = QuadIdeal.principal(F, F.elem(1))
     cand = QuadIdeal.principal(F, F.elem(12))  # 12 = 1 mod 11, totally positive
-    assert ray_equivalent(cand, one, f, "narrow") == ray_equivalent(
-        QuadIdeal.principal(F, F.elem(144)), one, f, "narrow"
-    )
-    assert ray_equivalent(QuadIdeal.principal(F, F.elem(12)), one, f, "narrow")
+    assert group.class_index(cand) == group.class_index(
+        QuadIdeal.principal(F, F.elem(144))) == group.class_index(one) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.hecke import hecke_lattice
+from starklab.hecke import embed_pair, hecke_lattice
 from starklab.numerics import PrecisionCtx, branch_sqrt_neg_iv
 from starklab.pseudolattice import Pseudolattice
 from starklab.quadfield import FieldCtx, QuadElem, fundamental_unit
@@ -108,11 +108,12 @@ def test_functional_equation_complex(D, vtxt):
     # the shift is the embedding of 1/3, where the theta value is not 0
     with CTX.workprec():
         v = mp.mpc(complex(vtxt))
+        third = embed_pair(FieldCtx(D).elem(Fraction(1, 3)), CTX)
         for t in (0, mp.mpf("0.7")):
             lat = hecke_lattice(maximal_lattice(D), t, CTX)
             spec = ComplexThetaSpec(
                 lattice=lat,
-                lambda0=lat.embed_point(FieldCtx(D).elem(Fraction(1, 3)), CTX),
+                lambda0=lat.flow_point(third, CTX),
                 mu0=0,
                 eta=1,
                 v=v,
