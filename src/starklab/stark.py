@@ -27,8 +27,10 @@ exponentials at s = 0), so stark_number's cross-check of the two shares one
 enumeration, as does its second gate, the regularized zeta'(0) at t/2.
 
 The cross-check differentiates the continued zeta by a complex step,
-zeta'(0) ~ Im zeta(ih)/h, which needs two evaluations where a real stencil
-needs six.  It is robust at s = 0 because 1/Gamma(s) vanishes there: the
+zeta'(0) ~ Im zeta(ih)/h, which needs one evaluation where a real stencil
+needs six; a second, at twice the step, runs only when the gap of the two
+routes is wide enough that the step's own change can decide whether they
+agree.  It is robust at s = 0 because 1/Gamma(s) vanishes there: the
 prefactor of the split bracket is ih + O(h^2) with real part O(h^2), so
 the rounding noise on the bracket's imaginary part enters Im zeta(ih) only
 through that real part, and Im zeta(ih)/h reads the bracket's real part.
@@ -412,16 +414,24 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0
         return val.real
 
 
-def _zeta_prime_0_complex_step(inp: StarkInput, ctx: PrecisionCtx):
+def _complex_step(ctx: PrecisionCtx):
+    """The step h of the complex-step derivative at ctx's working precision.
+
+    The fixed-point kernel leaves about 2^-(work_bits+44) of absolute error
+    on imaginary parts, which the division by h amplifies; h =
+    2^-floor((work_bits+44)/3) balances that against the truncation
+    h^2 zeta'''(0)/6, so the route reaches about 2(work_bits+44)/3 bits."""
+    return mp.ldexp(1, -((ctx.work_bits + 44) // 3))
+
+
+def _zeta_prime_0_complex_step(inp: StarkInput, h, ctx: PrecisionCtx):
     """zeta'(0) as the complex-step derivative Im zeta(ih)/h of the
-    continued zeta (Squire & Trapp, SIAM Rev. 40, 1998), taken at h and at
-    h/2.  Returns (the value at h/2, the change between the two).
+    continued zeta (Squire & Trapp, SIAM Rev. 40, 1998): one continued
+    evaluation, at the step h.
 
     zeta is real on the real axis, so Im zeta(ih)/h = zeta'(0)
     - h^2 zeta'''(0)/6 + O(h^4), with no difference of nearby values to
-    cancel.  The fixed-point kernel leaves about 2^-(work_bits+44) of
-    absolute error on imaginary parts, which the division by h amplifies;
-    h = 2^-floor((work_bits+44)/3) balances that against the truncation.
+    cancel.
 
     At a small split point many primal arguments x t fall below the
     kernel's complex crossover (0.03 of the working precision, x t < 4.44 at
@@ -430,34 +440,37 @@ def _zeta_prime_0_complex_step(inp: StarkInput, ctx: PrecisionCtx):
     imaginary part would be harmless: the prefactor is ih + O(h^2), so
     Im zeta(ih)/h reads the bracket's real part, and its imaginary part
     enters only times O(h)."""
-    h = mp.ldexp(1, -((ctx.work_bits + 44) // 3))
     with ctx.workprec():
-        coarse, fine = (partial_zeta_continued(inp, mp.mpc(0, hh), ctx).imag / hh
-                        for hh in (h, h / 2))
-        return fine, abs(coarse - fine)
+        return partial_zeta_continued(inp, mp.mpc(0, h), ctx).imag / h
 
 
 def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResult:
     """S0 = exp(zeta'(0)), computed by the regularized split formula and
-    gated twice.  The complex-step derivative of the continued zeta
-    cross-checks the special functions and the derivative: the gap between
-    the two routes may be at most 100 times the larger of the error target
-    and the complex step's change between h and h/2.  The regularized
-    formula at the second split point t * _GATE_SPLIT cross-checks the data,
-    Delta and the functional equation: it may differ by at most 100 times
-    the error target.  Two continued evaluations in all, at ih and at ih/2;
-    zeta(0) is not evaluated (see StarkResult)."""
+    gated twice.  The complex-step derivative of the continued zeta at
+    ih/2, h = _complex_step(ctx), cross-checks the special functions and
+    the derivative: the gap between the two routes may be at most 100 times
+    the larger of the error target and the complex step's change between h
+    and h/2.  That change can only widen the allowance, so the step at ih
+    is taken only when the gap exceeds 100 times the error target.  The
+    regularized formula at the second split point t * _GATE_SPLIT
+    cross-checks the data, Delta and the functional equation: it may differ
+    by at most 100 times the error target.  One continued evaluation, at
+    ih/2, when the gap meets 100 times the error target, and a second at ih
+    otherwise; zeta(0) is not evaluated (see StarkResult)."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
         zp_b = _zeta_prime_0_regularized(inp, ctx)
-        zp_a, deriv_err = _zeta_prime_0_complex_step(inp, ctx)
+        h = _complex_step(ctx)
+        zp_a = _zeta_prime_0_complex_step(inp, h / 2, ctx)
         gap = abs(zp_a - zp_b)
-        allowed = 100 * max(tol, deriv_err)
-        if gap > allowed:
-            raise RouteDisagreement(
-                "zeta'(0) routes differ by %s (allowed %s)"
-                % (mp.nstr(gap, 8), mp.nstr(allowed, 8))
-            )
+        if gap > 100 * tol:
+            deriv_err = abs(_zeta_prime_0_complex_step(inp, h, ctx) - zp_a)
+            allowed = 100 * max(tol, deriv_err)
+            if gap > allowed:
+                raise RouteDisagreement(
+                    "zeta'(0) routes differ by %s (allowed %s)"
+                    % (mp.nstr(gap, 8), mp.nstr(allowed, 8))
+                )
         split_gap = abs(_zeta_prime_0_regularized(inp, ctx, split=1) - zp_b)
         if split_gap > 100 * tol:
             raise RouteDisagreement(

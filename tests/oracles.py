@@ -10,6 +10,8 @@ for the tests to compare against.  The package itself calls none of them.
   of the whole box around the slice.
 - partial_zeta_direct_reference: the direct partial zeta sum over QuadElem
   representatives with Fraction norms.
+- stark_number_eager_reference: the Stark number with both complex steps,
+  at ih and ih/2, always taken before the route gap is gated.
 - theta_complex_reference: the complex lattice theta over a disk, one expjpi
   per lattice point at twice the working precision.
 - ray_equivalent_reference, ray_classes_reference: the pairwise exact
@@ -37,10 +39,15 @@ from starklab.quadfield import (
     unit_mod_f,
 )
 from starklab.stark import (
+    RouteDisagreement,
     StarkInput,
+    StarkResult,
+    _complex_step,
     _congruence_ideal,
     _enumerate_coprime_ideals,
     _smooth_weight,
+    _zeta_prime_0_complex_step,
+    _zeta_prime_0_regularized,
 )
 
 
@@ -230,6 +237,30 @@ def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_nor
     with ctx.workprec():
         pref = inp.sign_l0_conj * mp.power(inp.b.norm(), s)
         return mp.mpc(pref * total)
+
+
+def stark_number_eager_reference(inp: StarkInput, ctx: PrecisionCtx) -> StarkResult:
+    """stark.stark_number with the route allowance always formed: the
+    complex step at ih and at ih/2, then the gap against 100 max(tol, the
+    change between them), then the second split point."""
+    with ctx.workprec():
+        tol = mp.mpf(ctx.target_abs_err)
+        zp_b = _zeta_prime_0_regularized(inp, ctx)
+        h = _complex_step(ctx)
+        coarse = _zeta_prime_0_complex_step(inp, h, ctx)
+        fine = _zeta_prime_0_complex_step(inp, h / 2, ctx)
+        gap = abs(fine - zp_b)
+        allowed = 100 * max(tol, abs(coarse - fine))
+        if gap > allowed:
+            raise RouteDisagreement("zeta'(0) routes differ by %s (allowed %s)"
+                                    % (mp.nstr(gap, 8), mp.nstr(allowed, 8)))
+        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, split=1) - zp_b)
+        if split_gap > 100 * tol:
+            raise RouteDisagreement(
+                "zeta'(0) at two split points differs by %s (allowed %s)"
+                % (mp.nstr(split_gap, 8), mp.nstr(100 * tol, 8)))
+        return StarkResult(zeta_prime_0=zp_b, s0=mp.exp(zp_b), zeta_0=mp.mpf(0),
+                           route_gap=gap)
 
 
 def theta_complex_reference(g1, g2, lam0, mu0, etas, v, radius, bits):

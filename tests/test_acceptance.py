@@ -148,9 +148,13 @@ def _suite_pairs():
 
 
 def test_criterion_5_zeta_routes():
+    # zeta(0) is 0 for any continuation data (1/Gamma(0) = 0); zeta(s)/s at
+    # s = 2^-40 reads the bracket itself, against the regularized zeta'(0)
+    s_small = mp.ldexp(1, -40)
     with CTX.workprec():
         worst_rel = mp.mpf(0)
         worst_z0 = mp.mpf(0)
+        worst_slope = mp.mpf(0)
         worst_gap = mp.mpf(0)
         for inp in _suite_pairs():
             for s in (mp.mpf("1.6"), mp.mpf(2), mp.mpf(3)):
@@ -158,15 +162,20 @@ def test_criterion_5_zeta_routes():
                 cont = partial_zeta_continued(inp, s, CTX)
                 worst_rel = max(worst_rel, abs(direct - cont) / abs(cont))
             worst_z0 = max(worst_z0, abs(partial_zeta_continued(inp, mp.mpf(0), CTX)))
-            worst_gap = max(worst_gap, stark_number(inp, CTX).route_gap)
+            res = stark_number(inp, CTX)
+            slope = partial_zeta_continued(inp, s_small, CTX) / s_small
+            worst_slope = max(worst_slope, abs(slope - res.zeta_prime_0))
+            worst_gap = max(worst_gap, res.route_gap)
     ok = (worst_rel < mp.mpf("1e-12") and worst_z0 < mp.mpf("1e-8")
-          and worst_gap < mp.mpf("1e-8"))
+          and worst_slope < mp.mpf("1e-10") and worst_gap < mp.mpf("1e-8"))
     report(5, "direct and continued zeta agree to 1e-12 relative at "
-              "s in {1.6, 2, 3}; zeta(0) = 0 within 1e-8; zeta'(0) route "
+              "s in {1.6, 2, 3}; zeta(0) = 0 within 1e-8; zeta(s)/s at "
+              "s = 2^-40 matches zeta'(0) within 1e-10; zeta'(0) route "
               "gap < 1e-8",
-           ok, "rel %s, z0 %s, gap %s" % (mp.nstr(worst_rel, 3),
-                                          mp.nstr(worst_z0, 3),
-                                          mp.nstr(worst_gap, 3)))
+           ok, "rel %s, z0 %s, slope %s, gap %s" % (mp.nstr(worst_rel, 3),
+                                                    mp.nstr(worst_z0, 3),
+                                                    mp.nstr(worst_slope, 3),
+                                                    mp.nstr(worst_gap, 3)))
 
 
 def test_criterion_6_class_invariance_and_recognition():

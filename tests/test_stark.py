@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import BoundExceeded, PrecisionCtx, mpf_from_fraction
+from starklab.numerics import BoundExceeded, ConvergenceError, PrecisionCtx, mpf_from_fraction
 from starklab.pseudolattice import coset_slice_reps, dual
 from starklab.quadfield import FieldCtx, QuadElem, QuadIdeal, fundamental_unit, unit_mod_f
 import starklab.stark as stark_mod
@@ -34,6 +34,7 @@ from oracles import (
     partial_zeta_direct_reference,
     ray_classes_reference,
     ray_equivalent_reference,
+    stark_number_eager_reference,
 )
 
 mp.mp.dps = 50
@@ -167,9 +168,16 @@ def test_direct_sum_rows_equal_the_quadelem_reference(monkeypatch):
 
 
 def test_zeta_vanishes_at_0():
+    # zeta(0) is 1/Gamma(0) = 0 times the bracket, whatever the continuation
+    # data; zeta(s)/s at s = 2^-40 reads the bracket, and must match the
+    # regularized zeta'(0) up to s zeta''(0)/2
+    s = mp.ldexp(1, -40)
     with CTX.workprec():
         for inp in suite_pairs():
             assert abs(partial_zeta_continued(inp, mp.mpf(0), CTX)) < 1e-8
+            zp = stark_number(inp, CTX).zeta_prime_0
+            slope = partial_zeta_continued(inp, s, CTX) / s
+            assert abs(slope - zp) < 1e-10, (inp.L.hnf(), slope - zp)
 
 
 def test_direct_sum_coset_shift_independence():
@@ -263,7 +271,9 @@ def test_continuation_data_matches_reference_fold():
 
 def test_stark_number_builds_continuation_data_once(monkeypatch):
     # one enumeration and fold serves the regularized route at both split
-    # points and the two complex steps ih and ih/2; zeta(0) is not evaluated
+    # points and the complex step at ih/2; the route gap meets 100 times the
+    # error target, so the step at ih, which could only widen the
+    # allowance, is not taken, and zeta(0) is not evaluated
     builds, evals = [], []
     build, continued = ContinuationData.build, stark_mod.partial_zeta_continued
 
@@ -282,7 +292,7 @@ def test_stark_number_builds_continuation_data_once(monkeypatch):
     r = stark_number(inp, CTX)
     assert r.route_gap < 1e-20
     assert len(builds) == 1
-    assert len(evals) == 2 and len(set(evals)) == 2
+    assert len(evals) == 1
 
 
 def test_inputs_are_freed_without_the_garbage_collector():
@@ -307,9 +317,11 @@ def test_inputs_are_freed_without_the_garbage_collector():
 def test_complex_step_matches_the_five_point_stencil():
     # the 5-point central difference of the real continued zeta at
     # h = 10^-max(4, dps/5), halved once, is the reference derivative
+    step = stark_mod._complex_step(CTX)
     for inp in suite_pairs():
         with CTX.workprec():
-            value, change = stark_mod._zeta_prime_0_complex_step(inp, CTX)
+            value = stark_mod._zeta_prime_0_complex_step(inp, step / 2, CTX)
+            change = abs(stark_mod._zeta_prime_0_complex_step(inp, step, CTX) - value)
             h = mp.mpf(10) ** (-max(4, CTX.dps // 5))
             ref, ref_err, stable = numeric_derivative(
                 lambda t: partial_zeta_continued(inp, t, CTX).real,
@@ -317,6 +329,39 @@ def test_complex_step_matches_the_five_point_stencil():
             assert stable and ref_err < 1e-28
             assert abs(value - ref) < 1e-28, (inp.L.hnf(), value - ref)
             assert change < 1e-28
+
+
+def _stark_outcome(compute, inp, ctx):
+    """compute's StarkResult, or the type and message of what it raised."""
+    try:
+        return compute(inp, ctx)
+    except (RouteDisagreement, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bits, err", [(64, 1e-12), (128, 1e-30), (256, 1e-68)])
+def test_lazy_allowance_gives_the_eager_verdict(monkeypatch, bits, err):
+    # the step at ih only widens the allowance 100 max(tol, change), so
+    # taking it only past 100 tol gives the eager rule's result or error;
+    # at 256 bits the route gap (about 6e-62) exceeds 100 tol = 1e-66, and
+    # the step at ih runs and decides
+    ctx = PrecisionCtx(bits, err)
+    evals = []
+    continued = stark_mod.partial_zeta_continued
+
+    def counting_continued(*args, **kwargs):
+        evals.append(args[1])
+        return continued(*args, **kwargs)
+
+    for inp in (suite_pairs()[0], suite_pairs()[2]):
+        eager = _stark_outcome(stark_number_eager_reference, inp, ctx)
+        evals.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(stark_mod, "partial_zeta_continued", counting_continued)
+            lazy = _stark_outcome(stark_number, inp, ctx)
+        assert lazy == eager, (inp.L.hnf(), lazy, eager)
+        assert isinstance(lazy, StarkResult)
+        assert len(evals) == (2 if bits == 256 else 1), (inp.L.hnf(), evals)
 
 
 def test_route_disagreement_fires_on_a_skewed_continuation(monkeypatch):
