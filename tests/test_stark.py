@@ -353,7 +353,8 @@ def test_lazy_allowance_gives_the_eager_verdict(monkeypatch, bits, err):
         evals.append(args[1])
         return continued(*args, **kwargs)
 
-    for inp in (suite_pairs()[0], suite_pairs()[2]):
+    pairs = suite_pairs()
+    for inp in (pairs[0], pairs[2]):
         eager = _stark_outcome(stark_number_eager_reference, inp, ctx)
         evals.clear()
         with monkeypatch.context() as patch:
