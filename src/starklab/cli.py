@@ -80,7 +80,8 @@ class InputError(ValueError):
 
 def _parse_rational(x) -> Fraction:
     try:
-        if isinstance(x, (str, int)):
+        # a JSON true or false is a bool, which Python counts as an int
+        if isinstance(x, (str, int)) and not isinstance(x, bool):
             return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad rational literal %r: %s" % (x, exc))
@@ -139,7 +140,7 @@ def parse_lattice_literal(text: str) -> Pseudolattice:
 
 def _make_field(D) -> FieldCtx:
     try:
-        if int(D) != Fraction(D):
+        if isinstance(D, bool) or int(D) != Fraction(D):
             raise ValueError("%r is not an integer" % (D,))
         return FieldCtx(int(D))
     except (TypeError, ValueError, OverflowError) as exc:

@@ -233,9 +233,10 @@ def _e1_series(x):
     return -mp.euler - mp.log(x) - mp.ldexp(total, -P)
 
 
-def scaled_upper_gamma(a, x, ctx: PrecisionCtx = DEFAULT_CTX):
+def scaled_upper_gamma(a, xs, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
     """x^-a Gamma(a, x), the upper incomplete gamma function divided by x^a,
-    for real x > 0 and real or complex a; E1(x) at a = 0.
+    for real or complex a (E1(x) at a = 0), at each real x > 0 of the
+    sequence xs in its order, each distinct x evaluated once.
 
     Where x >= Re(a) + 1 and x is past _series_below (or a is a positive
     integer), e^-x times the continued fraction.  Elsewhere a series at a
@@ -243,8 +244,8 @@ def scaled_upper_gamma(a, x, ctx: PrecisionCtx = DEFAULT_CTX):
     sum_n x^n / (b)_(n+1), or E1 for a nonpositive integer a, carried down
     to a by x^-(b-1) Gamma(b-1, x) = (x x^-b Gamma(b, x) - e^-x) / (b-1)."""
     with ctx.workprec():
-        x = mp.mpf(x)
-        if not x > 0:
+        xs = [mp.mpf(x) for x in xs]
+        if not all(x > 0 for x in xs):
             raise ValueError("scaled_upper_gamma requires x > 0")
         a = mp.mpmathify(a)
         if isinstance(a, mp.mpc) and not a.imag:
@@ -252,25 +253,30 @@ def scaled_upper_gamma(a, x, ctx: PrecisionCtx = DEFAULT_CTX):
         real = not isinstance(a, mp.mpc)
         re_a = a if real else a.real
         integer = real and a == int(a)
-        if x >= re_a + 1 and (integer and a > 0 or x >= _series_below(mp.mp.prec, real)):
-            return +(mp.exp(-x) * _continued_fraction(a, x))
+        past = _series_below(mp.mp.prec, real)
         e1 = integer and a <= 0
         steps = -int(a) if e1 else max(int(mp.ceil(0.25 - re_a)), 0)
         divisors = [a + k for k in range(steps - 1, -1, -1)]
-        # a step multiplies the error by about max(1, x)/|b-1|, 2^57 when
-        # b - 1 = ih at a complex step: the bits it loses are carried as
-        # extra precision, with those the series cancels
-        size = max(mp.mag(x), 1)
-        extra = sum(max(0, size - mp.mag(d)) for d in divisors)
-        with mp.extraprec(extra + _series_guard_bits(x)):
-            base, ex = a + steps, mp.exp(-x)
-            if e1:
-                g = _e1_series(x)
-            else:
-                g = _power(x, -base) * mp.gamma(base) - ex * _lower_series(base, x)
-            for d in divisors:
-                g = (x * g - ex) / d
-        return +g
+        values = {}
+        for x in dict.fromkeys(xs):
+            if x >= re_a + 1 and (integer and a > 0 or x >= past):
+                values[x] = +(mp.exp(-x) * _continued_fraction(a, x))
+                continue
+            # a step multiplies the error by about max(1, x)/|b-1|, 2^57 when
+            # b - 1 = ih at a complex step: the bits it loses are carried as
+            # extra precision, with those the series cancels
+            size = max(mp.mag(x), 1)
+            extra = sum(max(0, size - mp.mag(d)) for d in divisors)
+            with mp.extraprec(extra + _series_guard_bits(x)):
+                base, ex = a + steps, mp.exp(-x)
+                if e1:
+                    g = _e1_series(x)
+                else:
+                    g = _power(x, -base) * mp.gamma(base) - ex * _lower_series(base, x)
+                for d in divisors:
+                    g = (x * g - ex) / d
+            values[x] = +g
+        return [values[x] for x in xs]
 
 
 def mpf_from_fraction(q: Fraction):

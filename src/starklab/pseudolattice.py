@@ -387,6 +387,12 @@ def _gauss_reduce(u, w, embed):
         fw = embed(w)
 
 
+def _mirror_shift(L: Pseudolattice, l0: QuadElem):
+    """(d1, d2) with -2 l0 = d1 l1 + d2 l2 when both are integers, else None."""
+    d = L.coords(-2 * l0)
+    return None if any(c.denominator != 1 for c in d) else tuple(map(int, d))
+
+
 def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     """Exactly one representative of each <u>-orbit of (l0 + L) \\ {0} with
     |N(xi)| <= max_norm, where W = u/u' = u^2 (totally positive, W > 1) for
@@ -409,7 +415,10 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     rays by the floor of a surd root, the norm by math.isqrt on the integer
     norm form.  The outer rays lie just outside the slice, and the exact
     slice tests above trim each outer row's ends one point at a time.
-    Float64 only bounds the rows to walk, with a margin.
+    Float64 only bounds the rows to walk, with a margin.  A coset with
+    2 l0 in L is its own negative, -(l0 + a l1 + b l2) = l0 + (d1 - a) l1 +
+    (d2 - b) l2 for -2 l0 = d1 l1 + d2 l2: only its quadrants with xi > 0
+    are walked, and each of their rows is mirrored.
 
     Returns (den, rows), rows a list of (n, a, b, x, y) for
     xi = l0 + a*l1 + b*l2 = (x + y sqrt(D))/den with |N(xi)| = n/den^2,
@@ -426,6 +435,7 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     y0, y1, y2 = (int(g.y * den) for g in gens)
     wd = math.lcm(W.x.denominator, W.y.denominator)
     Wx, Wy = int(W.x * wd), int(W.y * wd)
+    mirror = _mirror_shift(L, l0)
     max_norm_fr = Fraction(max_norm)
     # |x^2 - D y^2| <= max_norm * den^2, cleared of the max_norm denominator
     norm_num = max_norm_fr.numerator * den * den
@@ -488,6 +498,8 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
         xq, yq, qa, qb = short
         trims = [t for t, outer in ((lower, k == 0), (upper, k == last)) if outer]
         for s1, s2, arange in quadrants:
+            if mirror and s1 < 0:
+                continue
             sigma = s1 * s2
             # s1 xi > r1 s2 xi' and s1 xi <= r2 s2 xi': with r = p/q, the sign
             # of q s1 xi - p s2 xi' is that of (q s1 - p s2) x + (q s1 + p s2) y sqrt(D)
@@ -533,6 +545,9 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
                         kept.append((sigma * (x * x - D * y * y), ra + b * qa, rb + b * qb, x, y))
                     examined += max(0, hi - lo + 1)
     _EXAMINED[0] += examined
+    if mirror:
+        d1, d2 = mirror
+        kept += [(n, d1 - a, d2 - b, -x, -y) for n, a, b, x, y in kept]
     # |N| = n / den^2 with one den for all, so integer n sorts as |N| does
     kept.sort()
     return den, kept

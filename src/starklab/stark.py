@@ -42,7 +42,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -118,7 +120,7 @@ class StarkInput:
     def field(self) -> FieldCtx:
         return self.L.field
 
-    @property
+    @cached_property
     def lattice(self) -> Pseudolattice:
         return ideal_to_pseudolattice(self.L)
 
@@ -250,18 +252,26 @@ def _max_norm(rho: float, scale: Fraction, tol: float, s_scale: float) -> Fracti
     return (Fraction(math.ceil(x_min / (2 * math.pi))) + 2) / scale
 
 
+class SplitPoint(NamedTuple):
+    """A split point v = i t: t and 1/t, and the arguments x t of the primal
+    rows and x/t of the dual rows within its cutoffs, in ascending |N|."""
+
+    t: mp.mpf
+    t_dual: mp.mpf
+    primal: tuple
+    dual: tuple
+
+
 @dataclass(frozen=True)
 class ContinuationData:
     """Lattice data of the split evaluation at its split points and one
     precision.
 
-    primal: (x, m) in ascending |N|, x = 2 pi |N| and m (an exact mpc) the
-    sum of sgn(xi') over the primal coset representatives of that norm;
-    dual: (x, c), c = sum sgn(xi) e^{2 pi i tr(xi l0')} over the dual lattice
+    primal: m per norm in ascending |N|, the integer sum of sgn(xi') over
+    the primal coset representatives of that norm; dual: (x, c), x = 2 pi |N|
+    and c = sum sgn(xi) e^{2 pi i tr(xi l0')} over the dual lattice
     representatives of that norm; delta: the covolume.  Zeros are dropped.
-    splits: per split point, the first the main one, (t, 1/t, kp, kd): Im v
-    of the primal side at that split and of its dual side, and the number of
-    primal and dual rows within that split's cutoffs."""
+    splits: a SplitPoint per split point, the first the main one."""
 
     primal: tuple
     dual: tuple
@@ -286,25 +296,22 @@ class ContinuationData:
 
             primal, kp = side(spec, [p for _, p, _ in cutoffs])
             dual, kd = side(spec.dual_spec(), [d for _, _, d in cutoffs])
-            ts = [Fraction(t) for t, _, _ in cutoffs]
-            splits = tuple((mpf_from_fraction(t), mpf_from_fraction(1 / t), p, q)
-                           for t, p, q in zip(ts, kp, kd))
-            return cls(primal=primal, dual=dual, delta=delta(inp.lattice, ctx),
-                       splits=splits)
+            splits = []
+            for t, p, q in zip([Fraction(t) for t, _, _ in cutoffs], kp, kd):
+                t, t_dual = mpf_from_fraction(t), mpf_from_fraction(1 / t)
+                splits.append(SplitPoint(t, t_dual, tuple(x * t for x, _ in primal[:p]),
+                                         tuple(x * t_dual for x, _ in dual[:q])))
+            # the primal side's eta = 1 and m0 = 0 make each m an exact mpc(k, 0),
+            # and k times a value rounds as mpc(k, 0) times it does
+            return cls(primal=tuple(int(m.real) for _, m in primal), dual=dual,
+                       delta=delta(inp.lattice, ctx), splits=tuple(splits))
 
-    def split_sum(self, primal_term, dual_term, split: int = 0, scales=(1, 1)):
-        """w1 sum_primal primal_term(m, x, x t) + (w2/(i delta)) sum_dual
-        dual_term(c, x, x/t) at split point v = i t, over the rows within
-        its cutoffs, each side accumulated in ascending |N|; (w1, w2) are
-        the scales."""
-        t, t_dual, kp, kd = self.splits[split]
-        part1 = mp.mpc(0)
-        for x, mult in self.primal[:kp]:
-            part1 += primal_term(mult, x, x * t)
-        part2 = mp.mpc(0)
-        for x, coeff in self.dual[:kd]:
-            part2 += dual_term(coeff, x, x * t_dual)
+    def split_sum(self, primal_terms, dual_terms, scales=(1, 1)):
+        """w1 sum primal_terms + (w2/(i delta)) sum dual_terms, the terms of
+        a split point's rows, each side accumulated in ascending |N|;
+        (w1, w2) are the scales."""
         w1, w2 = scales
+        part1, part2 = sum(primal_terms, mp.mpc(0)), sum(dual_terms, mp.mpc(0))
         return w1 * part1 + w2 * part2 / (mp.mpc(0, 1) * self.delta)
 
 
@@ -364,11 +371,13 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     data = _continuation_data(inp, ctx, s_scale=abs(complex(s)))
     with ctx.workprec():
         s = mp.mpmathify(s)
-        t, t_dual = data.splits[0][:2]
+        point = data.splits[0]
+        primal = scaled_upper_gamma(s, point.primal, ctx)
+        dual = scaled_upper_gamma(1 - s, point.dual, ctx)
         total = data.split_sum(
-            lambda m, x, y: m * scaled_upper_gamma(s, y, ctx),
-            lambda c, x, y: c * scaled_upper_gamma(1 - s, y, ctx),
-            scales=(mp.power(t, s), mp.power(t_dual, 1 - s)),
+            [m * g for m, g in zip(data.primal, primal)],
+            [c * g for (_, c), g in zip(data.dual, dual)],
+            scales=(mp.power(point.t, s), mp.power(point.t_dual, 1 - s)),
         )
         pref = (
             inp.sign_l0_conj
@@ -392,9 +401,10 @@ class StarkResult:
     route_gap: mp.mpf
 
 
-def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0):
+def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0, e1=None):
     """zeta'(0) from the split representation at one of the split points
-    v = i t of the ContinuationData, differentiated analytically.
+    v = i t of the ContinuationData, differentiated analytically; e1, when
+    given, holds E1(x t) per primal argument of that split point.
 
     The prefactor (N(b) 2 pi)^s / Gamma(s) vanishes linearly at s = 0, so
     with x = 2 pi |N|
@@ -403,8 +413,11 @@ def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0
     inp = inp.reduced()
     data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        total = data.split_sum(lambda m, x, y: m * scaled_upper_gamma(0, y, ctx),
-                               lambda c, x, y: c * mp.exp(-y) / x, split)
+        point = data.splits[split]
+        e1 = scaled_upper_gamma(0, point.primal, ctx) if e1 is None else e1
+        total = data.split_sum(
+            [m * e for m, e in zip(data.primal, e1)],
+            [c * mp.exp(-y) / x for (x, c), y in zip(data.dual, point.dual)])
         val = total * inp.sign_l0_conj / inp.unit.kappa
         if abs(val.imag) > 1e6 * mp.mpf(ctx.target_abs_err):
             raise ConvergenceError(
@@ -456,10 +469,14 @@ def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResul
     cross-checks the data, Delta and the functional equation: it may differ
     by at most 100 times the error target.  One continued evaluation, at
     ih/2, when the gap meets 100 times the error target, and a second at ih
-    otherwise; zeta(0) is not evaluated (see StarkResult)."""
+    otherwise; zeta(0) is not evaluated (see StarkResult).  The two split
+    points' primal arguments share one E1 evaluation per distinct value."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
-        zp_b = _zeta_prime_0_regularized(inp, ctx)
+        data = _continuation_data(inp.reduced(), ctx)
+        main, gate = (point.primal for point in data.splits)
+        e1 = scaled_upper_gamma(0, main + gate, ctx)
+        zp_b = _zeta_prime_0_regularized(inp, ctx, 0, e1[:len(main)])
         h = _complex_step(ctx)
         zp_a = _zeta_prime_0_complex_step(inp, h / 2, ctx)
         gap = abs(zp_a - zp_b)
@@ -471,7 +488,7 @@ def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResul
                     "zeta'(0) routes differ by %s (allowed %s)"
                     % (mp.nstr(gap, 8), mp.nstr(allowed, 8))
                 )
-        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, split=1) - zp_b)
+        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, 1, e1[len(main):]) - zp_b)
         if split_gap > 100 * tol:
             raise RouteDisagreement(
                 "zeta'(0) at two split points differs by %s (allowed %s)"

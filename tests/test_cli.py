@@ -275,6 +275,23 @@ def test_exit_4_on_malformed_literals():
 
 
 @pytest.mark.parametrize("args", [
+    ("stark", "compute", "--ideal", '{"D": 2, "ideal": [true, 3, 1]}', "--l0", '["1", "0"]'),
+    ("stark", "compute", "--ideal", '{"D": 2, "ideal": [7, 3, 1]}', "--l0", "[true, false]"),
+    ("lattice", "dual", "--lattice", '{"D": 5, "l1": [true, "0"], "l2": ["1/2", "1/2"]}'),
+    ("lattice", "dual", "--lattice", '{"D": true, "l1": ["1", "0"], "l2": ["1/2", "1/2"]}'),
+    ("stark", "compute", "--ideal", '{"D": true, "ideal": [7, 3, 1]}', "--l0", '["1", "0"]'),
+])
+def test_exit_4_on_json_booleans(args):
+    # JSON true and false are Python bools, which are ints: an ideal entry,
+    # an l0 or lattice coordinate, or a D given as one is invalid input,
+    # not read as 1 or 0 ([true, 3, 1] was the unit ideal)
+    r = run(*args)
+    assert r.exit_code == 4, (r.output, r.stderr)
+    assert r.stdout == ""
+    assert r.stderr.startswith("invalid input:") and "True" in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("args", [
     ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--s", "1e400"),
     ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--s", "nan"),
     ("stark", "compute", "--ideal", P11, "--l0", '["1", "0"]', "--err", "inf"),
@@ -487,22 +504,51 @@ def test_exit_4_on_usage_errors(tmp_path, monkeypatch):
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-GOLDEN_README = pathlib.Path(__file__).resolve().parent / "golden" / "readme.txt"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_README = GOLDEN / "readme.txt"
 
 
-def readme_transcript():
-    """Each command line of the README's usage blocks, as "$ <line>",
-    followed by the stdout it prints; asserts that every command exits 0."""
-    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
-    lines = [line for block in blocks for line in block.splitlines()
-             if line.startswith("starklab ")]
-    assert len(lines) >= 9
+def transcript(lines):
+    """Each command line as "$ <line>", followed by the stdout it prints;
+    asserts that every command exits 0."""
     out = []
     for line in lines:
         r = run(*shlex.split(line)[1:])
         assert r.exit_code == 0, (line, r.output, r.stderr)
         out.append("$ %s\n%s" % (line, r.stdout))
     return "".join(out)
+
+
+def readme_transcript():
+    """The transcript of each command line of the README's usage blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("starklab ")]
+    assert len(lines) >= 9
+    return transcript(lines)
+
+
+def _stark_compute_lines():
+    """The Stark numbers whose printed bytes a speed-up may not move: the
+    benchmark's 16 inputs at the defaults; D=2 p7 and D=5 p11 at 64 bits,
+    and at 256 bits with an error target that takes the complex step at ih;
+    the conjecture on two moduli at 64 bits."""
+    refs = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                       / "bench" / "refs.json").read_text())["stark"]
+    pairs = {"D2_p7": '{"D": 2, "ideal": [7, 3, 1]}', "D5_p11": P11}
+    lines = []
+    for key in sorted(refs, key=lambda k: (k.split("/")[0], int(k.split("=")[1]))):
+        name, l0 = key.split("/l0=")
+        lines.append("starklab stark compute --ideal '%s' --l0 '[\"%s\", \"0\"]'"
+                     % (pairs[name], l0))
+    for ideal in pairs.values():
+        for flags in ("--prec 64 --err 1e-12", "--prec 256 --err 1e-68"):
+            lines.append("starklab stark compute --ideal '%s' --l0 '[\"1\", \"0\"]' %s"
+                         % (ideal, flags))
+    for modulus in (P11, '{"D": 3, "ideal": [5, 0, 5]}'):
+        lines.append("starklab stark conjecture --modulus '%s' --prec 64 --err 1e-12"
+                     % modulus)
+    return lines
 
 
 @pytest.mark.parametrize("args", [
@@ -525,10 +571,26 @@ def test_theta_reports_ignore_the_callers_precision(args):
 def test_readme_examples_run():
     # every command of the README's usage block runs, exits 0 and prints
     # the committed bytes; after a deliberate change of output, rewrite
-    # the file with `PYTHONPATH=src python tests/test_cli.py`
+    # the files with `PYTHONPATH=src python tests/test_cli.py`
     assert readme_transcript() == GOLDEN_README.read_text()
 
 
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.txt")), ids=lambda p: p.name)
+def test_golden_transcript_replays(path):
+    # each `$ starklab ...` line of a committed transcript exits 0 and
+    # prints exactly its block
+    text = path.read_text()
+    lines = [chunk.split("\n", 1)[0] for chunk in re.split(r"^\$ ", text, flags=re.M)[1:]]
+    assert lines and transcript(lines) == text
+
+
+def test_golden_stark_transcript_holds_its_commands():
+    # the committed Stark transcript is the one the command list makes
+    text = (GOLDEN / "stark_compute.txt").read_text()
+    assert re.findall(r"^\$ (.*)$", text, flags=re.M) == _stark_compute_lines()
+
+
 if __name__ == "__main__":
-    GOLDEN_README.parent.mkdir(exist_ok=True)
+    GOLDEN.mkdir(exist_ok=True)
     GOLDEN_README.write_text(readme_transcript())
+    (GOLDEN / "stark_compute.txt").write_text(transcript(_stark_compute_lines()))

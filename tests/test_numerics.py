@@ -84,7 +84,7 @@ def _oracle_error(a, x, bits):
     """Relative error of scaled_upper_gamma at bits against the oracle, in
     units of its bound 2^-(bits+14) (1 + x)."""
     a, x = mp.mpmathify(a), mp.mpf(x)
-    mine = scaled_upper_gamma(a, x, PrecisionCtx(bits, 1e-30))
+    mine, = scaled_upper_gamma(a, [x], PrecisionCtx(bits, 1e-30))
     with mp.workprec(400):
         ref = _oracle(a, x)
         return abs(mine - ref) / (mp.ldexp(1 + x, -(bits + 14)) * abs(ref))
@@ -152,18 +152,35 @@ def test_upper_gamma_near_a_zero_keeps_its_real_part(x):
     # fraction.
     x = mp.mpf(x)
     for a in (mp.mpc(0, H), mp.mpc(0, H / 2)):
-        mine = scaled_upper_gamma(a, x, CTX)
+        mine, = scaled_upper_gamma(a, [x], CTX)
         ref = _oracle(a, x)
         with mp.workprec(400):
             assert abs(mine.real - ref.real) < mp.mpf("1e-40")
             assert abs(mine.imag - ref.imag) < mp.mpf("1e-40")
 
 
+def test_upper_gamma_of_a_sequence_keeps_its_order():
+    # unsorted arguments with repeats come back in their order, each value
+    # the one of its argument alone; two arguments one ulp apart at the
+    # working precision, on the series and the continued fraction's side of
+    # both crossovers, are two arguments
+    with CTX.workprec():
+        pairs = [(x, x + mp.ldexp(1, mp.mag(x) - mp.mp.prec))
+                 for x in (mp.mpf(3), mp.mpf(20))]
+    (lo, lo_next), (hi, hi_next) = pairs
+    xs = [hi, lo, mp.mpf("0.25"), hi_next, lo, hi, lo_next, mp.mpf("0.25")]
+    for a in (0, 1.3, mp.mpc(0, H), mp.mpc(1, -H / 2)):
+        values = scaled_upper_gamma(a, xs, CTX)
+        assert values == [scaled_upper_gamma(a, [x], CTX)[0] for x in xs], a
+        assert values[0] != values[3] and values[1] != values[6], a
+    assert scaled_upper_gamma(0, [], CTX) == []
+
+
 def test_e1_against_oracle():
     with mp.workprec(200):
         for x in (0.01, 0.3, 1.0, 2.0, 10.0, 60.0):
             x = mp.mpf(x)
-            assert abs(scaled_upper_gamma(0, x, CTX) - mp.e1(x)) < mp.mpf(10) ** -32
+            assert abs(scaled_upper_gamma(0, [x], CTX)[0] - mp.e1(x)) < mp.mpf(10) ** -32
 
 
 def test_upper_gamma_recurrence_property():
@@ -173,8 +190,8 @@ def test_upper_gamma_recurrence_property():
         for _ in range(20):
             a = mp.mpf(rng.uniform(-4, 4))
             x = mp.mpf(rng.uniform(0.05, 30))
-            lhs = x * scaled_upper_gamma(a + 1, x, CTX)
-            rhs = a * scaled_upper_gamma(a, x, CTX) + mp.exp(-x)
+            lhs = x * scaled_upper_gamma(a + 1, [x], CTX)[0]
+            rhs = a * scaled_upper_gamma(a, [x], CTX)[0] + mp.exp(-x)
             assert abs(lhs - rhs) < mp.mpf(10) ** -28 * max(1, abs(lhs))
 
 
@@ -184,8 +201,8 @@ def test_precision_refinement_self_consistency():
     with mp.workprec(220):
         x = mp.mpf("0.77")
         a = mp.mpf("-1.0")
-        va = scaled_upper_gamma(a, x, coarse)
-        vb = scaled_upper_gamma(a, x, fine)
+        va, = scaled_upper_gamma(a, [x], coarse)
+        vb, = scaled_upper_gamma(a, [x], fine)
         assert abs(va - vb) < 1e-20
 
 

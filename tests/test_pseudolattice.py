@@ -449,6 +449,46 @@ def test_slice_rows_equal_the_box_scan(monkeypatch):
         assert examined <= 4 * kept, (name, examined, kept)
 
 
+def _negation_cosets(D):
+    """(L, l0, W, X) on L = 3Z + (1 + sqrt D)Z, W = u^2, with l0 = 0, a
+    nonzero l0 in L and l0 = l1/2, whose cosets are their own negatives
+    (2 l0 in L), and l0 = l1/3, whose coset is not."""
+    F = FieldCtx(D)
+    L = Pseudolattice(F, F.elem(3), QuadElem(D, 1, 1))
+    u0 = fundamental_unit(D)
+    u = u0 if u0.is_totally_positive() else u0 * u0
+    W = u * u
+    X = Fraction(3 * 60) * Fraction(L.delta_exact()) / 2
+    shifts = (F.elem(0), 2 * L.l1 - L.l2, L.l1 / F.elem(2), L.l1 / F.elem(3))
+    return [(L, l0, W, X) for l0 in shifts]
+
+
+@pytest.mark.parametrize("D", [2, 5, 79])
+def test_negation_symmetric_cosets_mirror_half_the_walk(monkeypatch, D):
+    # a coset with 2 l0 in L walks only its quadrants with xi > 0 and adds
+    # each row's negative, shifted by -2 l0 = d1 l1 + d2 l2: the box scan's
+    # rows, for at most 0.6 times the work of the walk over all four
+    # quadrants; the coset of l1/3 is walked in full
+    cases = _negation_cosets(D)
+    assert [L.contains(2 * l0) for L, l0, _, _ in cases] == [True, True, True, False]
+    assert not cases[2][0].contains(cases[2][1]) and not cases[1][1].is_zero()
+    for L, l0, W, X in cases:
+        before = pl_mod._EXAMINED[0]
+        got = pl_mod.coset_slice_rows(L, l0, W, X)
+        walked = pl_mod._EXAMINED[0] - before
+        assert len(got[1]) > 40
+        assert got == coset_slice_rows_reference(L, l0, W, X), (D, l0)
+        with monkeypatch.context() as m:
+            m.setattr(pl_mod, "_mirror_shift", lambda L, l0: None)
+            before = pl_mod._EXAMINED[0]
+            assert pl_mod.coset_slice_rows(L, l0, W, X) == got
+            full = pl_mod._EXAMINED[0] - before
+        if L.contains(2 * l0):
+            assert walked <= 0.6 * full, (D, l0, walked, full)
+        else:
+            assert walked == full, (D, l0)
+
+
 def test_slice_kernel_sign_matches_field_sign():
     # the one exact sign rule, behind the slice test and QuadElem.sign, at
     # near-cancelling r + t sqrt(D) taken from powers of the fundamental

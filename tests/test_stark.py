@@ -262,10 +262,13 @@ def test_continuation_data_matches_reference_fold():
         primal, dual_pairs, delta = _reference_fold(inp, CTX, Fraction(15))
         assert data.primal and data.dual
         assert len(data.primal) == len(primal) and len(data.dual) == len(dual_pairs)
-        for (x, m), (rx, rm) in zip(data.primal, primal):
-            assert m == rm and _bits(x) == _bits(rx)
-        for (x, c), (rx, rc) in zip(data.dual, dual_pairs):
-            assert _bits(x) == _bits(rx) and _bits(c) == _bits(rc)
+        # at t = 1 the split's arguments x t and x/t are the rows' x
+        point = data.splits[0]
+        assert len(point.primal) == len(primal) and len(point.dual) == len(dual_pairs)
+        for m, x, (rx, rm) in zip(data.primal, point.primal, primal):
+            assert type(m) is int and m == rm and _bits(x) == _bits(rx)
+        for (x, c), y, (rx, rc) in zip(data.dual, point.dual, dual_pairs):
+            assert _bits(x) == _bits(y) == _bits(rx) and _bits(c) == _bits(rc)
         assert _bits(data.delta) == _bits(delta)
 
 
@@ -418,7 +421,7 @@ def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
     inp = make()
     value = stark_mod._zeta_prime_0_regularized(inp, CTX)
     data = inp.reduced()._continuation[1]
-    _, _, primal, dual = data.splits[0]
+    primal, dual = (len(args) for args in data.splits[0][2:])
     assert primal <= 3 * dual and dual <= 3 * primal
     build = ContinuationData.build
     for side, k, (fp, fd) in (("primal", 2, (Fraction(3, 2), 1)),
@@ -430,7 +433,7 @@ def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
         wide = stark_mod._zeta_prime_0_regularized(wider, CTX)
         # the main split sums more rows of the widened side
         wide_data = wider.reduced()._continuation[1]
-        assert wide_data.splits[0][k] > data.splits[0][k], side
+        assert len(wide_data.splits[0][k]) > len(data.splits[0][k]), side
         with CTX.workprec():
             assert abs(wide - value) < CTX.target_abs_err, side
 
