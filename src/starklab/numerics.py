@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -105,8 +106,11 @@ _LOG2E = 1.4426950408889634
 def _fixed_scale(x) -> int:
     """Fixed-point scale P for an evaluation at x: the working precision,
     the guard bits, and the bits of ceil(x), so that quantities of size 1/x
-    keep their relative accuracy as x grows."""
-    return mp.mp.prec + _GUARD_BITS + int(mp.ceil(x)).bit_length()
+    keep their relative accuracy as x grows.  ceil(x) comes from the
+    mantissa and exponent of x >= 0."""
+    _, man, exp, _ = x._mpf_
+    ceil = man << exp if exp >= 0 else -(-man >> -exp)
+    return mp.mp.prec + _GUARD_BITS + ceil.bit_length()
 
 
 def _to_fixed(v, P: int) -> tuple[int, int]:
@@ -149,9 +153,11 @@ def _continued_fraction(a, x):
     Lentz (Thompson & Barnett, J. Comput. Phys. 64, 1986) on integers
     scaled by 2^P: a real loop for a real a, and one on Gaussian pairs
     (re, im) for a complex a.  For a positive integer a the fraction ends
-    after a steps."""
+    after a steps.  The partial numerators -i (i - a) follow the integer
+    recurrence a_i = a_(i-1) + (a - (2i - 1)), exactly."""
     prec, P = mp.mp.prec, _fixed_scale(x)
-    one, two, one2 = 1 << P, 2 << P, 1 << 2 * P
+    P2 = 2 * P
+    one, two, one2 = 1 << P, 2 << P, 1 << P2
     X = to_fixed(x._mpf_, P)
     if not isinstance(a, mp.mpc):
         A = to_fixed(a._mpf_, P)
@@ -159,8 +165,10 @@ def _continued_fraction(a, x):
         c = one2  # 1/tiny, with tiny one unit in the last place
         d = h = one2 // b
         tol = one >> prec + 4  # |e - 1| below 2^-(prec+4)
-        for i in range(1, 20000):
-            an = i * (A - i * one)  # -i (i - a)
+        an, step = 0, A - one
+        for _ in range(1, 20000):
+            an += step  # -i (i - a)
+            step -= two
             b += two
             d = one2 // (b + (an * d >> P) or 1)
             c = b + (an << P) // c or 1
@@ -173,10 +181,15 @@ def _continued_fraction(a, x):
     br, bi = X + one - ar, -ai
     cr, ci = one2, 0
     n = br * br + bi * bi
-    hr, hi = dr, di = (br << 2 * P) // n, (-bi << 2 * P) // n
+    hr, hi = dr, di = (br << P2) // n, (-bi << P2) // n
     tol = one2 >> 2 * (prec + 4)  # |e - 1|^2, scaled by 2^2P
-    for i in range(1, 20000):
-        anr, ani = i * (ar - i * one), i * ai
+    # |Re(e - 1)| < root is necessary for |e - 1|^2 < tol
+    root = isqrt(tol - 1) + 1
+    anr, ani, step = 0, 0, ar - one
+    for _ in range(1, 20000):
+        anr += step
+        step -= two
+        ani += ai
         br += two
         dr, di = br + ((anr * dr - ani * di) >> P), bi + ((anr * di + ani * dr) >> P)
         if not (dr or di):
@@ -187,11 +200,11 @@ def _continued_fraction(a, x):
         if not (cr or ci):
             cr = 1
         n = dr * dr + di * di
-        dr, di = (dr << 2 * P) // n, (-di << 2 * P) // n
+        dr, di = (dr << P2) // n, (-di << P2) // n
         er, ei = (dr * cr - di * ci) >> P, (dr * ci + di * cr) >> P
         hr, hi = (hr * er - hi * ei) >> P, (hr * ei + hi * er) >> P
         er -= one
-        if er * er + ei * ei < tol:
+        if -root < er < root and er * er + ei * ei < tol:
             return mp.mpc(mp.ldexp(hr, -P), mp.ldexp(hi, -P))
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
@@ -253,14 +266,19 @@ def scaled_upper_gamma(a, xs, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
         real = not isinstance(a, mp.mpc)
         re_a = a if real else a.real
         integer = real and a == int(a)
-        past = _series_below(mp.mp.prec, real)
+        # the continued fraction from here on: Re(a) + 1, and past the
+        # crossover unless a is a positive integer
+        cut = re_a + 1
+        if not (integer and a > 0):
+            cut = max(cut, mp.mpf(_series_below(mp.mp.prec, real)))
         e1 = integer and a <= 0
         steps = -int(a) if e1 else max(int(mp.ceil(0.25 - re_a)), 0)
         divisors = [a + k for k in range(steps - 1, -1, -1)]
         values = {}
-        for x in dict.fromkeys(xs):
-            if x >= re_a + 1 and (integer and a > 0 or x >= past):
-                values[x] = +(mp.exp(-x) * _continued_fraction(a, x))
+        for key, x in {x._mpf_: x for x in xs}.items():
+            if x >= cut:
+                # the product is rounded at the working precision
+                values[key] = mp.exp(-x) * _continued_fraction(a, x)
                 continue
             # a step multiplies the error by about max(1, x)/|b-1|, 2^57 when
             # b - 1 = ih at a complex step: the bits it loses are carried as
@@ -275,8 +293,8 @@ def scaled_upper_gamma(a, xs, ctx: PrecisionCtx = DEFAULT_CTX) -> list:
                     g = _power(x, -base) * mp.gamma(base) - ex * _lower_series(base, x)
                 for d in divisors:
                     g = (x * g - ex) / d
-            values[x] = +g
-        return [values[x] for x in xs]
+            values[key] = +g
+        return [values[x._mpf_] for x in xs]
 
 
 def mpf_from_fraction(q: Fraction):

@@ -475,9 +475,10 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
                           for z in [0j] + ends]
                 lo, hi = min(coords), max(coords)
                 margin = 1e-9 * (abs(lo) + abs(hi)) + 1e-6
-                arange = range(math.ceil(lo - margin), math.floor(hi + margin) + 1)
-                points += area / abs(cross) + len(arange)
-                quadrants.append((s1, s2, arange))
+                lo, hi = math.ceil(lo - margin), math.floor(hi + margin)
+                # counted on Python ints: len() of a range fails past 2^63
+                points += area / abs(cross) + max(0, hi - lo + 1)
+                quadrants.append((s1, s2, range(lo, hi + 1)))
         plans.append((r1, r2, short, long, p0, quadrants))
     if points > _MAX_BOX_POINTS:
         raise BoundExceeded("the slice box holds %.2g lattice points, more than %.0e"
@@ -553,24 +554,27 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     return den, kept
 
 
-def fold_by_norm(D: int, den: int, rows, m: QuadElem):
+def fold_by_norm(D: int, den: int, rows, m: QuadElem, parts):
     """Fold the rows of coset_slice_rows (common denominator den) by norm
     under the trace character of m = (p + q sqrt(D))/md: tr(xi m') =
-    2(x p - D y q)/(den md) for xi = (x + y sqrt(D))/den.
+    2(x p - D y q)/(den md) for xi = (x + y sqrt(D))/den.  parts: the sign
+    sums to fold, (0,), (1,) or (0, 1), 0 for sum sgn(xi') and 1 for sgn(xi).
 
     Returns (modulus, folds) with modulus = den md and folds a list of
-    (n, {r: [sum sgn(xi'), sum sgn(xi)]}) in ascending n, over the rows of
+    (n, {r: [the sums of parts]}) in ascending n, over the rows of
     |N(xi)| = n/den^2 with tr(xi m') = r/modulus mod 1."""
     md = math.lcm(m.x.denominator, m.y.denominator)
     p, q = int(m.x * md), int(m.y * md)
     modulus = den * md
+    f, both = (1 if parts[0] else -1), len(parts) == 2  # sgn(xi') = sgn(x - y sqrt(D))
     folds = []
     for n, group in groupby(rows, key=itemgetter(0)):
         sums: dict[int, list] = {}
         for _, _, _, x, y in group:
-            s = sums.setdefault(2 * (x * p - D * y * q) % modulus, [0, 0])
-            s[0] += _sign_surd(x, -y, D)
-            s[1] += _sign_surd(x, y, D)
+            s = sums.setdefault(2 * (x * p - D * y * q) % modulus, [0] * len(parts))
+            s[0] += _sign_surd(x, f * y, D)
+            if both:
+                s[1] += _sign_surd(x, y, D)
         folds.append((n, sums))
     return modulus, folds
 

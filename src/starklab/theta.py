@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import fzero, from_man_exp, mpf_add, mpf_mul, round_nearest, to_fixed
 
 from .numerics import (
     _GUARD_BITS,
@@ -334,24 +334,42 @@ def norm_coefficients(spec: RMThetaSpec, max_norm, ctx: PrecisionCtx = DEFAULT_C
 
         c_n = sum (eta0 sgn(xi') + eta1 sgn(xi)) e^{-2 pi i tr(xi m0')}.
 
-    fold_by_norm gives integer sign sums per exponent r of tr(xi m0') mod 1,
-    so each exponent takes one character and each nonzero part of eta one
-    exact dot product, rounded once.  Zero coefficients are dropped."""
+    fold_by_norm gives integer sign sums per exponent r of tr(xi m0') mod 1
+    for each nonzero part of eta, so each exponent takes one character.  The
+    characters' parts are integers on one binary exponent E, so each part
+    of eta takes one exact integer dot product, rounded once as mp.fdot
+    rounds it; its products with eta's parts and their sum are rounded at
+    the working precision, as mpc arithmetic rounds them.  Zero coefficients
+    are dropped."""
     spec.validate()
     with ctx.workprec():
         eta = mp.mpc(spec.eta)
         if eta == 0:
             return 1, []
         den, rows = coset_slice_rows(spec.L, spec.l0, spec.epsU * spec.epsU, max_norm)
-        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0)
+        parts = [k for k, e in enumerate((eta.real, eta.imag)) if e != 0]
+        etas = [(eta.real, eta.imag)[k]._mpf_ for k in parts]
+        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0, parts)
         character = _characters(modulus)
-        parts = [(k, e) for k, e in enumerate((eta.real, eta.imag)) if e != 0]
+        read = {r: character(r)._mpc_ for _, sums in folds for r, s in sums.items() if any(s)}
+        # |character| = 1, so every nonzero part has an exponent <= 0
+        E = min((v[2] for z in read.values() for v in z if v[1]), default=0)
+        table = {r: [(-man if sign else man) << exp - E for sign, man, exp, _ in z]
+                 for r, z in read.items()}
+        prec, rnd = mp.mp.prec, round_nearest
         coeffs = []
         for n, sums in folds:
-            c = sum(e * mp.fdot((s[k], character(r)) for r, s in sums.items() if s[k])
-                    for k, e in parts)
-            if c != 0:
-                coeffs.append((n, c))
+            re = im = fzero
+            for i, e in enumerate(etas):
+                dr = di = 0
+                for r, s in sums.items():
+                    if s[i]:
+                        cr, ci = table[r]
+                        dr, di = dr + s[i] * cr, di + s[i] * ci
+                re = mpf_add(re, mpf_mul(e, from_man_exp(dr, E, prec, rnd), prec, rnd), prec, rnd)
+                im = mpf_add(im, mpf_mul(e, from_man_exp(di, E, prec, rnd), prec, rnd), prec, rnd)
+            if re[1] or im[1]:
+                coeffs.append((n, mp.make_mpc((re, im))))
         return den * den, coeffs
 
 

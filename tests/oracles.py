@@ -12,6 +12,9 @@ for the tests to compare against.  The package itself calls none of them.
   representatives with Fraction norms.
 - stark_number_eager_reference: the Stark number with both complex steps,
   at ih and ih/2, always taken before the route gap is gated.
+- norm_coefficients_reference: the coefficients of theta.norm_coefficients
+  as mpmath numbers, one mp.fdot of the sign sums with the characters per
+  nonzero part of eta.
 - theta_complex_reference: the complex lattice theta over a disk, one expjpi
   per lattice point at twice the working precision.
 - ray_equivalent_reference, ray_classes_reference: the pairwise exact
@@ -29,7 +32,7 @@ import numpy as np
 
 from starklab.hecke import scalar_product
 from starklab.numerics import DEFAULT_CTX, BoundExceeded, ConvergenceError, PrecisionCtx
-from starklab.pseudolattice import coset_slice_reps
+from starklab.pseudolattice import _characters, coset_slice_reps, coset_slice_rows, fold_by_norm
 from starklab.quadfield import (
     FieldCtx,
     QuadElem,
@@ -261,6 +264,28 @@ def stark_number_eager_reference(inp: StarkInput, ctx: PrecisionCtx) -> StarkRes
                 % (mp.nstr(split_gap, 8), mp.nstr(100 * tol, 8)))
         return StarkResult(zeta_prime_0=zp_b, s0=mp.exp(zp_b), zeta_0=mp.mpf(0),
                            route_gap=gap)
+
+
+def norm_coefficients_reference(spec, max_norm, ctx: PrecisionCtx):
+    """(den^2, [(n, c_n)]) as theta.norm_coefficients gives it, each c_n
+    summed in mpmath: per nonzero part e of eta, e times the mp.fdot of the
+    integer sign sums with their characters, the parts added as mpc."""
+    spec.validate()
+    with ctx.workprec():
+        eta = mp.mpc(spec.eta)
+        if eta == 0:
+            return 1, []
+        den, rows = coset_slice_rows(spec.L, spec.l0, spec.epsU * spec.epsU, max_norm)
+        modulus, folds = fold_by_norm(spec.L.field.D, den, rows, spec.m0, (0, 1))
+        character = _characters(modulus)
+        parts = [(k, e) for k, e in enumerate((eta.real, eta.imag)) if e != 0]
+        coeffs = []
+        for n, sums in folds:
+            c = sum(e * mp.fdot((s[k], character(r)) for r, s in sums.items() if s[k])
+                    for k, e in parts)
+            if c != 0:
+                coeffs.append((n, c))
+        return den * den, coeffs
 
 
 def theta_complex_reference(g1, g2, lam0, mu0, etas, v, radius, bits):

@@ -462,6 +462,18 @@ def test_exit_3_on_a_slice_box_too_large_to_scan(ideal, s):
     assert r.stderr.startswith("bound exceeded: the slice box holds")
 
 
+@pytest.mark.parametrize("b", [1, 4, 11, 14])
+def test_exit_3_on_a_slice_box_past_2_to_the_63(b):
+    # D=991, whose fundamental unit is about 10^120: the float64 anchor of
+    # the sub-slice rows puts 2.4e34 to 4.4e34 lattice points in the box,
+    # more rows than len() of a range can count; the count is on Python
+    # ints, so these fail fast with exit 3 instead of an OverflowError
+    r = run("stark", "conjecture", "--modulus", '{"D": 991, "ideal": [15, %d, 1]}' % b,
+            "--prec", "64", "--err", "1e-12")
+    assert r.exit_code == 3, r.stderr
+    assert r.stderr.startswith("bound exceeded: the slice box holds")
+
+
 def test_exit_3_on_bound_exceeded(monkeypatch):
     # the order of the unit 1 + sqrt(2) modulo (211), up to sign, is 212
     r = run("stark", "compute", "--ideal", '{"D": 2, "ideal": [211, 0, 211]}',

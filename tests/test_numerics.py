@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import mpmath as mp
@@ -221,3 +224,41 @@ def test_trapezoid_reports_nonconvergence():
     assert not ok
     assert err > 1e-40
     assert abs(val - 2) < err
+
+
+# The grid whose bits are pinned: a real and complex a on both sides of 0
+# and 1, the complex steps +-ih and +-ih/2 with their shifts by 1, and
+# x = k/7 from 1/7 to 91 in steps of 3/7, across both crossovers at each
+# precision.
+PIN_A = [0, 1, mp.mpf(1) / 2, -2, 3, mp.mpc(0, H / 2), mp.mpc(0, -H / 2),
+         mp.mpc(0, H), mp.mpc(0, -H), mp.mpc(1, -H / 2), mp.mpc(1, -H),
+         mp.mpc(2, 3), mp.mpc(mp.mpf(1) / 2, 1)]
+PIN_BITS = (64, 128, 256)
+PINNED = pathlib.Path(__file__).resolve().parent / "golden" / "scaled_upper_gamma.json"
+
+
+def _pinned_digests():
+    """Per precision, the sha256 of the repr of every value's _mpf_ or _mpc_
+    tuple over the grid, one kernel call per a."""
+    digests = {}
+    for bits in PIN_BITS:
+        ctx = PrecisionCtx(bits, 1e-30)
+        with ctx.workprec():
+            xs = [mp.mpf(k) / 7 for k in range(1, 638, 3)]
+        values = [[getattr(v, "_mpc_", None) or v._mpf_ for v in scaled_upper_gamma(a, xs, ctx)]
+                  for a in PIN_A]
+        digests[str(bits)] = hashlib.sha256(repr(values).encode()).hexdigest()
+    return digests
+
+
+def test_upper_gamma_bits_are_pinned():
+    # every bit of the kernel on the grid is the committed one: a speed-up
+    # of the loops may not move a printed digit; after a deliberate change
+    # of the kernel's values, rewrite the file with
+    # `PYTHONPATH=src python tests/test_numerics.py`
+    assert _pinned_digests() == json.loads(PINNED.read_text())
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(_pinned_digests(), indent=1) + "\n")
+

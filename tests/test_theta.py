@@ -1,4 +1,7 @@
+import dataclasses
 import functools
+import json
+import pathlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,7 +21,7 @@ from starklab.theta import (
     theta_complex,
     theta_rm,
 )
-from oracles import theta_complex_reference
+from oracles import norm_coefficients_reference, theta_complex_reference
 
 mp.mp.dps = 50
 
@@ -532,3 +535,68 @@ def test_theta_rm_one_expjpi_per_norm_and_per_character(monkeypatch):
     characters = {_frac_mod1((xi * m0c).trace()) for xi, _, _, _ in reps}
     assert len(characters) < len(norms) < len(reps)
     assert calls <= len(norms) + len(characters) + 1
+
+
+def _checks_spec():
+    # the benchmark's checks workload: D = 5, l0 = 1/11, U generated by the
+    # least totally positive unit == 1 mod p11, v = 1/2 + i
+    from starklab.quadfield import QuadIdeal, unit_mod_f
+
+    F = FieldCtx(5)
+    eps = unit_mod_f(F, QuadIdeal.from_generators(F, [11, F.omega + 3])).eps_f_plus
+    spec = RMThetaSpec(L=maximal_lattice(5), l0=F.elem(1) / F.elem(11), m0=F.elem(0),
+                       eta=1, epsU=eps, v=mp.mpc("0.5", "1"))
+    spec.validate()
+    return spec
+
+
+def _benchmark_stark_inputs():
+    """The benchmark's 16 Stark inputs, from bench/refs.json's keys."""
+    from starklab.quadfield import QuadIdeal
+    from starklab.stark import validate_pair
+
+    ideals = {"D2_p7": (2, 7, 3, 1), "D5_p11": (5, 11, 3, 1)}
+    refs = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                       / "bench" / "refs.json").read_text())["stark"]
+    inputs = []
+    for key in sorted(refs):
+        name, l0 = key.split("/l0=")
+        D, a, b, c = ideals[name]
+        F = FieldCtx(D)
+        inputs.append(validate_pair(QuadIdeal.from_generators(F, [a, F.from_coords(b, c)]),
+                                    F.elem(int(l0))))
+    return inputs
+
+
+@pytest.mark.parametrize("bits, err", [(64, 1e-12), (128, 1e-30), (256, 1e-68)])
+def test_norm_coefficients_match_the_fdot_assembly(monkeypatch, bits, err):
+    # every coefficient that the zeta continuation and theta_rm read is
+    # bit for bit the mp.fdot assembly's: both sides of the continuation of
+    # the benchmark's Stark inputs, and theta_rm of specs with characters,
+    # with eta = 1 + 2i and 0.3 - 0.7i, on both sides
+    import starklab.stark as st
+    import starklab.theta as th
+
+    ctx = PrecisionCtx(bits, err)
+    calls, real = [], th.norm_coefficients
+
+    def recording(spec, max_norm, ctx):
+        out = real(spec, max_norm, ctx)
+        calls.append((spec, max_norm, ctx, out))
+        return out
+
+    monkeypatch.setattr(th, "norm_coefficients", recording)
+    monkeypatch.setattr(st, "norm_coefficients", recording)
+    for inp in _benchmark_stark_inputs():
+        st._continuation_data(inp.reduced(), ctx)
+    characters = _rm_spec_with_characters()
+    for spec in (characters, dataclasses.replace(characters, eta=mp.mpc("0.3", "-0.7")),
+                 _checks_spec()):
+        for side in (spec, spec.dual_spec()):
+            theta_rm(side, ctx)
+    assert len(calls) == 2 * 16 + 6
+    for spec, max_norm, ctx, (dd, coeffs) in calls:
+        ref_dd, ref = norm_coefficients_reference(spec, max_norm, ctx)
+        assert dd == ref_dd and len(coeffs) > 5
+        assert [(n, c._mpc_) for n, c in coeffs] == [(n, c._mpc_) for n, c in ref]
+
