@@ -97,18 +97,12 @@ class Pseudolattice:
     def coords(self, e: QuadElem) -> tuple[Fraction, Fraction]:
         """(p, q) with e = p*l1 + q*l2, exact (solves in the (1, sqrt D) basis)."""
         det = self.l1.x * self.l2.y - self.l1.y * self.l2.x
-        if det == 0:
-            # generators proportional over Q in one coordinate; use full solve
-            raise ArithmeticError("degenerate coordinate solve")
         p = (e.x * self.l2.y - e.y * self.l2.x) / det
         q = (self.l1.x * e.y - self.l1.y * e.x) / det
         return p, q
 
     def contains(self, e: QuadElem) -> bool:
-        try:
-            p, q = self.coords(e)
-        except ArithmeticError:
-            return False
+        p, q = self.coords(e)
         return p.denominator == 1 and q.denominator == 1
 
     def __eq__(self, other):
@@ -183,8 +177,6 @@ def dual(L: Pseudolattice) -> Pseudolattice:
     a2, b2 = L.l2.x, L.l2.y
     # solve [[2a1, -2Db1], [2a2, -2Db2]] (x, y)^T = e_j by Cramer
     det = 4 * D * (b1 * a2 - a1 * b2)
-    if det == 0:
-        raise ArithmeticError("degenerate trace pairing")
     m1 = QuadElem(D, Fraction(-2 * D * b2) / det, Fraction(-2 * a2) / det)
     m2 = QuadElem(D, Fraction(2 * D * b1) / det, Fraction(2 * a1) / det)
     out = Pseudolattice(L.field, m1, m2, L.orientation)
@@ -458,10 +450,11 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
         basis = short, long = _gauss_reduce(*basis, flowed)
         f2, f1 = flowed(short), flowed(long)
         cross = f1.real * f2.imag - f1.imag * f2.real
-        # the coset point nearest 0 in the flowed plane
-        fl0 = flowed((x0, y0))
-        ma = round(-(fl0.real * f2.imag - fl0.imag * f2.real) / cross)
-        mb = round(-(f1.real * fl0.imag - f1.imag * fl0.real) / cross)
+        # the coset point nearest 0: l0's coordinates in (long, short) are
+        # rational and the flow does not move them, so they are taken exactly
+        det = long[0] * short[1] - long[1] * short[0]
+        ma = round(Fraction(y0 * short[0] - x0 * short[1], det))
+        mb = round(Fraction(x0 * long[1] - y0 * long[0], det))
         p0 = (x0 + ma * long[0] + mb * short[0], y0 + ma * long[1] + mb * short[1],
               ma * long[2] + mb * short[2], ma * long[3] + mb * short[3])
         fp0 = flowed(p0)

@@ -15,8 +15,8 @@ provided: a direct smoothly-truncated sum (valid for Re s > 1) and an
 incomplete-gamma split of the associated theta integral which continues the
 function to the whole plane.  The Stark number is S0 = exp(zeta'(0)).
 
-The split route reads the theta layer once per (reduced input, split
-points, cutoffs, working precision) into a ContinuationData:
+The split route reads the theta layer once per (input, split points,
+cutoffs, working precision) into a ContinuationData:
 theta.norm_coefficients of the two sides of the theta functional equation
 split at v = i t, the spec (L, l0, m0 = 0, eta = 1, U = eps_f_plus, v = i t)
 and its dual_spec at v = i/t, and the covolume.  The split point t is free;
@@ -94,7 +94,8 @@ class RouteDisagreement(ArithmeticError):
 
 @dataclass
 class StarkInput:
-    """A validated pair (L, l0) with its derived ideals and unit data.
+    """A validated pair (L, l0) with its derived ideals and unit data; L and
+    l0 share no rational-integer factor d > 1 (validate_pair divides it out).
 
     b = gcd(L, (l0)); a0 = (l0)/b; f = L/b.  Condition (i): b and a0 are
     coprime to f.  Condition (ii): every unit congruent to 1 mod f has
@@ -108,8 +109,6 @@ class StarkInput:
     a0: QuadIdeal
     f: QuadIdeal
     unit: UnitData
-    # the reduced pair, when it is not this pair itself
-    _reduced: StarkInput | None = field(default=None, repr=False, compare=False)
     # the last ContinuationData built, under its key (cutoffs, work_bits):
     # cutoffs holds a (t, primal max_norm, dual max_norm) triple per split
     _continuation: tuple[tuple[tuple[tuple[Fraction, Fraction, Fraction], ...], int],
@@ -128,33 +127,18 @@ class StarkInput:
     def sign_l0_conj(self) -> int:
         return self.l0.conjugate().sign()
 
-    def reduced(self) -> StarkInput:
-        """Equivalent pair with any common rational-integer factor removed.
-
-        For a positive integer d with L/d integral and l0/d integral,
-        zeta(L, l0, s) = zeta(L/d, l0/d, s) identically: norms scale by d^2
-        = N((d)), which the N(b)^s prefactor absorbs, and the conjugate
-        signs are unchanged.  Working with the reduced pair keeps the
-        continuation's lattices, and so its enumerations, small."""
-        if self._reduced is not None:
-            return self._reduced
-        a, bh, ch = self.L.hnf()
-        p, q = self.field.coords(self.l0)
-        d = math.gcd(math.gcd(a, bh), math.gcd(ch, math.gcd(int(p), int(q))))
-        if d <= 1:
-            # not cached: a reference to itself would put the input and its
-            # continuation data on a cycle that only the garbage collector
-            # frees, so they would outlive the caller's last reference
-            return self
-        self._reduced = validate_pair(
-            self.L.divide_by_integer(d), self.l0 / self.field.elem(d)
-        )
-        return self._reduced
-
 
 def validate_pair(L: QuadIdeal, l0: QuadElem) -> StarkInput:
     """Check the admissibility conditions for (L, l0) and assemble the
-    derived data (b, a0, f, unit group generators)."""
+    derived data (b, a0, f, unit group generators) of the equivalent pair
+    (L/d, l0/d), d the largest rational integer dividing both.
+
+    zeta(L, l0, s) = zeta(L/d, l0/d, s) identically: norms scale by d^2 =
+    N((d)), which the N(b)^s prefactor absorbs, and the conjugate signs are
+    unchanged.  As L = d L/d and (l0) = d (l0/d), b = d gcd(L/d, (l0/d))
+    while a0 and f are the same for both pairs, and so are conditions (i)
+    and (ii).  The reduced pair keeps the continuation's lattices, and so
+    its enumerations, small."""
     F = L.field
     if not F.is_integral(l0):
         raise ConditionFailed("i", "l0 is not an algebraic integer")
@@ -173,7 +157,10 @@ def validate_pair(L: QuadIdeal, l0: QuadElem) -> StarkInput:
         raise ConditionFailed(
             "ii", "a unit congruent to 1 mod f has negative conjugate"
         )
-    return StarkInput(L=L, l0=l0, b=b, a0=a0, f=f, unit=unit)
+    a, bh, ch = L.hnf()
+    d = math.gcd(a, bh, ch, *map(int, F.coords(l0)))
+    return StarkInput(L=L.divide_by_integer(d), l0=l0 / F.elem(d),
+                      b=b.divide_by_integer(d), a0=a0, f=f, unit=unit)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +195,6 @@ def partial_zeta_direct(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     cutoff makes the truncation error decay faster than any power of it.
     Float64 accumulation: accurate to about 1e-13 relative, independent of
     ctx."""
-    inp = inp.reduced()
     s = complex(s)
     if s.real <= 1.5:
         raise ConvergenceError(
@@ -322,7 +308,7 @@ _GATE_SPLIT = Fraction(1, 2)
 
 def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
                        s_scale: float = 1.0) -> ContinuationData:
-    """The ContinuationData of a reduced input at its balanced split point t
+    """The ContinuationData of an input at its balanced split point t
     and at t * _GATE_SPLIT, each side's cutoff meeting ctx's error target
     for |s| <= s_scale.  The input keeps the last one built, and builds anew
     when a split point, a cutoff or work_bits changes."""
@@ -367,7 +353,6 @@ def partial_zeta_continued(inp: StarkInput, s, ctx: PrecisionCtx = DEFAULT_CTX):
     covolume and kappa the orbit-splitting index of the unit groups.  Each
     term is one scaled_upper_gamma, y^-a Gamma(a, y), so no term forms a
     power of x: t^s and (1/t)^{1-s} multiply each side's sum once."""
-    inp = inp.reduced()
     data = _continuation_data(inp, ctx, s_scale=abs(complex(s)))
     with ctx.workprec():
         s = mp.mpmathify(s)
@@ -401,20 +386,17 @@ class StarkResult:
     route_gap: mp.mpf
 
 
-def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, split: int = 0, e1=None):
-    """zeta'(0) from the split representation at one of the split points
-    v = i t of the ContinuationData, differentiated analytically; e1, when
-    given, holds E1(x t) per primal argument of that split point.
+def _zeta_prime_0_regularized(inp: StarkInput, ctx: PrecisionCtx, data: ContinuationData,
+                              point: SplitPoint, e1):
+    """zeta'(0) from the split representation at the split point v = i t
+    of data, differentiated analytically; e1 holds E1(x t) per primal
+    argument of that split point.
 
     The prefactor (N(b) 2 pi)^s / Gamma(s) vanishes linearly at s = 0, so
     with x = 2 pi |N|
     zeta'(0) = sgn(l0') / kappa * [ sum_primal sgn(xi') E1(x t)
              + (1/(i Delta)) sum_dual sgn(xi) e^{2 pi i tr} e^{-x/t} / x ]."""
-    inp = inp.reduced()
-    data = _continuation_data(inp, ctx)
     with ctx.workprec():
-        point = data.splits[split]
-        e1 = scaled_upper_gamma(0, point.primal, ctx) if e1 is None else e1
         total = data.split_sum(
             [m * e for m, e in zip(data.primal, e1)],
             [c * mp.exp(-y) / x for (x, c), y in zip(data.dual, point.dual)])
@@ -473,10 +455,10 @@ def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResul
     points' primal arguments share one E1 evaluation per distinct value."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
-        data = _continuation_data(inp.reduced(), ctx)
-        main, gate = (point.primal for point in data.splits)
-        e1 = scaled_upper_gamma(0, main + gate, ctx)
-        zp_b = _zeta_prime_0_regularized(inp, ctx, 0, e1[:len(main)])
+        data = _continuation_data(inp, ctx)
+        main, gate = data.splits
+        e1 = scaled_upper_gamma(0, main.primal + gate.primal, ctx)
+        zp_b = _zeta_prime_0_regularized(inp, ctx, data, main, e1[:len(main.primal)])
         h = _complex_step(ctx)
         zp_a = _zeta_prime_0_complex_step(inp, h / 2, ctx)
         gap = abs(zp_a - zp_b)
@@ -488,7 +470,8 @@ def stark_number(inp: StarkInput, ctx: PrecisionCtx = DEFAULT_CTX) -> StarkResul
                     "zeta'(0) routes differ by %s (allowed %s)"
                     % (mp.nstr(gap, 8), mp.nstr(allowed, 8))
                 )
-        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, 1, e1[len(main):]) - zp_b)
+        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, data, gate,
+                                                  e1[len(main.primal):]) - zp_b)
         if split_gap > 100 * tol:
             raise RouteDisagreement(
                 "zeta'(0) at two split points differs by %s (allowed %s)"
@@ -754,7 +737,8 @@ def recognize_integer(c, F: FieldCtx, bound: int, tol, ctx: PrecisionCtx = DEFAU
         omega, gap = (t + sq) / (1 + t), 2 * sq / (1 + t)
         vs = range(int(mp.ceil((c - tol - bound) / gap)),
                    int(mp.floor((c + tol + bound) / gap)) + 1)
-        if len(vs) * (int(2 * tol) + 1) > _MAX_RECOGNITION_WINDOW:
+        # counted on Python ints: len() of a range fails past 2^63
+        if max(0, vs.stop - vs.start) * (int(2 * tol) + 1) > _MAX_RECOGNITION_WINDOW:
             raise BoundExceeded("more than %d candidates within %s of %s" % (
                 _MAX_RECOGNITION_WINDOW, mp.nstr(tol, 3), mp.nstr(c, 8)))
         # alpha' = ((1 + t) u + t v - v sqrt(D)) / (1 + t)
@@ -772,7 +756,8 @@ def recognize_integer(c, F: FieldCtx, bound: int, tol, ctx: PrecisionCtx = DEFAU
 
 def pair_for_class(f: QuadIdeal, a: QuadIdeal) -> StarkInput:
     """The canonical validated pair attached to an ideal a coprime to f:
-    L = f conj(a), l0 = N(a).  Its a0-class is the class of a."""
+    L = f conj(a), l0 = N(a), reduced by validate_pair.  Its a0-class is
+    the class of a."""
     return validate_pair(f * a.conjugate(), f.field.elem(a.norm()))
 
 
@@ -809,7 +794,7 @@ def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> Conjectur
     1/S0(C), R2 the class of delta2 = 1 + N(f) sqrt(D): each <R1, R2>-orbit
     needs one Stark number, and one more in C R1 (in C if R1 is trivial)
     gates the invariance; one in R2 gates the inversion.  A gating pair's
-    reduced lattice is not that of a pair it is compared with, nor for the
+    lattice is not that of a pair it is compared with, nor for the
     inversion a conjugate, on which it would pass by construction.  The
     relative residuals |S0(C R1)/S0(C) - 1| and |S0(R2) S0(1) - 1| pass
     within 100 times the error target.  Each coefficient c_k of
@@ -824,7 +809,7 @@ def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> Conjectur
 
     def pair_in(k: int, avoid=()) -> StarkInput:
         for a in group.members[k]:
-            if a.coprime(conj_f) and (inp := pair_for_class(f, a)).reduced().L not in avoid:
+            if a.coprime(conj_f) and (inp := pair_for_class(f, a)).L not in avoid:
                 return inp
         raise BoundExceeded("ray class %d has no member for a pair off %d lattices"
                             % (k, len(avoid)))
@@ -836,12 +821,12 @@ def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> Conjectur
             if k in s0:
                 continue
             first = pair_in(k)
-            partner = pair_in(table[k][R1], avoid={first.reduced().L})
+            partner = pair_in(table[k][R1], avoid={first.L})
             res = stark_number(first, ctx)
             resid = abs(stark_number(partner, ctx).s0 / res.s0 - 1)
             if k == 0:
                 gated = {M for inp in (first, partner)
-                         for M in (inp.reduced().L, inp.reduced().L.conjugate())}
+                         for M in (inp.L, inp.L.conjugate())}
             for c, zp, value, r in ((k, res.zeta_prime_0, res.s0, resid),
                                     (table[k][R2], -res.zeta_prime_0, 1 / res.s0, None)):
                 if c not in s0:  # else R2 lies in <R1>

@@ -31,7 +31,13 @@ import mpmath as mp
 import numpy as np
 
 from starklab.hecke import scalar_product
-from starklab.numerics import DEFAULT_CTX, BoundExceeded, ConvergenceError, PrecisionCtx
+from starklab.numerics import (
+    DEFAULT_CTX,
+    BoundExceeded,
+    ConvergenceError,
+    PrecisionCtx,
+    scaled_upper_gamma,
+)
 from starklab.pseudolattice import _characters, coset_slice_reps, coset_slice_rows, fold_by_norm
 from starklab.quadfield import (
     FieldCtx,
@@ -47,6 +53,7 @@ from starklab.stark import (
     StarkResult,
     _complex_step,
     _congruence_ideal,
+    _continuation_data,
     _enumerate_coprime_ideals,
     _smooth_weight,
     _zeta_prime_0_complex_step,
@@ -223,7 +230,6 @@ def partial_zeta_direct_reference(inp: StarkInput, s, ctx: PrecisionCtx, max_nor
     """The direct sum of stark.partial_zeta_direct with cutoff max_norm,
     over the representatives of coset_slice_reps: sgn(xi') from the
     QuadElem conjugate and |N(xi)| as float(Fraction)."""
-    inp = inp.reduced()
     s = complex(s)
     if s.real <= 1.5:
         raise ConvergenceError(
@@ -248,7 +254,10 @@ def stark_number_eager_reference(inp: StarkInput, ctx: PrecisionCtx) -> StarkRes
     change between them), then the second split point."""
     with ctx.workprec():
         tol = mp.mpf(ctx.target_abs_err)
-        zp_b = _zeta_prime_0_regularized(inp, ctx)
+        data = _continuation_data(inp, ctx)
+        main, gate = data.splits
+        zp_b = _zeta_prime_0_regularized(inp, ctx, data, main,
+                                         scaled_upper_gamma(0, main.primal, ctx))
         h = _complex_step(ctx)
         coarse = _zeta_prime_0_complex_step(inp, h, ctx)
         fine = _zeta_prime_0_complex_step(inp, h / 2, ctx)
@@ -257,7 +266,8 @@ def stark_number_eager_reference(inp: StarkInput, ctx: PrecisionCtx) -> StarkRes
         if gap > allowed:
             raise RouteDisagreement("zeta'(0) routes differ by %s (allowed %s)"
                                     % (mp.nstr(gap, 8), mp.nstr(allowed, 8)))
-        split_gap = abs(_zeta_prime_0_regularized(inp, ctx, split=1) - zp_b)
+        split_gap = abs(_zeta_prime_0_regularized(
+            inp, ctx, data, gate, scaled_upper_gamma(0, gate.primal, ctx)) - zp_b)
         if split_gap > 100 * tol:
             raise RouteDisagreement(
                 "zeta'(0) at two split points differs by %s (allowed %s)"

@@ -464,14 +464,37 @@ def test_exit_3_on_a_slice_box_too_large_to_scan(ideal, s):
 
 @pytest.mark.parametrize("b", [1, 4, 11, 14])
 def test_exit_3_on_a_slice_box_past_2_to_the_63(b):
-    # D=991, whose fundamental unit is about 10^120: the float64 anchor of
-    # the sub-slice rows puts 2.4e34 to 4.4e34 lattice points in the box,
-    # more rows than len() of a range can count; the count is on Python
-    # ints, so these fail fast with exit 3 instead of an OverflowError
-    r = run("stark", "conjecture", "--modulus", '{"D": 991, "ideal": [15, %d, 1]}' % b,
-            "--prec", "64", "--err", "1e-12")
+    # D=991, whose fundamental unit is about 10^120: at s = 1e40 the
+    # sub-slice triangles hold 3.3e42 lattice points, more rows than len()
+    # of a range can count; the count is on Python ints, so these fail fast
+    # with exit 3 instead of an OverflowError
+    r = run("stark", "compute", "--ideal", '{"D": 991, "ideal": [15, %d, 1]}' % b,
+            "--l0", '["1", "0"]', "--s", "1e40", "--prec", "64", "--err", "1e-12")
     assert r.exit_code == 3, r.stderr
-    assert r.stderr.startswith("bound exceeded: the slice box holds")
+    assert r.stderr.startswith("bound exceeded: the slice box holds 3.3e+42")
+
+
+@pytest.mark.parametrize("D, ideal, code, start", [
+    (991, (15, 4, 1), 0, None),
+    (991, (15, 11, 1), 3, "convergence failure:"),
+    (991, (15, 1, 1), 3, "bound exceeded: more than 100000 candidates"),
+    (991, (15, 14, 1), 3, "bound exceeded: more than 100000 candidates"),
+    (661, (11, 10, 1), 3, "convergence failure:"),
+    (331, (15, 11, 1), 0, None),
+], ids=["D991-15-4-1", "D991-15-11-1", "D991-15-1-1", "D991-15-14-1", "D661-11-10-1",
+        "D331-15-11-1"])
+def test_conjecture_outcomes_on_large_units(D, ideal, code, start):
+    # eps_f+ reaches 10^63 in D=331 and D=661 and 10^120 in D=991; the
+    # exact slice anchor keeps each walk near its kept rows, and the
+    # recognition window is counted on Python ints, so each modulus ends in
+    # a pass or a documented exit within seconds
+    modulus = json.dumps({"D": D, "ideal": list(ideal)})
+    r = run("stark", "conjecture", "--modulus", modulus, "--prec", "64", "--err", "1e-12")
+    assert r.exit_code == code, r.stderr
+    if start is None:
+        assert json.loads(r.stdout)["pass"] is True
+    else:
+        assert r.stderr.startswith(start), r.stderr
 
 
 def test_exit_3_on_bound_exceeded(monkeypatch):

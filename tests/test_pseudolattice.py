@@ -376,7 +376,7 @@ def _continuation_sides(monkeypatch, inputs, ctx):
     monkeypatch.setattr(theta_mod, "coset_slice_rows",
                         lambda *args: calls.append(args) or rows(*args))
     for inp in inputs:
-        stark_mod._continuation_data(inp.reduced(), ctx)
+        stark_mod._continuation_data(inp, ctx)
     monkeypatch.undo()
     assert len(calls) == 2 * len(inputs)
     return calls
@@ -447,6 +447,27 @@ def test_slice_rows_equal_the_box_scan(monkeypatch):
             kept += len(got[1])
             examined += count
         assert examined <= 4 * kept, (name, examined, kept)
+
+
+def test_slice_walk_on_a_large_unit_examines_few_candidates_per_row(monkeypatch):
+    # D=661 (11, 10, 1), pair (f, 1): eps_f+ is about 10^63, and an anchor
+    # taken in float64 lands far from the coset point nearest 0, so the
+    # walk examined about 285 candidates per kept row; the exact anchor
+    # examines fewer than 1.5
+    F = FieldCtx(661)
+    inp = validate_pair(QuadIdeal(F, 11, 10, 1), F.elem(1))
+    walks, rows = [], theta_mod.coset_slice_rows
+
+    def counting(*args):
+        before = pl_mod._EXAMINED[0]
+        out = rows(*args)
+        walks.append((len(out[1]), pl_mod._EXAMINED[0] - before))
+        return out
+
+    monkeypatch.setattr(theta_mod, "coset_slice_rows", counting)
+    stark_mod._continuation_data(inp, PrecisionCtx(64, 1e-12))
+    assert len(walks) == 2 and all(kept >= 40 for kept, _ in walks), walks
+    assert all(count <= 4 * kept for kept, count in walks), walks
 
 
 def _negation_cosets(D):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import pathlib
 import random
 import weakref
@@ -77,9 +78,15 @@ def test_validate_pair_derived_ideals_against_gcd_oracle():
         except ConditionFailed:
             continue
         checked += 1
+        # the pair is (L/d, l0/d) for the largest rational integer d
+        # dividing both: no integer > 1 divides inp.L and inp.l0 both
+        d = l0 / inp.l0
+        assert d.y == 0 and d.x.denominator == 1 and d.x >= 1
+        assert (inp.L * int(d.x)).hnf() == L.hnf()
+        assert math.gcd(*inp.L.hnf(), *map(int, F.coords(inp.l0))) == 1
         # b is the largest common divisor: b*f = L and b*a0 = (l0)
-        assert (inp.b * inp.f).hnf() == L.hnf()
-        assert (inp.b * inp.a0).hnf() == QuadIdeal.principal(F, l0).hnf()
+        assert (inp.b * inp.f).hnf() == inp.L.hnf()
+        assert (inp.b * inp.a0).hnf() == QuadIdeal.principal(F, inp.l0).hnf()
         assert inp.b.coprime(inp.f) and inp.a0.coprime(inp.f)
 
 
@@ -115,20 +122,17 @@ def _scaled_pair():
 
 
 def test_reduced_pair_is_equivalent():
-    scaled = _scaled_pair()
-    red = scaled.reduced()
-    assert red.L.hnf() == (11, 3, 1)
-    with CTX.workprec():
-        a = partial_zeta_direct(scaled, mp.mpf(2), CTX)
-        b = partial_zeta_direct(red, mp.mpf(2), CTX)
-        assert abs(a - b) < 1e-11
-
-
-def test_reduced_is_cached_for_a_scaled_pair():
-    scaled = _scaled_pair()
-    assert scaled.reduced() is scaled.reduced()
-    assert scaled.reduced() is not scaled
-    assert scaled.reduced().reduced() is scaled.reduced()
+    # validate_pair divides out d = 6; the pair scaled by 6, with b = 6 b
+    # and the same a0, f and units, has the same partial zeta
+    red = _scaled_pair()
+    assert red.L.hnf() == (11, 3, 1) and red.l0 == red.field.elem(1)
+    scaled = StarkInput(L=red.L * 6, l0=red.l0 * red.field.elem(6), b=red.b * 6,
+                        a0=red.a0, f=red.f, unit=red.unit)
+    for s in (2, 3):
+        with CTX.workprec():
+            a = partial_zeta_continued(scaled, mp.mpf(s), CTX)
+            b = partial_zeta_continued(red, mp.mpf(s), CTX)
+            assert abs(a - b) < 1e-28, (s, a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,8 @@ def test_stark_number_builds_continuation_data_once(monkeypatch):
 
 
 def test_inputs_are_freed_without_the_garbage_collector():
-    # neither an input nor its reduced pair holds a reference back to
-    # itself, so reference counting alone frees them and their data
+    # an input holds no reference back to itself, so reference counting
+    # alone frees it and its data
     F = FieldCtx(2)
     made = (lambda: validate_pair(QuadIdeal.from_generators(F, [7, F.omega + 3]),
                                   F.elem(1)),
@@ -310,9 +314,9 @@ def test_inputs_are_freed_without_the_garbage_collector():
         for make in made:
             inp = make()
             stark_number(inp, CTX)
-            refs = [weakref.ref(inp), weakref.ref(inp.reduced())]
+            ref = weakref.ref(inp)
             del inp
-            assert [r() for r in refs] == [None, None]
+            assert ref() is None
     finally:
         gc.enable()
 
@@ -419,8 +423,8 @@ def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
     # the split point balances the norms the main split sums, and 1.5 times
     # either side's cutoff moves zeta'(0) by less than the error target
     inp = make()
-    value = stark_mod._zeta_prime_0_regularized(inp, CTX)
-    data = inp.reduced()._continuation[1]
+    value = stark_number(inp, CTX).zeta_prime_0
+    data = inp._continuation[1]
     primal, dual = (len(args) for args in data.splits[0][2:])
     assert primal <= 3 * dual and dual <= 3 * primal
     build = ContinuationData.build
@@ -430,9 +434,9 @@ def test_each_side_is_cut_off_below_the_error_target(monkeypatch, make):
             lambda cls, inp, ctx, cutoffs, fp=fp, fd=fd: build(
                 inp, ctx, tuple((t, p * fp, d * fd) for t, p, d in cutoffs))))
         wider = make()
-        wide = stark_mod._zeta_prime_0_regularized(wider, CTX)
+        wide = stark_number(wider, CTX).zeta_prime_0
         # the main split sums more rows of the widened side
-        wide_data = wider.reduced()._continuation[1]
+        wide_data = wider._continuation[1]
         assert len(wide_data.splits[0][k]) > len(data.splits[0][k]), side
         with CTX.workprec():
             assert abs(wide - value) < CTX.target_abs_err, side
@@ -737,6 +741,6 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
     with CTX.workprec():
         assert residuals == [abs(s0[k + 1] / s0[k] - 1) for k in range(0, 8, 2)]
         assert rep.inversion_residual == abs(s0[8] * s0[0] - 1)
-    lattices = [inp.reduced().L for inp in calls]
+    lattices = [inp.L for inp in calls]
     assert all(first != partner for first, partner in zip(lattices[0:8:2], lattices[1:8:2]))
     assert lattices[8] not in {M for L in lattices[:2] for M in (L, L.conjugate())}

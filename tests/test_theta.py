@@ -588,7 +588,7 @@ def test_norm_coefficients_match_the_fdot_assembly(monkeypatch, bits, err):
     monkeypatch.setattr(th, "norm_coefficients", recording)
     monkeypatch.setattr(st, "norm_coefficients", recording)
     for inp in _benchmark_stark_inputs():
-        st._continuation_data(inp.reduced(), ctx)
+        st._continuation_data(inp, ctx)
     characters = _rm_spec_with_characters()
     for spec in (characters, dataclasses.replace(characters, eta=mp.mpc("0.3", "-0.7")),
                  _checks_spec()):
