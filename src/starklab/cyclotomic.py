@@ -62,7 +62,8 @@ def _euler_maclaurin_cut(s, a: float, tol: float, sr: int, one: int) -> tuple[in
     When the factor s + i of the Pochhammer symbol is exactly 0 (s a
     nonpositive integer, read from its fixed-point value sr = s one, with
     one = 2^P), the terms from (s)_(i+1) on and the remainder vanish:
-    N = 0, and M counts the ceil(i/2) terms before."""
+    N = 0, and M counts the ceil(i/2) terms before.  Otherwise N = 0 only
+    where the bound holds at x = a itself."""
     sigma, tau = float(s.real), float(s.imag)
     if not tau and sr <= 0 and not sr % one:
         return 0, (-sr // one + 1) // 2
@@ -82,12 +83,14 @@ def _euler_maclaurin_cut(s, a: float, tol: float, sr: int, one: int) -> tuple[in
         if e <= 0:
             continue
         # the least x = N + a with R <= tol at this M (capped below the
-        # float range, where the next M is taken anyway)
-        x_next = math.exp(min((log_poch - math.log(e) - log_scale) / e, 700))
-        if x_next <= a:
+        # float range, where the next M is taken anyway); compared with a in
+        # logs, as at a huge sigma it lies just above a and rounds to it
+        log_x = (log_poch - math.log(e) - log_scale) / e
+        if log_x <= math.log(a):
             return 0, M
+        x_next = math.exp(min(log_x, 700))
         if head * (x - x_next) < 1:
-            return math.ceil(x - a), M - 1
+            return max(1, math.ceil(x - a)), M - 1
         x = x_next
 
 
@@ -142,6 +145,8 @@ def hurwitz_zeta(s, a, ctx: PrecisionCtx = DEFAULT_CTX):
             raise ValueError("hurwitz_zeta requires a > 0")
         if s == 1:
             raise ZeroDivisionError("hurwitz_zeta has a pole at s = 1")
+        if not (math.isfinite(float(s.real)) and math.isfinite(float(s.imag))):
+            raise ValueError("hurwitz_zeta requires s with finite float parts, got %s" % s)
         if isinstance(s, mp.mpc) and not s.imag:
             s = s.real
         real = not isinstance(s, mp.mpc)

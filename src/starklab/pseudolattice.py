@@ -20,12 +20,11 @@ from .quadfield import (
     FieldCtx,
     QuadElem,
     QuadIdeal,
-    fundamental_unit,
     _cf_normalize,
+    _cf_unit,
     _cf_walk,
-    _convergent_matrix,
+    _cf_witness,
     _float_embed,
-    _omega_mul,
     _sign_surd,
 )
 
@@ -49,12 +48,6 @@ class IntMat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse_unimodular(self) -> "IntMat2":
-        det = self.det()
-        if det not in (1, -1):
-            raise ValueError("only |det| = 1 matrices invert over Z")
-        return IntMat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     def mobius(self, theta: QuadElem) -> QuadElem:
         num = QuadElem(theta.D, self.b) + self.a * theta
@@ -220,23 +213,11 @@ class AutomorphismGroup:
 
 
 def automorphism_group(L: Pseudolattice) -> AutomorphismGroup:
-    """Units of End L: infinite part generated by the fundamental unit of the
-    conductor-f order, torsion {+-1}.  That unit is the least power eps0^k in
-    Z + f*omega, found by walking eps0^k mod (f) (residue v-coordinate 0);
-    raises BoundExceeded when k would exceed 499."""
-    F = L.field
-    f = endomorphism_ring(L).conductor
-    eps0 = fundamental_unit(F.D)
-    f_ideal = QuadIdeal(F, f, 0, f)
-    step = tuple(map(int, F.coords(eps0)))
-    r = (1, 0)
-    for k in range(1, 500):
-        r = f_ideal._residue(_omega_mul(F, r, step))
-        if r[1] == 0:
-            gen = eps0 ** k
-            break
-    else:
-        raise BoundExceeded("no unit of the conductor-%d order up to eps0^499" % f)
+    """Units of End L: infinite part generated by the unit > 1 that one
+    period of the continued fraction of l2/l1 gives (_cf_unit), which is the
+    fundamental unit of the conductor-f order; torsion {+-1}."""
+    D = L.field.D
+    gen = _cf_unit(D, *_cf_walk(D, _cf_normalize(L.theta())))
     assert L.contains(gen * L.l1) and L.contains(gen * L.l2)
     assert L.contains(L.l1 / gen) and L.contains(L.l2 / gen)
     return AutomorphismGroup(generator=gen, torsion_order=2)
@@ -268,9 +249,7 @@ def is_isomorphic(L1: Pseudolattice, L2: Pseudolattice, oriented: bool = True):
         for j in index2.get(key, ()):
             if oriented and (k + j) % 2 != 0:
                 continue
-            # theta1 = M1 . x, theta2 = M2 . x  =>  g = M2 M1^{-1}
-            M1 = IntMat2(*_convergent_matrix(q1[:k]))
-            g = IntMat2(*_convergent_matrix(ext_q2[:j])) * M1.inverse_unimodular()
+            g = IntMat2(*_cf_witness(q1[:k], ext_q2[:j]))
             assert g.mobius(th1) == th2
             if oriented:
                 assert g.det() == 1

@@ -308,7 +308,8 @@ def _cf_walk(D: int, state: tuple[int, int, int], stop=()):
     complete quotient (keys[0] that of the input) and quotients[k] its
     floor.  The walk ends at the first repeated key, and first is the index
     of its first occurrence (the cycle is keys[first:]); or at the first key
-    in stop, which is then keys[-1], without its quotient, and first is None."""
+    in stop, which is then keys[-1], without its quotient, and first is None.
+    Raises BoundExceeded when neither comes within _CF_MAX_STEPS steps."""
     P, m, Q = state
     Delta = D * m * m
     s = math.isqrt(Delta)
@@ -332,7 +333,7 @@ def _cf_walk(D: int, state: tuple[int, int, int], stop=()):
         Q = (Delta - P * P) // Q
         if Q == 0:
             raise ArithmeticError("CF state degenerated (rational value?)")
-    raise ArithmeticError("continued fraction did not cycle within max_steps")
+    raise BoundExceeded("continued fraction did not cycle within %d steps" % _CF_MAX_STEPS)
 
 
 def cf_expand(theta: QuadElem):
@@ -363,26 +364,39 @@ def _convergent_matrix(quotients) -> tuple[int, int, int, int]:
     return p, p_, q, q_
 
 
+def _cf_witness(q_from, q_to) -> tuple[int, int, int, int]:
+    """The unimodular g = M_to M_from^-1, M the _convergent_matrix of each
+    list of quotients: when both lead to the same complete quotient x, g maps
+    the number q_from expands to the one q_to expands to."""
+    a, b, c, d = _convergent_matrix(q_from)
+    det = a * d - b * c  # +-1
+    p, p_, q, q_ = _convergent_matrix(q_to)
+    return ((p * d - p_ * c) * det, (p_ * a - p * b) * det,
+            (q * d - q_ * c) * det, (q_ * a - q * b) * det)
+
+
+def _cf_unit(D: int, quotients, keys, start: int) -> QuadElem:
+    """The unit > 1 read off one period of a _cf_walk: the matrix of the
+    quotients from start on fixes the repeated complete quotient x, and its
+    bottom row (c, d) gives the automorph c x + d, which generates the units
+    of the order that stabilizes Z + Z x, up to sign."""
+    _, _, c, d = _convergent_matrix(quotients[start:])
+    eps = QuadElem(D, c) * _key_value(D, keys[start]) + d
+    if eps.norm() not in (1, -1):
+        raise ArithmeticError("CF automorph did not give a unit")
+    if not FieldCtx(D).is_integral(eps):
+        raise ArithmeticError("unit not integral")
+    return next(e for e in (eps, -eps, eps.inverse(), -eps.inverse()) if e.compare(1) > 0)
+
+
 @lru_cache(maxsize=None)
 def _omega_cf(D: int):
     """The continued fraction of omega, read once per field: its partial
     quotients, the index of each complete quotient by its _cf_key, and the
-    fundamental unit eps0 > 1 of O_K.  The matrix of one period of quotients
-    fixes the first repeated complete quotient, and its bottom row yields
-    eps0."""
-    F = FieldCtx(D)
-    quotients, keys, start = _cf_walk(D, _theta_state(F, 1, 0, 1))
-    _, _, c, d = _convergent_matrix(quotients[start:])
-    eps = QuadElem(D, c) * _key_value(D, keys[start]) + d
-    # normalize to the unit > 1
-    if eps.norm() not in (1, -1):
-        raise ArithmeticError("CF automorph did not give a unit")
-    candidates = [eps, -eps, eps.inverse(), -eps.inverse()]
-    eps = next(e for e in candidates if e.compare(1) > 0)
-    if not F.is_integral(eps):
-        raise ArithmeticError("unit not integral")
+    fundamental unit eps0 > 1 of O_K (_cf_unit)."""
+    quotients, keys, start = _cf_walk(D, _theta_state(FieldCtx(D), 1, 0, 1))
     index = MappingProxyType({key: j for j, key in enumerate(keys)})
-    return tuple(quotients), index, eps
+    return tuple(quotients), index, _cf_unit(D, quotients, keys, start)
 
 
 def fundamental_unit(D: int) -> QuadElem:
@@ -582,35 +596,18 @@ class QuadIdeal:
 
         With self = a(Z + Z theta), theta = (b + c omega)/a, the ideal is
         principal iff theta and omega are GL(2, Z)-equivalent, that is iff
-        their continued fractions share a complete quotient x.  Then
-        theta = M.x and omega = N.x for convergent matrices M and N, and
-        Z + Z theta = (N21 x + N22)/(M21 x + M22) * (Z + Z omega).  With
-        x = (p + m sqrt(D))/q, alpha = a (A + B sqrt(D))/(C + E sqrt(D)) for
-        A = N21 p + N22 q, B = N21 m, C = M21 p + M22 q, E = M21 m; one
-        product with the conjugate C - E sqrt(D) and an exact division by
-        C^2 - D E^2 give its coordinates."""
+        their continued fractions share a complete quotient.  Then the
+        witness g (_cf_witness) maps theta to omega, so
+        Z + Z theta = (g21 theta + g22)(Z + Z omega), and
+        alpha = a (g21 theta + g22) = (g22 a + g21 b) + g21 c omega."""
         F = self.field
-        D, t = F.D, F.omega_trace
-        omega_quotients, index = _omega_cf(D)[:2]
+        omega_quotients, index = _omega_cf(F.D)[:2]
         quotients, keys, cycled = _cf_walk(
-            D, _theta_state(F, self.a, self.b, self.c), stop=index)
+            F.D, _theta_state(F, self.a, self.b, self.c), stop=index)
         if cycled is not None:
             return None
-        x = keys[-1]
-        p, m, q = x
-        _, _, m21, m22 = _convergent_matrix(quotients)
-        _, _, n21, n22 = _convergent_matrix(omega_quotients[:index[x]])
-        A, B = n21 * p + n22 * q, n21 * m
-        C, E = m21 * p + m22 * q, m21 * m
-        X, Y = A * C - D * B * E, B * C - A * E
-        N = C * C - D * E * E
-        # alpha = a (X + Y sqrt(D))/N; its omega-coordinates are
-        # (aX/N, aY/N) when t = 0 and (a(X - Y)/N, 2aY/N) when t = 1
-        u, ru = divmod(self.a * (X - t * Y), N)
-        v, rv = divmod((1 + t) * self.a * Y, N)
-        if ru or rv:
-            raise ArithmeticError("CF generator is not integral")
-        gen = (u, v)
+        _, _, g21, g22 = _cf_witness(quotients, omega_quotients[:index[keys[-1]]])
+        gen = (g22 * self.a + g21 * self.b, g21 * self.c)
         if _hnf_2col([gen, _omega_mul(F, gen, (0, 1))]) != self.hnf():
             raise ArithmeticError("CF generator does not generate the ideal")
         return gen

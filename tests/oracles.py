@@ -17,6 +17,9 @@ for the tests to compare against.  The package itself calls none of them.
   nonzero part of eta.
 - theta_complex_reference: the complex lattice theta over a disk, one expjpi
   per lattice point at twice the working precision.
+- generator_coords_reference: the principal generator by the quotient of
+  the two bottom-row automorphs, one product with a conjugate and an exact
+  integer division.
 - ray_equivalent_reference, ray_classes_reference: the pairwise exact
   ray-equivalence test, and the ray class group built by testing each
   ideal against every class representative in turn, restarting the
@@ -42,9 +45,14 @@ from starklab.pseudolattice import _characters, coset_slice_reps, coset_slice_ro
 from starklab.quadfield import (
     FieldCtx,
     QuadElem,
+    _cf_walk,
+    _convergent_matrix,
     _float_embed,
+    _hnf_2col,
+    _omega_cf,
     _omega_mul,
     _sign_surd,
+    _theta_state,
     unit_mod_f,
 )
 from starklab.stark import (
@@ -333,6 +341,37 @@ def theta_complex_reference(g1, g2, lam0, mu0, etas, v, radius, bits):
                     s[0] += term
                     s[1] += abs(term)
         return [(+value, +size) for value, size in sums]
+
+
+def generator_coords_reference(I):
+    """QuadIdeal.generator_coords by division: theta = (b + c omega)/a and
+    omega share a complete quotient x = (p + m sqrt(D))/q, theta = M.x and
+    omega = N.x, and alpha = a (N21 x + N22)/(M21 x + M22) generates I.
+    With A = N21 p + N22 q, B = N21 m, C = M21 p + M22 q, E = M21 m, one
+    product with the conjugate C - E sqrt(D) and an exact division by
+    C^2 - D E^2 give its omega-coordinates."""
+    F = I.field
+    D, t = F.D, F.omega_trace
+    omega_quotients, index = _omega_cf(D)[:2]
+    quotients, keys, cycled = _cf_walk(D, _theta_state(F, I.a, I.b, I.c), stop=index)
+    if cycled is not None:
+        return None
+    x = keys[-1]
+    p, m, q = x
+    _, _, m21, m22 = _convergent_matrix(quotients)
+    _, _, n21, n22 = _convergent_matrix(omega_quotients[:index[x]])
+    A, B = n21 * p + n22 * q, n21 * m
+    C, E = m21 * p + m22 * q, m21 * m
+    X, Y = A * C - D * B * E, B * C - A * E
+    N = C * C - D * E * E
+    # alpha = a (X + Y sqrt(D))/N; its omega-coordinates are
+    # (aX/N, aY/N) when t = 0 and (a(X - Y)/N, 2aY/N) when t = 1
+    u, ru = divmod(I.a * (X - t * Y), N)
+    v, rv = divmod((1 + t) * I.a * Y, N)
+    assert not ru and not rv, "CF generator is not integral"
+    gen = (u, v)
+    assert _hnf_2col([gen, _omega_mul(F, gen, (0, 1))]) == I.hnf()
+    return gen
 
 
 def ray_equivalent_reference(A, B, f, variant, units):

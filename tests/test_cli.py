@@ -7,8 +7,10 @@ import pathlib
 import re
 import resource
 import shlex
+import signal
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -157,6 +159,33 @@ def test_bc_kms_known_value():
     rep = json.loads(r.output)
     assert abs(float(rep["value_re"]) + 0.5) < 1e-14
     assert abs(float(rep["value_im"])) < 1e-14
+
+
+@pytest.mark.parametrize("beta", ["1e19", "1e400", "inf"])
+def test_bc_kms_at_a_huge_or_infinite_beta(beta):
+    # kms(beta, 1/2) = 2^(1 - beta) - 1 reads -1 at a huge beta; a beta past
+    # the float range is invalid input; each answers within a second, and the
+    # alarm stops a Hurwitz cut that loops on a NaN
+    def too_slow(*_):
+        raise TimeoutError("bc kms --beta %s ran past 10 s" % beta)
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    start = time.perf_counter()
+    try:
+        r = run("bc", "kms", "--beta", beta, "--gamma", "1/2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1
+    if beta == "1e19":
+        assert r.exit_code == 0, (r.output, r.stderr)
+        rep = json.loads(r.stdout)
+        assert abs(mp.mpf(rep["value_re"]) + 1) < 1e-30 and mp.mpf(rep["value_im"]) == 0
+    else:
+        assert r.exit_code == 4, (r.output, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("invalid input:") and r.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +536,16 @@ def test_exit_3_on_bound_exceeded(monkeypatch):
     def boom(*a, **k):
         raise BoundExceeded("synthetic ray class overflow")
 
-    # conductor 503: the least unit of the order is eps0^504
-    r = run("lattice", "classify", "--lattice",
-            '{"D": 5, "l1": ["1", "0"], "l2": ["503/2", "503/2"]}')
-    assert r.exit_code == 3
-    assert r.stderr.startswith("bound exceeded:")
+    # conductor 20011: the continued fraction of l2/l1 does not cycle within
+    # the step cap, whether read for the unit or for the equivalence
+    lat = '{"D": 2, "l1": ["1", "0"], "l2": ["0", "20011"]}'
+    for args in (("--lattice", lat),
+                 ("--lattice", '{"D": 2, "l1": ["1", "0"], "l2": ["0", "1"]}',
+                  "--against", lat)):
+        r = run("lattice", "classify", *args)
+        assert r.exit_code == 3, (r.output, r.stderr)
+        assert r.stderr == ("bound exceeded: continued fraction did not cycle "
+                            "within 10000 steps\n")
 
     monkeypatch.setattr(cli_mod, "conjecture_check", boom)
     r = run("stark", "conjecture", "--modulus", P11)
@@ -586,6 +620,14 @@ def _stark_compute_lines():
     return lines
 
 
+# The unit of End L read off the continued-fraction period where it lies far
+# out: conductor 503 in Q(sqrt 5), whose unit is eps0^504.
+_LATTICE_CLASSIFY_LINES = [
+    "starklab lattice classify --lattice "
+    "'{\"D\": 5, \"l1\": [\"1\", \"0\"], \"l2\": [\"503/2\", \"503/2\"]}'",
+]
+
+
 @pytest.mark.parametrize("args", [
     ("theta", "check-fe", "--D", "5", "--v", "i", "--prec", "128"),
     ("theta", "check-average", "--D", "5", "--v", "i"),
@@ -629,3 +671,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     GOLDEN_README.write_text(readme_transcript())
     (GOLDEN / "stark_compute.txt").write_text(transcript(_stark_compute_lines()))
+    (GOLDEN / "lattice_classify.txt").write_text(transcript(_LATTICE_CLASSIFY_LINES))

@@ -93,6 +93,21 @@ def test_hurwitz_zeta_at_zero_is_half_minus_a():
             assert abs(hurwitz_zeta(mp.mpf(0), a, CTX) - (mp.mpf(1) / 2 - a)) < 1e-30
 
 
+def test_hurwitz_zeta_at_a_huge_or_non_finite_s():
+    # at s = 1e19 the least x = N + a that the remainder bound allows lies
+    # just above a = 1 and rounds to it as a float, so the head must still
+    # take N >= 1 term; an s that is not a finite float is rejected (the CLI
+    # test of `bc kms --beta 1e400` times the one past the float range)
+    with CTX.workprec():
+        one = 1 << (mp.mp.prec + 64)
+        N, _ = _euler_maclaurin_cut(mp.mpf("1e19"), 1.0, 1e-33, 10**19 * one, one)
+        assert N >= 1
+        assert abs(hurwitz_zeta(mp.mpf("1e19"), mp.mpf(1), CTX) - 1) < 1e-30
+        for s in (mp.inf, mp.nan, mp.mpc(2, mp.inf)):
+            with pytest.raises(ValueError):
+                hurwitz_zeta(s, mp.mpf(1), CTX)
+
+
 def test_hurwitz_zeta_prime0_closed_forms():
     with CTX.workprec():
         # zeta_H'(0, 1/2) = -log(2)/2; zeta_H'(0, 1) = -log(2 pi)/2

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from starklab.numerics import BoundExceeded, PrecisionCtx
+from starklab.numerics import PrecisionCtx
 from starklab.pseudolattice import (
     IntMat2,
     Pseudolattice,
@@ -277,8 +277,21 @@ def test_automorphism_group_of_non_maximal_orders():
             assert automorphism_group(L).generator == eps0 ** k, (D, f)
     # conductor 503 in Q(sqrt 5): the least such power is eps0^504
     F = FieldCtx(5)
-    with pytest.raises(BoundExceeded):
-        automorphism_group(Pseudolattice(F, F.elem(1), 503 * F.omega))
+    L = Pseudolattice(F, F.elem(1), 503 * F.omega)
+    assert automorphism_group(L).generator == fundamental_unit(5) ** 504
+    # Z + f sqrt(D) with units eps0^509 (D=3) and eps0^2004 (D=2): the least
+    # power, and a unit that stabilizes L
+    for D, f in ((3, 1019), (2, 2003)):
+        F = FieldCtx(D)
+        eps0 = fundamental_unit(D)
+        L = Pseudolattice(F, F.elem(1), F.elem(0, f))
+        want = eps0
+        while F.coords(want)[1] % f:
+            want *= eps0
+        g = automorphism_group(L).generator
+        assert g == want and abs(g.norm()) == 1, (D, f)
+        for li in (L.l1, L.l2):
+            assert L.contains(g * li) and L.contains(li / g)
 
 
 def test_slice_reps_unique_per_orbit():

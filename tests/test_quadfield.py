@@ -21,7 +21,7 @@ from starklab.quadfield import (
 )
 from starklab.stark import _enumerate_coprime_ideals
 from conftest import SQUAREFREE_50, random_elem
-from oracles import pell_fundamental_unit
+from oracles import generator_coords_reference, pell_fundamental_unit
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 ds = st.sampled_from(SQUAREFREE_50)
@@ -266,6 +266,20 @@ def test_principal_generator_matches_fraction_reference():
     assert (n_ideals, n_principal) == (865, 795)
 
 
+def test_generator_coords_matches_the_division_reference():
+    # every ideal of norm <= 150 in 17 fields: the witness's bottom row gives
+    # the generator that the exact division of the two automorphs gave
+    n_ideals = n_principal = 0
+    for D in (2, 3, 5, 6, 7, 10, 13, 15, 26, 46, 79, 82, 94, 151, 331, 661, 991):
+        F = FieldCtx(D)
+        for I in _enumerate_coprime_ideals(F, QuadIdeal.unit_ideal(F), 150):
+            want = generator_coords_reference(I)
+            assert I.generator_coords() == want, I
+            n_ideals += 1
+            n_principal += want is not None
+    assert (n_ideals, n_principal) == (3159, 2600)
+
+
 def test_cf_keys_are_canonical():
     # proportional states have one key, with Q > 0; others differ
     for P, m, Q in ((3, 1, 2), (-3, 1, -2), (0, 1, 1), (5, -2, 7)):
@@ -277,8 +291,8 @@ def test_cf_keys_are_canonical():
 
 
 def test_principal_generator_hnf_gate_fires(monkeypatch):
-    # a wrong convergent matrix gives an alpha that is not integral or does
-    # not generate the ideal: the round trip must refuse it
+    # a wrong convergent matrix gives a witness whose alpha does not
+    # generate the ideal: the round trip must refuse it
     import starklab.quadfield as qf
 
     F = FieldCtx(5)
