@@ -34,7 +34,7 @@ import click
 import mpmath as mp
 
 from .numerics import ConvergenceError, PrecisionCtx
-from .quadfield import FieldCtx, QuadElem, QuadIdeal, cf_expand, unit_mod_f, _hnf_2col
+from .quadfield import FieldCtx, QuadElem, QuadIdeal, unit_mod_f, _hnf_2col
 from .pseudolattice import (
     Pseudolattice,
     automorphism_group,
@@ -496,14 +496,13 @@ def lattice_classify(ctx, lat_text, other_text):
     L = parse_lattice_literal(lat_text)
     order = endomorphism_ring(L)
     aut = automorphism_group(L)
-    quotients, _, (start, period) = cf_expand(L.theta())
     report = {
         "check": "lattice-classify",
         "D": L.field.D,
         "conductor": order.conductor,
         "delta": _numstr(delta(L, ctx), ctx),
         "geodesic_period": _numstr(geodesic_period(L, ctx), ctx),
-        "cf_cycle": list(quotients[start:start + period]),
+        "cf_cycle": list(aut.cf_cycle),
         "automorphism_generator": _elemstr(aut.generator),
     }
     if other_text:

@@ -138,10 +138,9 @@ def delta(L: Pseudolattice, ctx: PrecisionCtx = DEFAULT_CTX):
 
 @dataclass(frozen=True)
 class OrderData:
-    """End(L) = Z + f*O_K described by its conductor and Z-basis."""
+    """End(L) = Z + f*O_K described by its conductor."""
 
     conductor: int
-    basis: tuple  # (1, f*omega) as QuadElems
 
 
 def endomorphism_ring(L: Pseudolattice) -> OrderData:
@@ -158,7 +157,7 @@ def endomorphism_ring(L: Pseudolattice) -> OrderData:
     # sanity: f*omega must stabilize, and no proper divisor of f may
     for li in (L.l1, L.l2):
         assert L.contains(li * fomega)
-    return OrderData(conductor=f, basis=(F.elem(1), fomega))
+    return OrderData(conductor=f)
 
 
 def dual(L: Pseudolattice) -> Pseudolattice:
@@ -209,18 +208,19 @@ def effective_cone_contains(L: Pseudolattice, m: int, n: int) -> bool:
 @dataclass(frozen=True)
 class AutomorphismGroup:
     generator: QuadElem  # fundamental stabilizing unit > 1
-    torsion_order: int  # the +-1 factor
+    cf_cycle: tuple  # the partial quotients of one period of l2/l1
 
 
 def automorphism_group(L: Pseudolattice) -> AutomorphismGroup:
-    """Units of End L: infinite part generated by the unit > 1 that one
-    period of the continued fraction of l2/l1 gives (_cf_unit), which is the
-    fundamental unit of the conductor-f order; torsion {+-1}."""
+    """Units of End L, {+-1} times the powers of the unit > 1 that one period
+    of the continued fraction of l2/l1 gives (_cf_unit), which is the
+    fundamental unit of the conductor-f order; with that period."""
     D = L.field.D
-    gen = _cf_unit(D, *_cf_walk(D, _cf_normalize(L.theta())))
+    quotients, keys, start = _cf_walk(D, _cf_normalize(L.theta()))
+    gen = _cf_unit(D, quotients, keys, start)
     assert L.contains(gen * L.l1) and L.contains(gen * L.l2)
     assert L.contains(L.l1 / gen) and L.contains(L.l2 / gen)
-    return AutomorphismGroup(generator=gen, torsion_order=2)
+    return AutomorphismGroup(generator=gen, cf_cycle=tuple(quotients[start:]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,9 @@ def _sub_slices(W: QuadElem) -> list[Fraction]:
     the outer pieces cover the slice's ends), and successive ratios of at
     most about e^2, whose bounding triangles have 1.18 times the area of
     their pieces."""
-    log_w = math.log(_float_embed(W)) / 2
+    # log W from W / 2^e, which a float holds; below 2^1000, e = 0 and no cut moves
+    e = max(0, int(W.x).bit_length() - 1000)
+    log_w = (math.log(_float_embed(W * Fraction(1, 2 ** e))) + e * math.log(2)) / 2
     k = max(1, math.ceil(log_w))
     ends = [_dyadic(math.exp(-log_w) * (1 - 2 ** -24)), _dyadic(math.exp(log_w) * (1 + 2 ** -24))]
     while (W * ends[0] * ends[0]).compare(1) >= 0:
@@ -419,8 +421,8 @@ def coset_slice_rows(L: Pseudolattice, l0: QuadElem, W: QuadElem, max_norm):
     plans, points = [], 0.0
     for r1, r2 in zip(cuts, cuts[1:]):
         # the flow (xi, xi') -> (xi / g, xi' g) takes the piece's mean ratio
-        # g^2 = sqrt(r1 r2) to 1
-        g = math.sqrt(math.sqrt(float(r1) * float(r2)))
+        # g^2 = sqrt(r1 r2) to 1 (by fourth roots, as r1 r2 may underflow)
+        g = math.sqrt(math.sqrt(float(r1))) * math.sqrt(math.sqrt(float(r2)))
 
         def flowed(v, g=g):
             e, ec = _embed_pair(v[0], v[1], D, rd)

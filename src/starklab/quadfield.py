@@ -336,17 +336,6 @@ def _cf_walk(D: int, state: tuple[int, int, int], stop=()):
     raise BoundExceeded("continued fraction did not cycle within %d steps" % _CF_MAX_STEPS)
 
 
-def cf_expand(theta: QuadElem):
-    """Exact continued fraction of a quadratic irrational.
-
-    Returns (partial_quotients, values, (first_index, cycle_length)) where
-    values[k] is the k-th complete quotient as a QuadElem (values[0] = theta);
-    stops at the first exact repetition of a complete quotient."""
-    quotients, keys, start = _cf_walk(theta.D, _cf_normalize(theta))
-    values = [_key_value(theta.D, key) for key in keys]
-    return quotients, values, (start, len(keys) - start)
-
-
 def _theta_state(F: FieldCtx, a: int, b: int, c: int) -> tuple[int, int, int]:
     """The CF state of (b + c*omega)/a, with omega = (1 + sqrt(D))/2 when
     D == 1 mod 4 and sqrt(D) otherwise."""

@@ -68,11 +68,12 @@ from .quadfield import (
 from .pseudolattice import (
     Pseudolattice,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
+    _gauss_reduce,
     coset_slice_rows,
     delta,
     ideal_to_pseudolattice,
 )
-from .theta import RMThetaSpec, norm_coefficients
+from .theta import RMThetaSpec, _disk_rows, norm_coefficients
 
 
 class ConditionFailed(ValueError):
@@ -721,37 +722,50 @@ def recognize_quadratic(x, D: int, max_height: int = 12, tol: float = 1e-6,
         return None
 
 
-# Candidates recognize_integer examines before it gives up.
-_MAX_RECOGNITION_WINDOW = 100_000
-
-
 def recognize_integer(c, F: FieldCtx, bound: int, tol, ctx: PrecisionCtx = DEFAULT_CTX):
     """The algebraic integer alpha = u + v omega of F with |alpha - c| <= tol
-    and |alpha'| <= bound (decided exactly), or None.  As alpha - alpha' =
-    v (omega - omega'), v lies within (tol + bound)/(omega - omega') of
-    c/(omega - omega').  Raises ConvergenceError when two alpha qualify, and
-    BoundExceeded past _MAX_RECOGNITION_WINDOW candidates."""
-    t = F.omega_trace
+    and |alpha'| <= bound (decided exactly), or None.  The points
+    ((alpha - c)/tol, alpha'/bound) of [-1, 1]^2, scaled to covolume 1, lie
+    in [-s, s]^2, s^2 = tol bound/(omega - omega'): a Lagrange-Gauss reduced
+    basis (Cohen, GTM 138, 1.3) anchored at c reads them row by row.  Two
+    alpha in the box differ by a nonzero beta with |N(beta)| <= 4 tol bound,
+    so the ConvergenceError raised when two qualify, or at once when the disk
+    inscribed in the box holds two points, names the bits that make it < 1."""
+    t, D = F.omega_trace, F.D
     with ctx.workprec():
-        c, tol, sq = mp.mpf(c), mp.mpf(tol), mp.sqrt(F.D)
-        omega, gap = (t + sq) / (1 + t), 2 * sq / (1 + t)
-        vs = range(int(mp.ceil((c - tol - bound) / gap)),
-                   int(mp.floor((c + tol + bound) / gap)) + 1)
-        # counted on Python ints: len() of a range fails past 2^63
-        if max(0, vs.stop - vs.start) * (int(2 * tol) + 1) > _MAX_RECOGNITION_WINDOW:
-            raise BoundExceeded("more than %d candidates within %s of %s" % (
-                _MAX_RECOGNITION_WINDOW, mp.nstr(tol, 3), mp.nstr(c, 8)))
-        # alpha' = ((1 + t) u + t v - v sqrt(D)) / (1 + t)
-        hits = [F.from_coords(u, v) for v in vs
-                for u in range(int(mp.ceil(c - v * omega - tol)),
-                               int(mp.floor(c - v * omega + tol)) + 1)
-                if _sign_surd((1 + t) * (u - bound) + t * v, -v, F.D) <= 0
-                <= _sign_surd((1 + t) * (u + bound) + t * v, -v, F.D)]
-        if len(hits) > 1:
-            raise ConvergenceError("%d algebraic integers lie within %s of %s: the "
-                                   "error target does not separate them"
-                                   % (len(hits), mp.nstr(tol, 3), mp.nstr(c, 8)))
-        return hits[0] if hits else None
+        c, tol = mp.mpf(c), mp.mpf(tol)
+        # the exact walls: q alpha in [C - T, C + T] and |alpha'| <= bound
+        q = 2 ** max(0, -c.exp, -tol.exp)
+        C, T = int(c * q), int(tol * q)
+        walls = ((bound, 1, -1, 1), (-bound, 1, -1, -1), (C + T, q, 1, 1), (C - T, q, 1, -1))
+        # the images cancel about log2((|c| + bound)/tol) bits
+        with mp.extraprec(max(0, mp.mag((abs(c) + bound) / tol))):
+            omega, omega_c = ((t + r) / (1 + t) for r in (mp.sqrt(D), -mp.sqrt(D)))
+            s = mp.sqrt(tol * bound / (omega - omega_c))
+            image = lambda w: mp.mpc((w[0] + w[1] * omega) * s / tol,
+                                     (w[0] + w[1] * omega_c) * s / bound)
+            short, long = _gauss_reduce((1, 0), (0, 1), lambda w: complex(image(w)))
+            # (u, v) = (-omega', 1) c/(omega - omega') has the image (c s/tol, 0);
+            # its coordinates in the reduced basis (determinant det = +-1), rounded
+            v0, det = c / (omega - omega_c), long[0] * short[1] - long[1] * short[0]
+            ma, mb = (int(mp.nint(det * v0 * x)) for x in (-omega_c * short[1] - short[0],
+                                                          long[0] + omega_c * long[1]))
+            p0 = tuple(ma * x + mb * y for x, y in zip(long, short))
+            h1, h2, lam0 = image(long), image(short), image(p0) - c * s / tol
+        if abs(complex(h1)) + abs(complex(h2)) < s * (1 - 1e-9):
+            count = "at least 2"  # lam0, lam0 + h2: within (|h1| + |h2|)/2 + |h2| < s of 0
+        else:
+            hits = [F.from_coords(u, v) for a, lo, hi, _ in _disk_rows(h1, h2, lam0, s * mp.sqrt(2))
+                    for b in range(lo, hi + 1) for u, v in [(p0[0] + a * long[0] + b * short[0],
+                                                             p0[1] + a * long[1] + b * short[1])]
+                    if all(side * _sign_surd((1 + t) * (d * u - p) + d * t * v, y * d * v, D) <= 0
+                           for p, d, y, side in walls)]
+            if len(hits) < 2:
+                return hits[0] if hits else None
+            count = len(hits)
+        raise ConvergenceError("%s algebraic integers lie within %s of %s: an error target %d bits "
+                               "smaller separates them" % (count, mp.nstr(tol, 3), mp.nstr(c, 8),
+                                                           int(mp.log(4 * tol * bound, 2)) + 1))
 
 
 def pair_for_class(f: QuadIdeal, a: QuadIdeal) -> StarkInput:

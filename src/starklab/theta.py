@@ -137,7 +137,8 @@ def _disk_rows(h1, h2, lam0, R):
     """The lattice points lam0 + a h1 + b h2 in the disk |z| <= R, row by
     row, in float64 with a relative margin: (a, lo, hi, bstar) for each
     nonempty row lo <= b <= hi, bstar the integer nearest the row's
-    minimiser of |z|."""
+    minimiser of |z|.  Raises ConvergenceError, before any row is solved,
+    when the rows are not finite or more than _MAX_TERMS."""
     f1, f2, fl0 = complex(h1), complex(h2), complex(lam0)
     Rf = float(R) * (1 + 1e-12) + 1e-300
     n2 = f2.real * f2.real + f2.imag * f2.imag
@@ -145,6 +146,8 @@ def _disk_rows(h1, h2, lam0, R):
     cross = (f1 * f2.conjugate()).imag
     off = (fl0 * f2.conjugate()).imag
     span = Rf * math.sqrt(n2) / abs(cross)
+    if not (math.isfinite(off / cross) and 2 * span <= _MAX_TERMS):
+        raise ConvergenceError("term cap exceeded: the disk spans %.3g rows" % (2 * span))
     rows = []
     for a in range(math.floor(-off / cross - span), math.ceil(-off / cross + span) + 1):
         p = (fl0 + a * f1) * f2.conjugate()
@@ -233,8 +236,10 @@ def theta_complex(spec: ComplexThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> Th
             bound = tail(R)
 
         # rows step along h1 and walk along the shortest vector h2, which
-        # makes them long and few
+        # makes them long and few; their float64 plan needs finite squares
         f1, f2 = complex(g1), complex(g2)
+        if not max(map(abs, (f1.real, f1.imag, f2.real, f2.imag))) < 2 ** 500:
+            raise ConvergenceError("the lattice generators are too large for a float64 plan")
         short, long = _gauss_reduce((1, 0), (0, 1), lambda c: c[0] * f1 + c[1] * f2)
         h2, h1 = (c[0] * g1 + c[1] * g2 for c in (short, long))
         m = h1.real * h2.real + h1.imag * h2.imag

@@ -20,6 +20,8 @@ for the tests to compare against.  The package itself calls none of them.
 - generator_coords_reference: the principal generator by the quotient of
   the two bottom-row automorphs, one product with a conjugate and an exact
   integer division.
+- recognize_integer_reference: the algebraic integer near a real number by
+  a search of every candidate in the window the conjugate bound allows.
 - ray_equivalent_reference, ray_classes_reference: the pairwise exact
   ray-equivalence test, and the ray class group built by testing each
   ideal against every class representative in turn, restarting the
@@ -372,6 +374,34 @@ def generator_coords_reference(I):
     gen = (u, v)
     assert _hnf_2col([gen, _omega_mul(F, gen, (0, 1))]) == I.hnf()
     return gen
+
+
+def recognize_integer_reference(c, F, bound, tol, ctx, max_window=100_000):
+    """stark.recognize_integer by exhaustive search: as alpha - alpha' =
+    v (omega - omega'), v lies within (tol + bound)/(omega - omega') of
+    c/(omega - omega'), and each u within tol of c - v omega is tested
+    against the conjugate bound exactly.  Raises ConvergenceError when two
+    alpha qualify, and BoundExceeded past max_window candidates."""
+    t = F.omega_trace
+    with ctx.workprec():
+        c, tol, sq = mp.mpf(c), mp.mpf(tol), mp.sqrt(F.D)
+        omega, gap = (t + sq) / (1 + t), 2 * sq / (1 + t)
+        vs = range(int(mp.ceil((c - tol - bound) / gap)),
+                   int(mp.floor((c + tol + bound) / gap)) + 1)
+        if max(0, vs.stop - vs.start) * (int(2 * tol) + 1) > max_window:
+            raise BoundExceeded("more than %d candidates within %s of %s" % (
+                max_window, mp.nstr(tol, 3), mp.nstr(c, 8)))
+        # alpha' = ((1 + t) u + t v - v sqrt(D)) / (1 + t)
+        hits = [F.from_coords(u, v) for v in vs
+                for u in range(int(mp.ceil(c - v * omega - tol)),
+                               int(mp.floor(c - v * omega + tol)) + 1)
+                if _sign_surd((1 + t) * (u - bound) + t * v, -v, F.D) <= 0
+                <= _sign_surd((1 + t) * (u + bound) + t * v, -v, F.D)]
+        if len(hits) > 1:
+            raise ConvergenceError("%d algebraic integers lie within %s of %s: the "
+                                   "error target does not separate them"
+                                   % (len(hits), mp.nstr(tol, 3), mp.nstr(c, 8)))
+        return hits[0] if hits else None
 
 
 def ray_equivalent_reference(A, B, f, variant, units):

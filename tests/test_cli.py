@@ -506,8 +506,8 @@ def test_exit_3_on_a_slice_box_past_2_to_the_63(b):
 @pytest.mark.parametrize("D, ideal, code, start", [
     (991, (15, 4, 1), 0, None),
     (991, (15, 11, 1), 3, "convergence failure:"),
-    (991, (15, 1, 1), 3, "bound exceeded: more than 100000 candidates"),
-    (991, (15, 14, 1), 3, "bound exceeded: more than 100000 candidates"),
+    (991, (15, 1, 1), 3, "convergence failure:"),
+    (991, (15, 14, 1), 3, "convergence failure:"),
     (661, (11, 10, 1), 3, "convergence failure:"),
     (331, (15, 11, 1), 0, None),
 ], ids=["D991-15-4-1", "D991-15-11-1", "D991-15-1-1", "D991-15-14-1", "D661-11-10-1",
@@ -515,8 +515,9 @@ def test_exit_3_on_a_slice_box_past_2_to_the_63(b):
 def test_conjecture_outcomes_on_large_units(D, ideal, code, start):
     # eps_f+ reaches 10^63 in D=331 and D=661 and 10^120 in D=991; the
     # exact slice anchor keeps each walk near its kept rows, and the
-    # recognition window is counted on Python ints, so each modulus ends in
-    # a pass or a documented exit within seconds
+    # recognition reads its box on a reduced basis, so each modulus ends in
+    # a pass or a documented exit within seconds; a recognition exit names
+    # the bits by which the error target must shrink
     modulus = json.dumps({"D": D, "ideal": list(ideal)})
     r = run("stark", "conjecture", "--modulus", modulus, "--prec", "64", "--err", "1e-12")
     assert r.exit_code == code, r.stderr
@@ -524,6 +525,50 @@ def test_conjecture_outcomes_on_large_units(D, ideal, code, start):
         assert json.loads(r.stdout)["pass"] is True
     else:
         assert r.stderr.startswith(start), r.stderr
+        assert re.search(r"algebraic integers lie within .*: an error target \d+ bits "
+                         r"smaller separates them\n$", r.stderr), r.stderr
+
+
+@pytest.mark.parametrize("D, ideal, code", [
+    (94, (87, 23, 1), 3), (151, (49, 2, 1), 0), (211, (31, 5, 1), 0),
+], ids=["D94-87-23-1", "D151-49-2-1", "D211-31-5-1"])
+def test_slice_walks_with_w_past_the_float_range(D, ideal, code):
+    # W = eps_f+^2 is about 10^371, 10^401 and 10^352 here, past the largest
+    # float64: the cuts take log W from W / 2^e and the flow g^4 = r1 r2 is
+    # a product of fourth roots, so both commands end in a pass or a
+    # documented exit (the D=94 recognition needs 16 more bits)
+    modulus = json.dumps({"D": D, "ideal": list(ideal)})
+    r = run("stark", "compute", "--ideal", modulus, "--l0", '["1", "0"]',
+            "--prec", "64", "--err", "1e-12")
+    assert r.exit_code == 0, r.stderr
+    r = run("stark", "conjecture", "--modulus", modulus, "--prec", "64", "--err", "1e-12")
+    assert r.exit_code == code, r.stderr
+    if code:
+        assert r.stderr.startswith("convergence failure:") and "16 bits smaller" in r.stderr
+    else:
+        assert json.loads(r.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("t", ["300", "1000", "1e4"])
+def test_check_poisson_refuses_a_float_plan_it_cannot_trust(t):
+    # the flowed basis is skewed by about e^t: at t = 300 its float64
+    # reduction cancels and the disk would span 3e57 rows, which are counted
+    # before the walk; at t = 1000 and 1e4 the generators' float64 squares
+    # overflow; each exits 3 at once, where the alarm stops a row loop
+    def too_slow(*_):
+        raise TimeoutError("theta check-poisson --t %s ran past 20 s" % t)
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    start = time.perf_counter()
+    try:
+        r = run("theta", "check-poisson", "--D", "5", "--t", t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5
+    assert r.exit_code == 3, (r.output, r.stderr)
+    assert r.stderr.startswith("convergence failure:") and r.stderr.count("\n") == 1
 
 
 def test_exit_3_on_bound_exceeded(monkeypatch):

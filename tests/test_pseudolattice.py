@@ -262,6 +262,11 @@ def test_automorphism_group_of_maximal_order():
         L = Pseudolattice(F, F.elem(1), F.omega)
         g = automorphism_group(L).generator
         assert g == fundamental_unit(D)
+    # the period it read: sqrt 2 = [1; 2, 2, ...], sqrt 3 = [1; 1, 2, 1, 2, ...],
+    # (1 + sqrt 5)/2 = [1; 1, ...] and sqrt 7 = [2; 1, 1, 1, 4, ...]
+    for D, cycle in ((2, (2,)), (3, (1, 2)), (5, (1,)), (7, (1, 1, 1, 4))):
+        F = FieldCtx(D)
+        assert automorphism_group(Pseudolattice(F, F.elem(1), F.omega)).cf_cycle == cycle
 
 
 def test_automorphism_group_of_non_maximal_orders():

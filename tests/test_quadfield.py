@@ -14,8 +14,10 @@ from starklab.quadfield import (
     QuadElem,
     QuadIdeal,
     _cf_key,
+    _cf_normalize,
+    _cf_walk,
     _hnf_2col,
-    cf_expand,
+    _key_value,
     fundamental_unit,
     unit_mod_f,
 )
@@ -118,14 +120,16 @@ def test_cf_expansion_periodicity():
         D = rng.choice(SQUAREFREE_50)
         theta = QuadElem(D, Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                          Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-        qs, vals, (start, period) = cf_expand(theta)
-        assert period >= 1
-        assert len(vals) == start + period
-        # step the complete quotient by hand through one full cycle
-        v = vals[start]
-        for _ in range(period):
-            v = (v - QuadElem(v.D, v.floor())).inverse()
-        assert v == vals[start]
+        qs, keys, start = _cf_walk(D, _cf_normalize(theta))
+        assert len(qs) == len(keys) > start
+        assert _key_value(D, keys[0]) == theta
+        # step the complete quotient by hand through the walk and one more
+        # step, which repeats keys[start], checking each partial quotient
+        v = theta
+        for q in qs:
+            assert q == v.floor()
+            v = (v - QuadElem(D, q)).inverse()
+        assert v == _key_value(D, keys[start])
 
 
 def _rand_ideal(rng, F):

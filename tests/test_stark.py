@@ -2,8 +2,15 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import pathlib
 import random
+import re
+import resource
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -35,8 +42,10 @@ from oracles import (
     partial_zeta_direct_reference,
     ray_classes_reference,
     ray_equivalent_reference,
+    recognize_integer_reference,
     stark_number_eager_reference,
 )
+from sweep import SETS as SWEEP_SETS
 
 mp.mp.dps = 50
 
@@ -700,10 +709,88 @@ def test_recognize_integer_by_the_conjugate_bound():
         # its conjugate 1 - sqrt(5) exceeds the bound 1
         assert recognize_integer(x, F, 1, mp.mpf("1e-25"), CTX) is None
         # 0 and 1 both lie within 0.6 of 1/2 with conjugates of size <= 1
-        with pytest.raises(ArithmeticError, match="2 algebraic integers"):
+        with pytest.raises(ArithmeticError, match="2 algebraic integers .* 2 bits smaller"):
             recognize_integer(mp.mpf("0.5"), F, 1, mp.mpf("0.6"), CTX)
-        with pytest.raises(BoundExceeded):
-            recognize_integer(mp.mpf(0), F, 10 ** 6, mp.mpf("1e-25"), CTX)
+        # 2 bits smaller: 4 tol bound < 1, and neither lies within 0.15
+        assert recognize_integer(mp.mpf("0.5"), F, 1, mp.mpf("0.15"), CTX) is None
+        # the box holds only 0: a nonzero alpha within 1e-25 of 0 has a
+        # conjugate of size at least 1e25
+        assert recognize_integer(mp.mpf(0), F, 10 ** 6, mp.mpf("1e-25"), CTX).is_zero()
+
+
+def test_recognize_integer_matches_the_window_search():
+    # seeded calls in six fields, with bounds C(n, k), n <= 12, and tol from
+    # 1 down to 1e-25 |c|: planted alpha whose conjugate lies near the bound,
+    # moved by up to 1.5 tol, and random c; each call whose window holds at
+    # most 10^3 candidates gets the same alpha, None or exception type from
+    # the lattice and from the search, and where two alpha qualify, the
+    # error target the message names separates them
+    rng = random.Random(29)
+    answered, seen = 0, set()
+    with CTX.workprec():
+        for _ in range(1200):
+            D = rng.choice([2, 3, 5, 13, 79, 991])
+            F = FieldCtx(D)
+            n = rng.randint(0, 12)
+            bound = math.comb(n, rng.randint(0, n))
+            t, sq = F.omega_trace, mp.sqrt(D)
+            omega_c = (t - sq) / (1 + t)
+            v = rng.randint(-bound - 1, bound + 1)
+            u = int(mp.nint(-v * omega_c)) + rng.randint(-(4 * bound) // 3, (4 * bound) // 3)
+            c = F.from_coords(u, v).embed("id", CTX) if rng.random() < 0.8 \
+                else mp.mpf(rng.uniform(-2000, 2000))
+            tol = min(mp.mpf(1), mp.mpf(10) ** -rng.uniform(0, 25) * max(1, abs(c)))
+            c += tol * rng.uniform(-1.5, 1.5)
+            try:
+                want = recognize_integer_reference(c, F, bound, tol, CTX, 10 ** 3)
+            except BoundExceeded:
+                continue
+            except ConvergenceError:
+                want = ConvergenceError
+            answered += 1
+            seen.add(want if want in (None, ConvergenceError) else "alpha")
+            if want is not ConvergenceError:
+                assert recognize_integer(c, F, bound, tol, CTX) == want, (D, bound, c, tol)
+                continue
+            with pytest.raises(ConvergenceError) as exc:
+                recognize_integer(c, F, bound, tol, CTX)
+            bits = int(re.search(r"(\d+) bits smaller", str(exc.value)).group(1))
+            assert 4 * (tol / 2 ** bits) * bound < 1
+            recognize_integer(c, F, bound, tol / 2 ** bits, CTX)  # raises nothing
+    assert answered >= 1000 and seen == {None, ConvergenceError, "alpha"}
+
+
+@pytest.mark.parametrize("n", [20, 32, 64])
+def test_recognize_integer_of_a_planted_alpha_with_a_large_bound(n):
+    # the middle coefficient's bound C(n, n/2) in D=5 at 256 bits: 184,756
+    # and more, past the 10^5 candidates the window search allowed; the
+    # reduced basis reads the box in a few ms (the alarm stops a search that
+    # does not reduce); |v| >= 2 bound puts u - v omega', the conjugate with
+    # the sign of omega' flipped, past the bound
+    F, ctx = FieldCtx(5), PrecisionCtx(256, 1e-68)
+    bound, rng = math.comb(n, n // 2), random.Random(n)
+
+    def too_slow(*_):
+        raise TimeoutError("recognition ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        with ctx.workprec():
+            for _ in range(3):
+                v = rng.choice((-1, 1)) * rng.randint(2 * bound, 3 * bound)
+                u = int(mp.nint(rng.uniform(-1, 1) * bound - v * (1 - mp.sqrt(5)) / 2))
+                alpha = F.from_coords(u, v)
+                assert abs(alpha.conjugate().embed("id", ctx)) <= bound
+                c = alpha.embed("id", ctx) * (1 + mp.mpf(10) ** -70 * rng.uniform(-1, 1))
+                tol = ctx.target_abs_err * max(1, abs(c))
+                start = time.perf_counter()
+                got = recognize_integer(c, F, bound, tol, ctx)
+                assert time.perf_counter() - start < 0.01
+                assert got == alpha
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
@@ -744,3 +831,23 @@ def test_conjecture_check_on_cl_f_oo2_of_d3_modulus_5(monkeypatch):
     lattices = [inp.L for inp in calls]
     assert all(first != partner for first, partner in zip(lattices[0:8:2], lattices[1:8:2]))
     assert lattices[8] not in {M for L in lattices[:2] for M in (L, L.conjugate())}
+
+
+# Address space of the sweep's own process: the sweep peaks far below it,
+# so a walk or a search that runs away fails here instead of the machine.
+_SWEEP_AS = 3 << 30
+
+
+def test_conjecture_sweep_outcomes():
+    # conjecture_check at 64 bits and 1e-12 on each of the 147 moduli of norm
+    # 2-30 in D = 2, 3, 5, 6, 7, 10 (tests/sweep.py, about 4 s): 30 pass, 94
+    # fail condition (ii) (a unit == 1 mod f has a negative conjugate, exit
+    # 4), and 23 have a class with no member for a pair (exit 3); the counts
+    # move only in a change that names the move
+    here = pathlib.Path(__file__).resolve().parent
+    r = subprocess.run(
+        [sys.executable, str(here / "sweep.py"), "sweep"], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(here.parent / "src")},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (_SWEEP_AS, _SWEEP_AS)))
+    assert r.returncode == 0, (r.stdout, r.stderr)
+    assert json.loads(r.stdout) == SWEEP_SETS["sweep"][2]
