@@ -281,6 +281,16 @@ def _dyadic(v: float) -> Fraction:
     return Fraction(round(math.ldexp(m, 30))) * Fraction(2) ** (e - 30)
 
 
+def _unit_log(eps) -> float:
+    """log(eps) in float64 for a unit eps > 1 given at working precision, half
+    the log of the slice ratio W = eps^2; BoundExceeded past the float range
+    (W past about 10^616), where a walk's float planning would overflow."""
+    if math.isinf(x := float(eps)):
+        raise BoundExceeded("the slice ratio W = eps^2 is about 10^%d, past the float range "
+                            "of the planning" % int(2 * mp.log10(eps)))
+    return math.log(x)
+
+
 def _sub_slices(W: QuadElem) -> list[Fraction]:
     """Rational cuts r_0 < r_1 < ... < r_k of the ratio |xi/xi'| for the
     slice tau^2 in (1/W, W]: r_0 < 1/sqrt(W) and r_k > sqrt(W) (exactly, so

@@ -644,20 +644,16 @@ class UnitData:
         return all(s_conj > 0 for _, s_conj in self.signs)
 
 
-# Powers of eps0 that unit_mod_f tries before it gives up.
-_UNIT_MAX_POWER = 200
-
-
 def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
-    """Generator data for the congruence unit group {eps == 1 mod f}.
-
-    Raises BoundExceeded when no eps0^k with k <= 200 is == +-1 mod f."""
+    """Generator data for the congruence unit group {eps == 1 mod f}.  The
+    powers of eps0 mod f lie in the group (O_K/f)^x, of order at most N(f),
+    so some eps0^k with k <= N(f) is == 1 mod f, and the walk ends there."""
     eps0 = fundamental_unit(F.D)
     one, minus = f._residue((1, 0)), f._residue((-1, 0))
     minus_one = one == minus  # -1 == 1 mod f
     step = tuple(map(int, F.coords(eps0)))
     r = (1, 0)
-    for k_found in range(1, _UNIT_MAX_POWER + 1):
+    for k_found in range(1, f.norm() + 1):
         r = f._residue(_omega_mul(F, r, step))  # eps0^k mod f
         if r == one:
             g = eps0 ** k_found
@@ -665,8 +661,6 @@ def unit_mod_f(F: FieldCtx, f: QuadIdeal) -> UnitData:
         if r == minus:
             g = -(eps0 ** k_found)
             break
-    else:
-        raise BoundExceeded("no unit == +-1 mod f found up to eps0^%d" % _UNIT_MAX_POWER)
     # least totally positive unit == 1 mod f (of the form +-g^j)
     if g.is_totally_positive():
         g_plus = g

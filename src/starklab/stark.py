@@ -69,6 +69,7 @@ from .pseudolattice import (
     Pseudolattice,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     _gauss_reduce,
+    _unit_log,
     coset_slice_rows,
     delta,
     ideal_to_pseudolattice,
@@ -319,7 +320,7 @@ def _continuation_data(inp: StarkInput, ctx: PrecisionCtx,
     # 4 log W / Delta, W = eps_f_plus^2 the slice ratio; the dual side's,
     # of covolume 1/Delta, is rho Delta^2.  At v = i t the densities are
     # rho / t and rho' t per unit of the terms' arguments |N| t and |N| / t.
-    rho = 8.0 * math.log(float(inp.unit.eps_f_plus.embed("id"))) / delta_f
+    rho = 8.0 * _unit_log(inp.unit.eps_f_plus.embed("id")) / delta_f
     rho_dual = rho * delta_f ** 2
     # The dual side's slice points share a norm about 9 times as often as
     # the primal side's (D=5 p11 at t = 1/8: 4.5 rows per primal norm, 38
@@ -516,8 +517,9 @@ class RayClassGroup:
         return tuple(m[0] for m in self.members)
 
     def class_index(self, ideal: QuadIdeal) -> int:
-        key = _ray_key(ideal, self.bases, self.variant, self.units)
-        k = self.index.get(key)
+        found = _base_generator(ideal, self.bases)
+        k = found and self.index.get(_ray_key(ideal.field, *found, self.bases,
+                                              self.variant, self.units))
         if k is None:
             raise BoundExceeded("ideal not equivalent to any enumerated class")
         return k
@@ -567,23 +569,21 @@ def _residue_key(F: FieldCtx, gen: tuple[int, int], target: QuadIdeal,
     return best
 
 
-def _ray_key(I: QuadIdeal, bases, variant: str, units: UnitData) -> tuple | None:
-    """(j, _residue_key of gamma) for the first base conj(J_j) with
-    I conj(J_j) = (gamma) principal, or None when I lies in no base's
-    ordinary class."""
-    for j, (conj_J, target) in enumerate(bases):
+def _base_generator(I: QuadIdeal, bases) -> tuple | None:
+    """(j, gen) for the first base conj(J_j) with I conj(J_j) = (gamma)
+    principal, gen = gamma's omega-coordinates, or None when I lies in no
+    base's ordinary class."""
+    for j, (conj_J, _) in enumerate(bases):
         gen = (I * conj_J).generator_coords()
         if gen is not None:
-            return j, _residue_key(I.field, gen, target, variant, units)
+            return j, gen
     return None
 
 
-def _new_base(J: QuadIdeal, f: QuadIdeal, variant: str, units: UnitData):
-    """The base (conj(J), f (N J)_f) and J's own _residue_key: as
-    J conj(J) = (N J), it needs no principal test."""
-    target = _congruence_ideal(J.norm(), f)
-    return (J.conjugate(), target), _residue_key(J.field, (J.norm(), 0), target,
-                                                 variant, units)
+def _ray_key(F: FieldCtx, j: int, gen, bases, variant: str, units: UnitData) -> tuple:
+    """The class key of a _base_generator result (j, gen): j and the
+    _residue_key of gen modulo base j's target."""
+    return j, _residue_key(F, gen, bases[j][1], variant, units)
 
 
 def _enumerate_coprime_ideals(F: FieldCtx, f: QuadIdeal, norm_bound: int,
@@ -618,7 +618,11 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
     coprime to f up to the norm bound, quotiented by principality with a
     generator congruent to 1 mod f (totally positive in the narrow case).
     Each ideal is classified by its _ray_key: one principal test per
-    ordinary class met before its own, and one dict lookup.  norm_bound is
+    ordinary class met before its own, and one dict lookup.  Table products
+    are keyed from the factors' generators, rep_i conj(J_a) = (gamma_i),
+    rep_j conj(J_b) = (gamma_j), and J_a J_b conj(J_c) = (delta), one
+    principal test per pair of bases: rep_i rep_j conj(J_c) =
+    (gamma_i gamma_j delta / (N J_a N J_b)).  norm_bound is
     the starting bound: while a product of representatives escapes the
     enumerated classes, the ideals of norm up to twice the bound are
     enumerated too, and past _MAX_NORM_BOUND it raises BoundExceeded.  As
@@ -630,34 +634,46 @@ def ray_classes(f: QuadIdeal, variant: str = "narrow",
     bases: list[tuple[QuadIdeal, QuadIdeal]] = []
     index: dict = {}  # _ray_key -> class
     members: list[list[QuadIdeal]] = []
+    gens: list[tuple] = []  # class -> _base_generator of its representative
+    base_products: dict = {}  # (a, b) -> (c, gen of delta), a <= b
     products: dict = {}  # (i, j) -> class of rep_i * rep_j, j >= i
     above = 0
     while True:
         # (1) comes first, so class 0 is the principal class
         for I in _enumerate_coprime_ideals(F, f, norm_bound, above):
-            key = _ray_key(I, bases, variant, units)
-            if key is None:
-                base, own = _new_base(I, f, variant, units)
-                key = (len(bases), own)
-                bases.append(base)
+            found = _base_generator(I, bases)
+            if found is None:
+                # a new base J needs no principal test: J conj(J) = (N J)
+                found = len(bases), (I.norm(), 0)
+                bases.append((I.conjugate(), _congruence_ideal(I.norm(), f)))
+            key = _ray_key(F, *found, bases, variant, units)
             idx = index.get(key)
             if idx is not None:
                 members[idx].append(I)
                 continue
             index[key] = len(members)
             members.append([I])
+            gens.append(found)
             if len(members) > _MAX_RAY_CLASSES:
                 raise BoundExceeded(
                     "more than %d ray classes at norm bound %d"
                     % (_MAX_RAY_CLASSES, norm_bound)
                 )
         k = len(members)
-        # ideal products commute, and rep_i * rep_j and rep_j * rep_i have
-        # the same HNF, so each entry with j >= i is looked up and mirrored
+        # ideal products commute, so each entry with j >= i is keyed and
+        # mirrored; a base product outside the bases' classes escapes
         for i, j in combinations_with_replacement(range(k), 2):
             if (i, j) not in products:
-                idx = index.get(_ray_key(members[i][0] * members[j][0],
-                                         bases, variant, units))
+                (a, gi), (b, gj) = sorted((gens[i], gens[j]))
+                if (a, b) not in base_products:
+                    found = _base_generator((bases[a][0] * bases[b][0]).conjugate(), bases)
+                    if found is None:
+                        break
+                    base_products[a, b] = found
+                c, gd = base_products[a, b]
+                n = bases[a][0].norm() * bases[b][0].norm()
+                u, v = _omega_mul(F, _omega_mul(F, gi, gj), gd)
+                idx = index.get(_ray_key(F, c, (u // n, v // n), bases, variant, units))
                 if idx is None:
                     break
                 products[i, j] = idx
@@ -814,7 +830,9 @@ def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> Conjectur
     within 100 times the error target.  Each coefficient c_k of
     Q = prod_G (X - S0(C)) must be one algebraic integer alpha within the
     error target of c_k (relative past 1) with |alpha'| <= binomial(|G|, k):
-    the Stark unit has absolute value 1 above oo2.  Pairs are pair_for_class
+    the Stark unit has absolute value 1 above oo2; when the error target
+    separates the candidates of some c_k from none, the ConvergenceError
+    names the bits that separate them for every k.  Pairs are pair_for_class
     of members coprime to conj(f) (condition (i)), else BoundExceeded."""
     F = f.field
     group = ray_classes(f)
@@ -852,9 +870,16 @@ def conjecture_check(f: QuadIdeal, ctx: PrecisionCtx = DEFAULT_CTX) -> Conjectur
         coeffs = [mp.mpf(1)]  # of X^0, X^1, ...
         for e in entries:
             coeffs = [a - e.s0 * b for a, b in zip([0] + coeffs, coeffs + [0])]
-        recognized = [recognize_integer(c, F, math.comb(len(entries), k),
-                                        ctx.target_abs_err * max(1, abs(c)), ctx)
-                      for k, c in enumerate(coeffs)]
+        # each ConvergenceError waits; the one raised names the most bits (tol * bound)
+        recognized, unseparated = [], []
+        for k, c in enumerate(coeffs):
+            bound, tol_k = math.comb(len(entries), k), ctx.target_abs_err * max(1, abs(c))
+            try:
+                recognized.append(recognize_integer(c, F, bound, tol_k, ctx))
+            except ConvergenceError as exc:
+                unseparated.append((tol_k * bound, exc))
+        if unseparated:
+            raise max(unseparated, key=lambda e: e[0])[1]
         worst = max([inversion] + [e.invariance_residual for e in entries
                                    if e.invariance_residual is not None])
     failures = tuple(k for k, alpha in enumerate(recognized) if alpha is None)

@@ -40,6 +40,7 @@ from .pseudolattice import (
     Pseudolattice,
     _characters,
     _gauss_reduce,
+    _unit_log,
     coset_slice_reps,  # noqa: F401  (unused; bench/test_bench.py traces this import site)
     coset_slice_rows,
     delta,
@@ -394,7 +395,7 @@ def theta_rm(spec: RMThetaSpec, ctx: PrecisionCtx = DEFAULT_CTX) -> ThetaValue:
         if not sigma > 0:  # the cutoff below divides by it
             raise ValueError("v must lie in the upper half plane")
         covol = float(delta(spec.L, ctx))
-        logw = math.log(float(spec.epsU.embed("id", ctx)))
+        logw = _unit_log(spec.epsU.embed("id", ctx))
         coefmax = float(abs(eta.real) + abs(eta.imag))
 
         def tail(X):

@@ -571,12 +571,31 @@ def test_check_poisson_refuses_a_float_plan_it_cannot_trust(t):
     assert r.stderr.startswith("convergence failure:") and r.stderr.count("\n") == 1
 
 
-def test_exit_3_on_bound_exceeded(monkeypatch):
-    # the order of the unit 1 + sqrt(2) modulo (211), up to sign, is 212
-    r = run("stark", "compute", "--ideal", '{"D": 2, "ideal": [211, 0, 211]}',
+@pytest.mark.parametrize("p, code", [(211, 4), (263, 0)])
+def test_stark_compute_with_a_unit_of_large_order_mod_f(p, code):
+    # the order of the unit 1 + sqrt(2) modulo (p), up to sign, is 212 for
+    # p = 211 and 262 for p = 263: unit_mod_f walks up to N(f), so (211)
+    # fails condition (ii) and (263) gives a Stark number
+    r = run("stark", "compute", "--ideal", '{"D": 2, "ideal": [%d, 0, %d]}' % (p, p),
             "--l0", '["1", "0"]')
-    assert r.exit_code == 3
-    assert r.stderr.startswith("bound exceeded:")
+    assert r.exit_code == code, r.stderr
+    if code:
+        assert r.stderr.startswith("invalid input: condition (ii) failed")
+    else:
+        assert json.loads(r.stdout)["check"] == "stark-number"
+
+
+def test_exit_3_on_bound_exceeded(monkeypatch):
+    # eps_f+ for (1039) in D=2 is past the largest float64, so the float
+    # planning of the Stark number's cutoffs and of the theta tail refuses
+    # it before anything overflows (the theta tail would otherwise loop)
+    ideal = '{"D": 2, "ideal": [1039, 0, 1039]}'
+    for args in (("stark", "compute", "--ideal", ideal, "--l0", '["1", "0"]'),
+                 ("theta", "check-fe", "--D", "2", "--ideal", ideal)):
+        r = run(*args)
+        assert r.exit_code == 3, (r.output, r.stderr)
+        assert r.stderr == ("bound exceeded: the slice ratio W = eps^2 is about 10^794, "
+                            "past the float range of the planning\n")
 
     def boom(*a, **k):
         raise BoundExceeded("synthetic ray class overflow")
